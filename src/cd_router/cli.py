@@ -47,7 +47,20 @@ EXIT_USAGE = 64
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low` (else exit 64)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _sci(x: float) -> str:
@@ -247,7 +260,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("schedule", help="run the full scheduling pipeline")
     p.add_argument("instance")
     p.add_argument("--variant", choices=("plain", "buffered"), default="plain")
-    p.add_argument("--delta", type=int, default=4)
+    p.add_argument("--delta", type=_int_at_least(2), default=4)
     p.add_argument("--seed", default="0")
     p.add_argument("--strategy", choices=("resample", "greedy"), default="resample")
     p.add_argument("--finalize", choices=("ones", "greedy"), default="ones")
@@ -258,7 +271,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="replay a schedule and check feasibility")
     p.add_argument("instance")
     p.add_argument("schedule")
-    p.add_argument("--capacity", type=int, default=1)
+    p.add_argument("--capacity", type=_int_at_least(1), default=1)
     p.add_argument("--max-makespan", type=int, default=None)
     p.add_argument("--max-wait", type=int, default=None)
     p.add_argument("--trace-csv", default=None)
@@ -286,7 +299,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="run pipeline benchmarks, emit CSV")
     p.add_argument("--suite", default="random")
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--delta", type=int, default=4)
+    p.add_argument("--delta", type=_int_at_least(2), default=4)
     p.add_argument("--seed", default="0")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)

@@ -17,9 +17,8 @@ so float arithmetic introduces no rounding at the supported sizes.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dissection import Block, BlockTree, ShiftedBlockTree
 from .instance import PaddedInstance
@@ -129,57 +128,59 @@ def _delay_of(table: tuple[int, ...] | None, draw: int) -> int:
     return draw if table is None else table[draw - 1]
 
 
-def crossing_time(tree: Tree, assignment: DelayAssignment, packet: int, pos: int) -> int:
-    """Slot in which `packet` crosses edge position `pos` (fully fixed only)."""
-    if not assignment.fully_fixed:
-        raise AssignmentError("assignment incomplete: crossing_time needs all levels fixed")
-    slot = pos
-    for level in range(assignment.n_levels):
-        det, table = _contribution(tree, level, pos)
-        draw = assignment.value(packet, level, tree.block_index(level, pos))
-        slot += det + _delay_of(table, draw)
-    return slot
+class PositionTerms(NamedTuple):
+    """What the dissection alone decides about one edge position.
 
-
-def crossing_time_plain(tree: BlockTree, assignment: DelayAssignment, packet: int, pos: int) -> int:
-    if tree.kind != "plain":
-        raise AssignmentError("crossing_time_plain wants an aligned tree")
-    return crossing_time(tree, assignment, packet, pos)
-
-
-def crossing_time_buffered(
-    tree: ShiftedBlockTree, assignment: DelayAssignment, packet: int, pos: int
-) -> int:
-    if tree.kind != "buffered":
-        raise AssignmentError("crossing_time_buffered wants a shifted tree")
-    return crossing_time(tree, assignment, packet, pos)
-
-
-def crossing_distribution(
-    tree: Tree, assignment: DelayAssignment, packet: int, pos: int
-) -> Distribution:
-    """Exact law of the crossing slot given the fixed prefix of levels.
-
-    Open levels are independent uniform draws; the result is the convolution
-    of their per-level delay laws, shifted by everything already determined.
+    A crossing slot is `offset` plus, per level, the delay that level's draw
+    for block `blocks[level]` adds through `tables[level]`; nothing here
+    depends on the packet.
     """
-    base = pos
-    dist: Distribution = {0: 1.0}
-    for level in range(assignment.n_levels):
+
+    offset: int  # pos plus every level's deterministic offset
+    blocks: tuple[int, ...]  # containing block, per level
+    tables: tuple[tuple[int, ...] | None, ...]  # delay per draw, per level
+
+
+def position_terms(tree: Tree, pos: int) -> PositionTerms:
+    offset = pos
+    blocks: list[int] = []
+    tables: list[tuple[int, ...] | None] = []
+    for level in range(len(tree.ladder.levels)):
         det, table = _contribution(tree, level, pos)
-        base += det
+        offset += det
+        blocks.append(tree.block_index(level, pos))
+        tables.append(table)
+    return PositionTerms(offset, tuple(blocks), tuple(tables))
+
+
+def fixed_delay(terms: PositionTerms, values: list[list[int | None]], levels: int) -> int:
+    """Delay the first `levels` levels add, given one packet's fixed draws."""
+    total = 0
+    for level in range(levels):
+        total += _delay_of(terms.tables[level], values[level][terms.blocks[level]])
+    return total
+
+
+def residual_law(tree: Tree, from_level: int, pos: int) -> tuple[int, list[tuple[int, float]]]:
+    """Law of the delay that levels from_level.. add at pos while all are open.
+
+    Open levels are independent uniform draws, so the law is the convolution
+    of their per-level delay laws. Returns (shift, tail): levels whose delay
+    is certain fold into `shift`, and `tail` lists (delay, probability) in
+    ascending delay order. It depends on the position only.
+    """
+    shift = 0
+    dist: Distribution = {0: 1.0}
+    for level in range(from_level, len(tree.ladder.levels)):
+        _, table = _contribution(tree, level, pos)
         budget = tree.ladder.levels[level].wait_budget
-        if level < assignment.frontier:
-            draw = assignment.value(packet, level, tree.block_index(level, pos))
-            base += _delay_of(table, draw)
-            continue
         weight = 1.0 / budget
         level_law: Distribution = {}
         for draw in range(1, budget + 1):
             d = _delay_of(table, draw)
             level_law[d] = level_law.get(d, 0.0) + weight
         if len(level_law) == 1:
-            base += next(iter(level_law))
+            shift += next(iter(level_law))
             continue
         new: Distribution = {}
         for t, p in dist.items():
@@ -187,7 +188,28 @@ def crossing_distribution(
                 key = t + d
                 new[key] = new.get(key, 0.0) + p * q
         dist = new
-    return {base + t: p for t, p in dist.items()}
+    return shift, sorted(dist.items())
+
+
+def crossing_time(tree: Tree, assignment: DelayAssignment, packet: int, pos: int) -> int:
+    """Slot in which `packet` crosses edge position `pos` (fully fixed only)."""
+    if not assignment.fully_fixed:
+        raise AssignmentError("assignment incomplete: crossing_time needs all levels fixed")
+    terms = position_terms(tree, pos)
+    return terms.offset + fixed_delay(terms, assignment.values[packet], assignment.n_levels)
+
+
+def crossing_distribution(
+    tree: Tree, assignment: DelayAssignment, packet: int, pos: int
+) -> Distribution:
+    """Exact law of the crossing slot given the fixed prefix of levels.
+
+    The open levels' residual law, shifted by everything already determined.
+    """
+    terms = position_terms(tree, pos)
+    shift, tail = residual_law(tree, assignment.frontier, pos)
+    base = terms.offset + fixed_delay(terms, assignment.values[packet], assignment.frontier) + shift
+    return {base + t: p for t, p in tail}
 
 
 def expected_load(
@@ -205,27 +227,3 @@ def expected_load(
                 key = (edge_id, slot)
                 table[key] = table.get(key, 0.0) + p
     return table
-
-
-# --- tail bounds used by the fixing argument --------------------------------
-
-def chernoff_tail(mu: float, delta: float, eps: float) -> float:
-    """exp(-eps^2 * mu / (3 * delta)): upper tail for sums of small terms.
-
-    `delta` caps each summand, `mu` bounds the mean, `eps` is the relative
-    overshoot being priced.
-    """
-    if mu <= 0 or delta <= 0 or eps <= 0:
-        raise ValueError("chernoff_tail needs positive mu, delta, eps")
-    return math.exp(-(eps * eps) * mu / (3.0 * delta))
-
-
-def lll_feasible(p: float, d: float) -> bool:
-    """Symmetric local-lemma check 4 * p * d <= 1 (log-space, overflow-safe)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be a probability")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if p == 0.0 or d == 0:
-        return True
-    return math.log(4.0) + math.log(p) + math.log(d) <= 0.0

@@ -8,19 +8,24 @@ Whatever stays random after the last fixed level is finalized arbitrarily;
 the realized integral load c is then certified against the counting bound
 c <= gamma * prod(open budgets), and stretching every slot into c slots
 yields a capacity-1 schedule.
+
+What is still random about a crossing depends on its position alone, so a
+level's delay terms and residual laws are computed once per position and
+shared; each (packet, position) adds only the shift its fixed draws make.
 """
 from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .delay_model import (
+    AssignmentError,
     DelayAssignment,
     Tree,
-    _contribution,
-    _delay_of,
-    crossing_time,
+    fixed_delay,
+    position_terms,
+    residual_law,
 )
 from .dissection import build_ladder, dissect_plain, dissect_shifted
 from .instance import Instance, PaddedInstance, pad, stats
@@ -64,6 +69,8 @@ def _validated(config: FixerConfig) -> None:
         raise ValueError(f"unknown strategy {config.strategy!r}")
     if config.finalize_strategy not in ("ones", "greedy"):
         raise ValueError(f"unknown finalize strategy {config.finalize_strategy!r}")
+    if config.delta < 2:
+        raise ValueError(f"delta must be at least 2, got {config.delta}")
     if config.resample_budget < 1 or config.restart_budget < 1:
         raise ValueError("budgets must be at least 1")
     if not config.relax_ladder or any(r < 1 for r in config.relax_ladder):
@@ -102,43 +109,16 @@ class FixReport:
         return max((lf.relax for lf in self.levels), default=1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "delta": self.delta,
-            "levels": [
-                {
-                    "level": lf.level,
-                    "relax": lf.relax,
-                    "slack": lf.slack,
-                    "gamma_before": lf.gamma_before,
-                    "gamma_after": lf.gamma_after,
-                    "achieved": lf.achieved,
-                    "resamples": lf.resamples,
-                    "restarts": lf.restarts,
-                    "strategy": lf.strategy,
-                }
-                for lf in self.levels
-            ],
-            "gamma_final": self.gamma_final,
-            "residual_levels": list(self.residual_levels),
-            "residual_budget": self.residual_budget,
-            "counting_cap": self.counting_cap,
-            "load": self.load,
-            "makespan_prestretch": self.makespan_prestretch,
-            "makespan": self.makespan,
-            "prestretch_max_edge_wait": self.prestretch_max_edge_wait,
-        }
+        return asdict(self)
 
 
 # --- incremental conditional-expectation table for one level ----------------
 
-@dataclass
+@dataclass(slots=True)
 class _Item:
-    packet: int
-    pos: int
     edge: str
     base: int
-    tail: list[tuple[int, float]]  # residual law of deeper open levels
+    tail: list[tuple[int, float]]  # residual law of deeper open levels, shared per position
     table: tuple[int, ...] | None  # this level's delay per draw (None = identity)
     var: tuple[int, int]  # (packet, block index)
 
@@ -152,42 +132,21 @@ class _LevelWorkspace:
         self.items: list[_Item] = []
         self.by_var: dict[tuple[int, int], list[int]] = {}
         self.by_edge: dict[str, list[int]] = {}
-        n_levels = len(tree.ladder.levels)
+        # everything still random is a function of the position alone
+        positions = []
+        for pos in range(1, padded.length + 1):
+            terms = position_terms(tree, pos)
+            shift, tail = residual_law(tree, level + 1, pos)
+            positions.append((terms, terms.offset + shift, tail))
         for packet, path in enumerate(padded.padded.paths):
-            for pos, edge_id in enumerate(path, start=1):
-                base = pos
-                tail: dict[int, float] = {0: 1.0}
-                var_table: tuple[int, ...] | None = None
-                for lvl in range(n_levels):
-                    det, table = _contribution(tree, lvl, pos)
-                    base += det
-                    if lvl < level:
-                        draw = assignment.value(packet, lvl, tree.block_index(lvl, pos))
-                        base += _delay_of(table, draw)
-                    elif lvl == level:
-                        var_table = table
-                    else:
-                        b = tree.ladder.levels[lvl].wait_budget
-                        law: dict[int, float] = {}
-                        for draw in range(1, b + 1):
-                            d = _delay_of(table, draw)
-                            law[d] = law.get(d, 0.0) + 1.0 / b
-                        if len(law) == 1:
-                            base += next(iter(law))
-                        else:
-                            new: dict[int, float] = {}
-                            for t, p in tail.items():
-                                for d, q in law.items():
-                                    new[t + d] = new.get(t + d, 0.0) + p * q
-                            tail = new
+            values = assignment.values[packet]
+            for edge_id, (terms, base, tail) in zip(path, positions):
                 item = _Item(
-                    packet,
-                    pos,
                     edge_id,
-                    base,
-                    sorted(tail.items()),
-                    var_table,
-                    (packet, tree.block_index(level, pos)),
+                    base + fixed_delay(terms, values, level),
+                    tail,
+                    terms.tables[level],
+                    (packet, terms.blocks[level]),
                 )
                 idx = len(self.items)
                 self.items.append(item)
@@ -296,7 +255,7 @@ def _greedy_fix(ws: _LevelWorkspace) -> tuple[dict, float]:
     return draws, ws.max_y()
 
 
-def _draws_to_matrix(ws: _LevelWorkspace, tree: Tree, draws: dict, n_packets: int, level: int):
+def _draws_to_matrix(tree: Tree, draws: dict, n_packets: int, level: int):
     matrix = [[1] * tree.n_blocks(level) for _ in range(n_packets)]
     for (packet, block), draw in draws.items():
         matrix[packet][block] = draw
@@ -334,7 +293,7 @@ def fix_level(
             f"level {level}: budget exhausted at relax {relax} "
             f"(best achieved {achieved:.6f} vs target {target:.6f})"
         )
-    assignment.set_level(level, _draws_to_matrix(ws, tree, draws, padded.padded.n_packets, level))
+    assignment.set_level(level, _draws_to_matrix(tree, draws, padded.padded.n_packets, level))
     log.info(
         "fixed level %d: achieved %.4f <= %.4f (relax %.1f, %d resamples)",
         level, achieved, target, relax, resamples,
@@ -360,7 +319,7 @@ def _greedy_finalize(padded: PaddedInstance, tree: Tree, assignment: DelayAssign
         ws = _LevelWorkspace(padded, tree, assignment, level)
         draws, _ = _greedy_fix(ws)
         assignment.set_level(
-            level, _draws_to_matrix(ws, tree, draws, padded.padded.n_packets, level)
+            level, _draws_to_matrix(tree, draws, padded.padded.n_packets, level)
         )
 
 
@@ -368,18 +327,22 @@ def schedule_from_assignment(
     padded: PaddedInstance, tree: Tree, assignment: DelayAssignment
 ) -> Schedule:
     """Concrete per-node waits realizing the fully fixed policy (padded paths)."""
-    length = padded.length
+    if not assignment.fully_fixed:
+        raise AssignmentError("assignment incomplete: a schedule needs all levels fixed")
+    terms = [position_terms(tree, pos) for pos in range(1, padded.length + 1)]
+    n_levels = assignment.n_levels
     waits: list[list[int]] = []
-    for packet in range(padded.padded.n_packets):
-        slots = [crossing_time(tree, assignment, packet, pos) for pos in range(1, length + 1)]
-        row = [slots[0] - 1]
-        for p in range(1, length):
-            row.append(slots[p] - slots[p - 1] - 1)
+    for values in assignment.values:
+        row = []
+        prev = 0
+        for t in terms:
+            slot = t.offset + fixed_delay(t, values, n_levels)
+            row.append(slot - prev - 1)
+            prev = slot
         sink = 0
         if tree.kind == "plain":
             for level, lv in enumerate(tree.ladder.levels):
-                last = tree.n_blocks(level) - 1
-                sink += lv.wait_budget - assignment.value(packet, level, last)
+                sink += lv.wait_budget - values[level][-1]
         row.append(sink)
         waits.append(row)
     return Schedule(waits=waits)
@@ -484,8 +447,6 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
     s = stats(instance)
     padded = pad(instance)
     delta = min(config.delta, padded.length)
-    if padded.length >= 2:
-        delta = max(2, delta)
     ladder = build_ladder(padded.length, delta)
     tree = dissect_plain(ladder) if config.variant == "plain" else dissect_shifted(ladder)
     assignment = DelayAssignment(tree, instance.n_packets)

@@ -155,6 +155,23 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("delta", ["0", "-3", "1", "two"])
+def test_bad_delta_exits_64(tmp_path, capsys, delta):
+    assert main(["schedule", FIG1, "--delta", delta]) == EXIT_USAGE
+    out = tmp_path / "x.csv"
+    assert main(["bench", "--count", "1", "--delta", delta, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert "argument --delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("capacity", ["0", "-1"])
+def test_bad_capacity_exits_64(tmp_path, capsys, capacity):
+    sched = tmp_path / "sched.json"
+    assert main(["schedule", FIG1, "--out", str(sched)]) == EXIT_OK
+    assert main(["simulate", FIG1, str(sched), "--capacity", capacity]) == EXIT_USAGE
+    assert "argument --capacity" in capsys.readouterr().err
+
+
 def test_bad_values_exit_1_cleanly(tmp_path, capsys):
     assert main(["lowerbound", "margin", "--eps", "-1"]) == EXIT_FAILURE
     assert "error:" in capsys.readouterr().err

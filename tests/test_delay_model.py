@@ -7,14 +7,10 @@ from cd_router.delay_model import (
     AssignmentError,
     DelayAssignment,
     _contribution,
-    chernoff_tail,
     crossing_distribution,
     crossing_time,
-    crossing_time_buffered,
-    crossing_time_plain,
     duty_count_table,
     expected_load,
-    lll_feasible,
 )
 from cd_router.dissection import Block, build_ladder, dissect_plain, dissect_shifted
 from cd_router.fixer import schedule_from_assignment
@@ -37,15 +33,15 @@ def test_crossing_time_plain_frozen_example():
     tree = plain_16_2()
     # j=5 sits in level-1 block [5..8] (index 1)
     a = full_assignment(tree, 1, [[[1]], [[2, 1, 2, 2]]])
-    assert crossing_time_plain(tree, a, 0, 5) == 9
+    assert crossing_time(tree, a, 0, 5) == 9
 
 
 def test_crossing_time_minimal_and_maximal():
     tree = plain_16_2()
     ones = full_assignment(tree, 1, [[[1]], [[1, 1, 1, 1]]])
-    assert crossing_time_plain(tree, ones, 0, 1) == 1 + 2  # one unit per level
+    assert crossing_time(tree, ones, 0, 1) == 1 + 2  # one unit per level
     maxed = full_assignment(tree, 1, [[[16]], [[2, 2, 2, 2]]])
-    assert crossing_time_plain(tree, maxed, 0, 16) == 16 + (0 * 16 + 16) + (3 * 2 + 2)
+    assert crossing_time(tree, maxed, 0, 16) == 16 + (0 * 16 + 16) + (3 * 2 + 2)
 
 
 def test_crossing_time_requires_full_assignment():
@@ -95,7 +91,7 @@ def test_buffered_crossing_matches_wait_walk():
         slot = 0
         for pos in range(1, 17):
             slot += node_waits[pos - 1] + 1
-            assert crossing_time_buffered(tree, a, 0, pos) == slot
+            assert crossing_time(tree, a, 0, pos) == slot
 
 
 def test_crossing_distribution_frozen_value():
@@ -202,34 +198,6 @@ def test_probability_range_plain():
 
 def test_probability_range_buffered_clean_region():
     prob_range_frontier_sweep("buffered")
-
-
-def test_chernoff_frozen_values():
-    assert chernoff_tail(1.0, 1.0, 1.0) == pytest.approx(math.exp(-1 / 3), rel=1e-12)
-    m = 2**16
-    got = chernoff_tail(1.0, m ** (-1 / 8), 0.5 * m ** (-1 / 32))
-    assert got == pytest.approx(math.exp(-(m ** (1 / 16)) / 12), rel=1e-12)
-    assert chernoff_tail(1.0, 1.0, 1e-9) == pytest.approx(1.0, abs=1e-6)
-    for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0), (-1, 1, 1)):
-        with pytest.raises(ValueError):
-            chernoff_tail(*bad)
-
-
-def test_lll_frozen_truths():
-    assert lll_feasible(0.1, 2) is True
-    assert lll_feasible(0.5, 1) is False
-    assert lll_feasible(0.25, 1) is True  # boundary 4pd = 1
-    assert lll_feasible(0.0, 10**9) is True
-    assert lll_feasible(0.3, 0) is True
-    # survival exponent too weak at m = 2^20: 4pd > 1 by ~18 orders
-    m = 2.0**20
-    assert lll_feasible(math.exp(-(m ** (1 / 32)) / 12), m**3) is False
-    # at m = 2^2000 the tail dwarfs any polynomial count
-    assert lll_feasible(math.exp(-(2.0 ** (2000 / 32)) / 12), (2.0**600)) is True
-    with pytest.raises(ValueError):
-        lll_feasible(1.5, 1)
-    with pytest.raises(ValueError):
-        lll_feasible(0.5, -1)
 
 
 def test_formula_equals_simulation_small():

@@ -37,6 +37,9 @@ def test_config_rejects_bad_values():
         run_pipeline(shared_path_instance(1, 2), FixerConfig(strategy="anneal"))
     with pytest.raises(ValueError, match="relax"):
         run_pipeline(shared_path_instance(1, 2), FixerConfig(relax_ladder=()))
+    for delta in (1, 0, -3):
+        with pytest.raises(ValueError, match="delta"):
+            run_pipeline(shared_path_instance(1, 2), FixerConfig(delta=delta))
 
 
 # --- stretching --------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from cd_router.delay_model import DelayAssignment, crossing_distribution, crossing_time, expected_load
 from cd_router.dissection import build_ladder, dissect_plain, dissect_shifted
+from cd_router.fixer import _LevelWorkspace
 from cd_router.instance import Edge, Instance, InvalidInstanceError, decode, pad, shared_path_instance
 from cd_router.oracle import OracleCapacityError, exhaustive_expectation, optimal_makespan
 
@@ -140,6 +141,22 @@ def test_exhaustive_agrees_with_closed_form(kind, frontier):
     loads = expected_load(padded, tree, assignment)
     assert set(loads) == set(table.load)
     for key, value in loads.items():
+        assert table.load[key] == pytest.approx(value, abs=1e-12), key
+
+    # the fixer's level workspace must rebuild the same table: blurred over
+    # the frontier level while it is open, else pinned to the last level's draws
+    if frontier < assignment.n_levels:
+        ws = _LevelWorkspace(padded, tree, assignment, frontier)
+        for idx in range(len(ws.items)):
+            ws.add_blur(idx, +1.0)
+    else:
+        last = assignment.n_levels - 1
+        ws = _LevelWorkspace(padded, tree, assignment, last)
+        for idx, item in enumerate(ws.items):
+            packet, block = item.var
+            ws.add_point(idx, assignment.value(packet, last, block), +1.0)
+    assert set(ws.y) == set(table.load)
+    for key, value in ws.y.items():
         assert table.load[key] == pytest.approx(value, abs=1e-12), key
 
 
