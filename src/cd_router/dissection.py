@@ -48,15 +48,6 @@ class LevelLadder:
         """Waiting issued to one packet by a full plain assignment (any values)."""
         return self.levels[0].wait_budget + self.sublevel_budget_sum()
 
-    def horizon(self, buffered: bool = False) -> int:
-        """Upper bound on any crossing slot under the policy."""
-        if not buffered:
-            return self.length + self.total_wait_budget()
-        per_level = sum(
-            (self.length // lv.block_len + 1) * lv.wait_budget for lv in self.levels[1:]
-        )
-        return self.length + self.levels[0].wait_budget + per_level
-
 
 def build_ladder(length: int, delta: int) -> LevelLadder:
     """Block-length ladder for a path of `length` edges (power of two).

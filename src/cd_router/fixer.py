@@ -28,7 +28,7 @@ from .delay_model import (
     residual_law,
 )
 from .dissection import build_ladder, dissect_plain, dissect_shifted
-from .instance import Instance, PaddedInstance, pad, stats
+from .instance import Instance, PaddedInstance, pad, stats  # noqa: F401  (perfbench/tracing.py patches fixer.stats)
 from .schedule import Schedule
 from .simulator import simulate
 
@@ -444,8 +444,8 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
     """pad -> dissect -> fix levels (relax ladder) -> finalize -> stretch -> verify."""
     config = config or FixerConfig()
     _validated(config)
-    s = stats(instance)
-    padded = pad(instance)
+    padded = pad(instance)  # validates once
+    s = padded.stats
     delta = min(config.delta, padded.length)
     ladder = build_ladder(padded.length, delta)
     tree = dissect_plain(ladder) if config.variant == "plain" else dissect_shifted(ladder)

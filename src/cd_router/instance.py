@@ -126,6 +126,7 @@ class PaddedInstance:
     length: int
     original_lengths: tuple[int, ...]
     dummy_edge_ids: frozenset[str]
+    stats: InstanceStats  # of `base`, computed once while padding
 
     def is_dummy(self, edge_id: str) -> bool:
         return edge_id in self.dummy_edge_ids
@@ -158,6 +159,7 @@ def pad(instance: Instance) -> PaddedInstance:
         length=target,
         original_lengths=tuple(len(p) for p in instance.paths),
         dummy_edge_ids=frozenset(dummies),
+        stats=s,
     )
 
 
@@ -181,14 +183,25 @@ def decode(text: str) -> Instance:
     except json.JSONDecodeError as exc:
         raise InvalidInstanceError(f"not valid JSON: {exc}") from exc
     try:
-        edges = [Edge(str(e["id"]), str(e["tail"]), str(e["head"])) for e in doc["edges"]]
-        return Instance(
-            nodes={str(n) for n in doc["nodes"]},
-            edges=edges,
-            paths=[[str(eid) for eid in p] for p in doc["paths"]],
-        )
+        arrays = {key: doc[key] for key in ("nodes", "edges", "paths")}
     except (KeyError, TypeError) as exc:
         raise InvalidInstanceError(f"malformed instance document: {exc}") from exc
+    # a string is iterable too, and would split into one-character ids
+    for key, value in arrays.items():
+        if type(value) is not list:
+            raise InvalidInstanceError(f"malformed instance document: {key} is not a JSON array")
+    for i, p in enumerate(arrays["paths"]):
+        if type(p) is not list:
+            raise InvalidInstanceError(f"malformed instance document: path {i} is not a JSON array")
+    try:
+        edges = [Edge(str(e["id"]), str(e["tail"]), str(e["head"])) for e in arrays["edges"]]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInstanceError(f"malformed instance document: {exc}") from exc
+    return Instance(
+        nodes={str(n) for n in arrays["nodes"]},
+        edges=edges,
+        paths=[[str(eid) for eid in p] for p in arrays["paths"]],
+    )
 
 
 # --- generators used by bench and the test suites -------------------------

@@ -9,11 +9,12 @@ share motion code with the scheduler or the closed-form model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .delay_model import DelayAssignment, Tree
 from .instance import Instance, InvalidInstanceError, PaddedInstance, stats, validate
+from .schedule import Schedule
 
 
 class OracleCapacityError(RuntimeError):
@@ -210,3 +211,112 @@ def exhaustive_expectation(
                     law = crossing.setdefault((packet, pos), {})
                     law[slot] = law.get(slot, 0.0) + weight
     return ExhaustiveTable(load=load, crossing=crossing)
+
+
+# --- slot-by-slot replay ------------------------------------------------------
+
+@dataclass
+class SteppedTrace:
+    """What `stepped_simulation` measured; fields as in `simulator.SimulationTrace`."""
+
+    loads: dict[tuple[str, int], int]
+    arrivals: list[int]
+    occupancy: dict[tuple[str, int], int]
+    edge_waits: dict[tuple[int, str], int]  # (packet, edge) -> slots waited before it
+    state_counts: list[tuple[int, int, int]]  # per slot: (moving, buffered, parked)
+    capacity: int
+    crossing_slots: list[list[int]] = field(default_factory=list)
+
+    @property
+    def makespan(self) -> int:
+        return max(self.arrivals)
+
+    @property
+    def max_load(self) -> int:
+        return max(self.loads.values())
+
+    @property
+    def max_occupancy(self) -> int:
+        return max(self.occupancy.values()) if self.occupancy else 0
+
+    @property
+    def max_edge_wait(self) -> int:
+        return max(self.edge_waits.values()) if self.edge_waits else 0
+
+
+def stepped_simulation(instance: Instance, schedule: Schedule, capacity: int = 1) -> SteppedTrace:
+    """Run the schedule one slot at a time over every packet, O(k * makespan).
+
+    Packets follow their wait lists literally (wait, then cross one edge per
+    slot). A packet occupies no buffer while at a node equal to its own source
+    or sink; everywhere else it sits in its next edge's buffer, and occupancy
+    is recorded at every slot boundary.
+    """
+    schedule.validate_shape(instance.paths)
+    emap = instance.edge_map()
+    paths = instance.paths
+    k = len(paths)
+    node_at: list[list[str]] = []
+    for path in paths:
+        nodes = [emap[path[0]].tail] + [emap[eid].head for eid in path]
+        node_at.append(nodes)
+
+    position = [0] * k
+    remaining = [schedule.waits[i][0] for i in range(k)]
+    done = [False] * k
+    loads: dict[tuple[str, int], int] = {}
+    occupancy: dict[tuple[str, int], int] = {}
+    edge_waits: dict[tuple[int, str], int] = {}
+    arrivals = [0] * k
+    crossing: list[list[int]] = [[] for _ in range(k)]
+    state_counts: list[tuple[int, int, int]] = []
+
+    slot = 0
+    while not all(done):
+        slot += 1
+        moving = buffered = parked = 0
+        for i in range(k):
+            if done[i]:
+                parked += 1  # arrived packets park at their sink
+                continue
+            if remaining[i] > 0:
+                remaining[i] -= 1
+                here = node_at[i][position[i]]
+                if here == node_at[i][0] or here == node_at[i][-1]:
+                    parked += 1
+                else:
+                    buffered += 1
+                    next_edge = paths[i][position[i]]
+                    edge_waits[(i, next_edge)] = edge_waits.get((i, next_edge), 0) + 1
+                continue
+            moving += 1
+            eid = paths[i][position[i]]
+            loads[(eid, slot)] = loads.get((eid, slot), 0) + 1
+            crossing[i].append(slot)
+            position[i] += 1
+            if position[i] == len(paths[i]):
+                done[i] = True
+                arrivals[i] = slot
+            else:
+                remaining[i] = schedule.waits[i][position[i]]
+        # boundary snapshot: everyone not yet done sits in its next edge's
+        # buffer unless the node is its own source/sink
+        for i in range(k):
+            if done[i]:
+                continue
+            here = node_at[i][position[i]]
+            if here == node_at[i][0] or here == node_at[i][-1]:
+                continue
+            next_edge = paths[i][position[i]]
+            occupancy[(next_edge, slot)] = occupancy.get((next_edge, slot), 0) + 1
+        state_counts.append((moving, buffered, parked))
+
+    return SteppedTrace(
+        loads=loads,
+        arrivals=arrivals,
+        occupancy=occupancy,
+        edge_waits=edge_waits,
+        state_counts=state_counts,
+        capacity=capacity,
+        crossing_slots=crossing,
+    )

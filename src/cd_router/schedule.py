@@ -72,13 +72,19 @@ def encode(schedule: Schedule) -> str:
 
 
 def decode(text: str) -> Schedule:
+    """Parse a schedule document; every wait must be a non-negative JSON integer."""
     try:
         doc = json.loads(text)
-        waits = [[int(x) for x in entry["waits"]] for entry in doc["packets"]]
+        waits = [entry["waits"] for entry in doc["packets"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ScheduleError(f"malformed schedule document: {exc}") from exc
     for i, row in enumerate(waits):
-        for x in row:
-            if x < 0:
-                raise ScheduleError(f"packet {i}: negative wait {x}")
+        if type(row) is not list:
+            raise ScheduleError(f"packet {i}: waits {row!r} is not a JSON array")
+        # JSON true/false decode to bool, a subclass of int, so compare exact types
+        if set(map(type, row)) - {int} or min(row, default=0) < 0:
+            x = next(x for x in row if type(x) is not int or x < 0)
+            if type(x) is not int:
+                raise ScheduleError(f"packet {i}: wait {x!r} is not a JSON integer")
+            raise ScheduleError(f"packet {i}: negative wait {x}")
     return Schedule(waits=waits)

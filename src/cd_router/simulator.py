@@ -1,15 +1,23 @@
-"""Discrete-time store-and-forward execution of a schedule.
+"""Discrete-time store-and-forward execution of a schedule, event by event.
 
 Ground truth for everything the closed-form machinery claims: packets follow
-their wait lists literally (wait, then cross one edge per slot), and the
-trace records per-(edge, slot) loads, buffer occupancy at slot boundaries,
-and waiting charged per (packet, edge). A packet occupies no buffer while at
-a node equal to its own source or sink; everywhere else it sits in its next
-edge's buffer.
+their wait lists literally (wait, then cross one edge per slot), so a
+packet's crossing slots are the prefix sums of its waits plus one slot per
+edge. One pass over the paths yields per-(edge, slot) loads, arrivals and
+waiting charged per (packet, edge), in O(total path length) whatever the
+size of the waits. A packet occupies no buffer while at a node equal to its
+own source or sink; everywhere else it sits in its next edge's buffer. Buffer
+occupancy at slot boundaries and per-slot packet states are derived from
+those stays only when read; the largest occupancy comes from a sweep over
+the stays' endpoints. `oracle.stepped_simulation` is the slot-by-slot
+reference this module is checked against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, compress, islice
+from operator import add
 
 from .instance import Instance
 from .schedule import Schedule
@@ -19,11 +27,11 @@ from .schedule import Schedule
 class SimulationTrace:
     loads: dict[tuple[str, int], int]
     arrivals: list[int]
-    occupancy: dict[tuple[str, int], int]
     edge_waits: dict[tuple[int, str], int]  # (packet, edge) -> slots waited before it
-    state_counts: list[tuple[int, int, int]]  # per slot: (moving, buffered, parked)
     capacity: int
-    crossing_slots: list[list[int]] = field(default_factory=list)
+    crossing_slots: list[list[int]]
+    # the replayed instance, whose paths and nodes locate each stay
+    instance: Instance = field(repr=False, compare=False)
 
     @property
     def makespan(self) -> int:
@@ -33,9 +41,64 @@ class SimulationTrace:
     def max_load(self) -> int:
         return max(self.loads.values())
 
+    @cached_property
+    def _stays(self) -> list[tuple[str, int, int]]:
+        """(next edge, first, last slot boundary) of each stay at an interior node.
+
+        A packet that crossed its p-th edge at slot c_p and crosses the next
+        at c_{p+1} sits in that edge's buffer at boundaries c_p .. c_{p+1} - 1.
+        """
+        emap = self.instance.edge_map()
+        stays = []
+        for path, slots in zip(self.instance.paths, self.crossing_slots):
+            ends = (emap[path[0]].tail, emap[path[-1]].head)
+            for p in range(1, len(path)):
+                if emap[path[p - 1]].head not in ends:
+                    stays.append((path[p], slots[p - 1], slots[p] - 1))
+        return stays
+
+    @cached_property
+    def occupancy(self) -> dict[tuple[str, int], int]:
+        """(edge, slot) -> packets in the edge's buffer at the end of the slot."""
+        occupancy: dict[tuple[str, int], int] = {}
+        for edge, first, last in self._stays:
+            for slot in range(first, last + 1):
+                occupancy[(edge, slot)] = occupancy.get((edge, slot), 0) + 1
+        return occupancy
+
+    @cached_property
+    def state_counts(self) -> list[tuple[int, int, int]]:
+        """Per slot 1..makespan: (moving, buffered, parked) packet counts."""
+        end = self.makespan + 1
+        moving = [0] * end
+        for slots in self.crossing_slots:
+            for slot in slots:
+                moving[slot] += 1
+        # a stay's waiting slots are the ones after its first boundary
+        change = [0] * (end + 1)
+        for _, first, last in self._stays:
+            change[first + 1] += 1
+            change[last + 1] -= 1
+        k = len(self.arrivals)
+        counts = []
+        buffered = 0
+        for slot in range(1, end):
+            buffered += change[slot]
+            counts.append((moving[slot], buffered, k - moving[slot] - buffered))
+        return counts
+
     @property
     def max_occupancy(self) -> int:
-        return max(self.occupancy.values()) if self.occupancy else 0
+        events: dict[str, list[tuple[int, int]]] = {}
+        for edge, first, last in self._stays:
+            events.setdefault(edge, []).extend(((first, 1), (last + 1, -1)))
+        worst = 0
+        for edge_events in events.values():
+            held = 0
+            for _, step in sorted(edge_events):  # a stay ends before one starts
+                held += step
+                worst = max(worst, held)
+        return worst
 
     @property
     def max_edge_wait(self) -> int:
@@ -46,71 +109,30 @@ def simulate(instance: Instance, schedule: Schedule, capacity: int = 1) -> Simul
     """Run the schedule to completion; never enforces anything, only measures."""
     schedule.validate_shape(instance.paths)
     emap = instance.edge_map()
-    paths = instance.paths
-    k = len(paths)
-    node_at: list[list[str]] = []
-    for path in paths:
-        nodes = [emap[path[0]].tail] + [emap[eid].head for eid in path]
-        node_at.append(nodes)
-
-    position = [0] * k
-    remaining = [schedule.waits[i][0] for i in range(k)]
-    done = [False] * k
     loads: dict[tuple[str, int], int] = {}
-    occupancy: dict[tuple[str, int], int] = {}
     edge_waits: dict[tuple[int, str], int] = {}
-    arrivals = [0] * k
-    crossing: list[list[int]] = [[] for _ in range(k)]
-    state_counts: list[tuple[int, int, int]] = []
-
-    slot = 0
-    while not all(done):
-        slot += 1
-        moving = buffered = parked = 0
-        for i in range(k):
-            if done[i]:
-                parked += 1  # arrived packets park at their sink
-                continue
-            if remaining[i] > 0:
-                remaining[i] -= 1
-                here = node_at[i][position[i]]
-                if here == node_at[i][0] or here == node_at[i][-1]:
-                    parked += 1
-                else:
-                    buffered += 1
-                    next_edge = paths[i][position[i]]
-                    edge_waits[(i, next_edge)] = edge_waits.get((i, next_edge), 0) + 1
-                continue
-            moving += 1
-            eid = paths[i][position[i]]
-            loads[(eid, slot)] = loads.get((eid, slot), 0) + 1
-            crossing[i].append(slot)
-            position[i] += 1
-            if position[i] == len(paths[i]):
-                done[i] = True
-                arrivals[i] = slot
-            else:
-                remaining[i] = schedule.waits[i][position[i]]
-        # boundary snapshot: everyone not yet done sits in its next edge's
-        # buffer unless the node is its own source/sink
-        for i in range(k):
-            if done[i]:
-                continue
-            here = node_at[i][position[i]]
-            if here == node_at[i][0] or here == node_at[i][-1]:
-                continue
-            next_edge = paths[i][position[i]]
-            occupancy[(next_edge, slot)] = occupancy.get((next_edge, slot), 0) + 1
-        state_counts.append((moving, buffered, parked))
-
+    arrivals: list[int] = []
+    crossing: list[list[int]] = []
+    for i, (path, waits) in enumerate(zip(instance.paths, schedule.waits)):
+        n = len(path)
+        slots = list(map(add, accumulate(islice(waits, n)), range(1, n + 1)))
+        crossing.append(slots)
+        arrivals.append(slots[-1])
+        for key in zip(path, slots):
+            loads[key] = loads.get(key, 0) + 1
+        # waiting at the source, at the sink or at a node equal to either is parking
+        ends = (emap[path[0]].tail, emap[path[-1]].head)
+        for p in compress(range(1, n), islice(waits, 1, n)):
+            if emap[path[p - 1]].head not in ends:
+                key = (i, path[p])
+                edge_waits[key] = edge_waits.get(key, 0) + waits[p]
     return SimulationTrace(
         loads=loads,
         arrivals=arrivals,
-        occupancy=occupancy,
         edge_waits=edge_waits,
-        state_counts=state_counts,
         capacity=capacity,
         crossing_slots=crossing,
+        instance=instance,
     )
 
 
@@ -181,13 +203,3 @@ def loads_csv_rows(trace: SimulationTrace) -> list[tuple[str, int, int]]:
 
 def arrivals_csv_rows(trace: SimulationTrace) -> list[tuple[int, int]]:
     return list(enumerate(trace.arrivals))
-
-
-def summary(trace: SimulationTrace) -> dict:
-    return {
-        "makespan": trace.makespan,
-        "max_load": trace.max_load,
-        "max_occupancy": trace.max_occupancy,
-        "max_edge_wait": trace.max_edge_wait,
-        "arrivals": list(trace.arrivals),
-    }

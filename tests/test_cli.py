@@ -3,10 +3,12 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from cd_router.cli import EXIT_CAPACITY, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from cd_router.instance import encode, shared_path_instance
 
 from conftest import FIXTURES, fixture_text
 
@@ -92,6 +94,44 @@ def test_simulate_rejects_malformed_schedules(tmp_path, capsys):
     sched.write_text(json.dumps({"packets": [{"waits": [-1, 0, 0, 0]}]}))
     assert main(["simulate", FIG1, str(sched)]) == EXIT_FAILURE
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_rejects_non_integer_waits(tmp_path, capsys):
+    sched = tmp_path / "coerced.json"
+    sched.write_text(json.dumps({
+        "packets": [{"waits": [2.7, "3", True, 0]}, {"waits": [0] * 5}, {"waits": [0] * 4}]
+    }))
+    assert main(["simulate", FIG1, str(sched)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: packet 0: wait 2.7 is not a JSON integer" in captured.err
+
+
+def test_simulate_replays_a_huge_wait_at_once(tmp_path, capsys):
+    huge = 10**9
+    inst = tmp_path / "shared.json"
+    inst.write_text(encode(shared_path_instance(2, 5)))
+    sched = tmp_path / "huge.json"
+    sched.write_text(json.dumps({
+        "packets": [{"waits": [0, 0, huge, 0, 0, 0]}, {"waits": [1, 0, 0, 0, 0, 0]}]
+    }))
+    trace_csv = tmp_path / "loads.csv"
+    start = time.perf_counter()
+    code = main([
+        "simulate", str(inst), str(sched), "--max-makespan", str(huge + 5),
+        "--max-wait", str(huge), "--trace-csv", str(trace_csv),
+    ])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == (
+        "load: PASS (max load 1 <= 1)\n"
+        f"makespan: PASS (makespan {huge + 5} vs bound {huge + 5})\n"
+        f"edge_wait: PASS (max per-edge wait {huge} <= {huge})\n"
+        f"load=1 makespan={huge + 5} PASS\n"
+    )
+    with open(trace_csv, newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 2 * 5
+    assert elapsed < 0.5
 
 
 def test_lowerbound_gen_is_reproducible(tmp_path, capsys):

@@ -68,8 +68,6 @@ def test_budget_sums_and_horizon():
         assert sub <= 2 * length
         total = ladder.levels[0].wait_budget + sub
         assert ladder.total_wait_budget() == total
-        assert ladder.horizon() == length + total
-        assert ladder.horizon() <= 4 * length
 
 
 def test_plain_partition_frozen_example():

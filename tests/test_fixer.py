@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cd_router import instance as instance_mod
 from cd_router.delay_model import DelayAssignment, crossing_time
 from cd_router.dissection import build_ladder, dissect_plain
 from cd_router.fixer import (
@@ -28,6 +29,16 @@ def test_slack_scales_with_block_length():
     assert buffered.slack(256, 2.0) == pytest.approx(2 * 256 ** (-1 / 64))
     override = FixerConfig(variant="plain", slack_exponent=0.5)
     assert override.slack(16, 1.0) == pytest.approx(0.25)
+
+
+def test_pipeline_validates_the_instance_once(monkeypatch):
+    calls = []
+    validate = instance_mod.validate
+    monkeypatch.setattr(instance_mod, "validate", lambda inst: calls.append(inst) or validate(inst))
+    inst = shared_path_instance(4, 16)
+    result = run_pipeline(inst, FixerConfig(seed="0"))
+    assert len(calls) == 1
+    assert (result.congestion, result.dilation) == (4, 16)
 
 
 def test_config_rejects_bad_values():

@@ -113,6 +113,11 @@ def test_pad_congestion_dominates_dilation():
     assert stats(padded.padded).congestion == 5
 
 
+def test_pad_keeps_the_base_stats(fig1):
+    assert pad(fig1).stats == stats(fig1)
+    assert pad(fig1).stats.edge_loads == stats(fig1).edge_loads
+
+
 def test_pad_preserves_original_prefix(fig1):
     padded = pad(fig1)
     for original, widened in zip(fig1.paths, padded.padded.paths):
@@ -142,6 +147,23 @@ def test_decode_rejects_garbage():
         decode("not json at all {")
     with pytest.raises(InvalidInstanceError):
         decode(json.dumps({"nodes": ["a"]}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nodes", "ab"),
+    ("nodes", {"a": 1, "b": 2}),
+    ("edges", "e"),
+    ("paths", "e"),
+    ("paths", ["e"]),
+    ("paths", [{"e": 1}]),
+    ("paths", 7),
+])
+def test_decode_rejects_non_arrays(field, value):
+    doc = {"nodes": ["a", "b"], "edges": [{"id": "e", "tail": "a", "head": "b"}], "paths": [["e"]]}
+    assert decode(json.dumps(doc)) == Instance({"a", "b"}, [Edge("e", "a", "b")], [["e"]])
+    doc[field] = value
+    with pytest.raises(InvalidInstanceError, match="is not a JSON array"):
+        decode(json.dumps(doc))
 
 
 def test_random_instances_valid_and_deterministic():

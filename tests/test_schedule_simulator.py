@@ -1,8 +1,11 @@
 import json
+import random
+import time
 
 import pytest
 
-from cd_router.instance import Edge, Instance, shared_path_instance, stats
+from cd_router.instance import Edge, Instance, generate_random_instance, shared_path_instance, stats
+from cd_router.oracle import stepped_simulation
 from cd_router.schedule import Schedule, ScheduleError, decode, encode
 from cd_router.simulator import (
     CheckRequirements,
@@ -10,7 +13,6 @@ from cd_router.simulator import (
     check,
     loads_csv_rows,
     simulate,
-    summary,
 )
 
 
@@ -44,6 +46,19 @@ def test_schedule_decode_rejects_bad_documents():
         decode(json.dumps({"packets": [{"waits": [-1, 0]}]}))
     with pytest.raises(ScheduleError):
         decode(json.dumps({"nothing": []}))
+
+
+@pytest.mark.parametrize("waits", [
+    [2.7, 0], ["3", 0], [True, 0], [0, False], [None, 0], [1.0, 0], "12", {"0": 1},
+])
+def test_schedule_decode_rejects_non_integer_waits(waits):
+    with pytest.raises(ScheduleError, match="not a JSON"):
+        decode(json.dumps({"packets": [{"waits": [0, 0]}, {"waits": waits}]}))
+
+
+def test_schedule_decode_keeps_large_integers():
+    text = json.dumps({"packets": [{"waits": [0, 10**12, 0]}]})
+    assert decode(text).waits == [[0, 10**12, 0]]
 
 
 def test_fig1_zero_wait_collision(fig1):
@@ -135,12 +150,129 @@ def test_csv_rows_and_summary(fig1):
     assert ("e4", 2, 2) in rows
     arr = arrivals_csv_rows(trace)
     assert arr == [(0, 3), (1, 4), (2, 3)]
-    info = summary(trace)
-    assert info["makespan"] == 4
-    assert info["max_load"] == 2
 
 
 def test_makespan_at_least_max_c_d(fig1):
     s = stats(fig1)
     trace = simulate(fig1, zero_wait(fig1))
     assert trace.makespan >= max(s.congestion, s.dilation)
+
+
+# --- the event-driven replay against the slot-by-slot reference -------------
+
+def _loops_instance() -> Instance:
+    """Paths that revisit their own source, pass their own sink, or end where they began."""
+    edges = [
+        Edge("ab", "a", "b"), Edge("ba", "b", "a"), Edge("ac", "a", "c"),
+        Edge("cd", "c", "d"), Edge("dc", "d", "c"), Edge("ce", "c", "e"),
+        Edge("ca", "c", "a"),
+    ]
+    paths = [
+        ["ab", "ba", "ac", "cd"],        # back through its source a
+        ["ac", "cd", "dc", "ce"],        # through c twice
+        ["cd", "dc", "ce"],              # back through its source c
+        ["ab", "ba", "ac", "ca"],        # ends at its source a
+        ["ac", "ce"],                    # shares ac and ce with the others
+        ["ba", "ac", "cd", "dc"],        # passes its sink c before the end
+    ]
+    return Instance(nodes={"a", "b", "c", "d", "e"}, edges=edges, paths=paths)
+
+
+def _random_waits(rng: random.Random, instance: Instance) -> list[list[int]]:
+    """Mostly zero (so packets collide), some short and some long waits, sink parking."""
+    rows = []
+    for path in instance.paths:
+        row = []
+        for _ in range(len(path) + 1):
+            roll = rng.random()
+            row.append(0 if roll < 0.6 else rng.randint(1, 3) if roll < 0.9 else rng.randint(20, 120))
+        rows.append(row)
+    return rows
+
+
+def _assert_same_trace(instance: Instance, sched: Schedule, capacity: int = 1) -> None:
+    fast = simulate(instance, sched, capacity=capacity)
+    slow = stepped_simulation(instance, sched, capacity=capacity)
+    for name in (
+        "loads", "arrivals", "crossing_slots", "edge_waits", "occupancy", "state_counts",
+        "capacity", "makespan", "max_load", "max_occupancy", "max_edge_wait",
+    ):
+        assert getattr(fast, name) == getattr(slow, name), name
+    assert type(fast.loads) is dict and type(fast.occupancy) is dict
+    assert type(fast.state_counts) is list
+    requirements = CheckRequirements(
+        capacity=1,
+        makespan_bound=slow.makespan - 1,
+        buffer_bound=max(slow.max_occupancy - 1, 0),
+        edge_wait_bound=max(slow.max_edge_wait - 1, 0),
+    )
+    assert check(fast, requirements) == check(slow, requirements)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_simulate_matches_stepper_on_random_schedules(seed):
+    rng = random.Random(f"{seed}/cross-check")
+    for instance in (
+        generate_random_instance(seed, max_packets=8, max_length=12),
+        _loops_instance(),
+        shared_path_instance(rng.randint(2, 6), rng.randint(1, 9)),
+    ):
+        _assert_same_trace(instance, Schedule(waits=_random_waits(rng, instance)), capacity=2)
+
+
+def test_simulate_matches_stepper_on_zero_and_sink_only_waits():
+    instance = _loops_instance()
+    zero = zero_wait(instance)
+    _assert_same_trace(instance, zero)
+    parked = Schedule(waits=[row[:-1] + [10**6] for row in zero.waits])
+    _assert_same_trace(instance, parked)
+    assert simulate(instance, parked).makespan == simulate(instance, zero).makespan
+
+
+def test_simulate_matches_stepper_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(seed=st.integers(0, 10**6), data=st.data())
+    def agree(seed, data):
+        instance = generate_random_instance(seed, max_packets=6, max_length=10)
+        waits = [
+            data.draw(st.lists(st.integers(0, 60), min_size=len(p) + 1, max_size=len(p) + 1))
+            for p in instance.paths
+        ]
+        _assert_same_trace(instance, Schedule(waits=waits))
+
+    agree()
+
+
+HUGE = 10**9
+
+
+def _huge_wait_case():
+    """Packet 0 waits 10^9 slots before e2; packet 1 overtakes it through that buffer."""
+    instance = shared_path_instance(2, 5)
+    return instance, Schedule(waits=[[0, 0, HUGE, 0, 0, 0], [1, 0, 0, 0, 0, 0]])
+
+
+def test_huge_wait_replays_in_path_length_time():
+    instance, sched = _huge_wait_case()
+    start = time.perf_counter()
+    trace = simulate(instance, sched)
+    report = check(trace, CheckRequirements(
+        capacity=1, makespan_bound=HUGE + 5, buffer_bound=2, edge_wait_bound=HUGE,
+    ))
+    elapsed = time.perf_counter() - start
+    assert report.ok, report
+    assert trace.makespan == HUGE + 5
+    assert trace.arrivals == [HUGE + 5, 6]
+    assert trace.edge_waits == {(0, "e2"): HUGE}
+    assert trace.max_edge_wait == HUGE
+    assert trace.max_occupancy == 2  # packet 1 passes through e2's buffer
+    assert [r.detail for r in report.results] == [
+        "max load 1 <= 1",
+        f"makespan {HUGE + 5} vs bound {HUGE + 5}",
+        "max occupancy 2",
+        f"max per-edge wait {HUGE} <= {HUGE}",
+    ]
+    assert elapsed < 0.5
