@@ -12,8 +12,10 @@ slot of waiting immediately before each of the first x and the last
 budget - x duty edges), so away from sources packets never wait more than
 one slot per edge.
 
-Everything here is exact: distributions are small dicts of dyadic rationals,
-so float arithmetic introduces no rounding at the supported sizes.
+Everything here is exact: a residual law counts, in integers, the draw
+combinations that give each delay. Every budget is a power of two, so the
+probabilities `crossing_distribution` derives from those counts are exact
+floats.
 """
 from __future__ import annotations
 
@@ -161,34 +163,28 @@ def fixed_delay(terms: PositionTerms, values: list[list[int | None]], levels: in
     return total
 
 
-def residual_law(tree: Tree, from_level: int, pos: int) -> tuple[int, list[tuple[int, float]]]:
+def residual_law(tree: Tree, from_level: int, pos: int) -> list[tuple[int, int]]:
     """Law of the delay that levels from_level.. add at pos while all are open.
 
     Open levels are independent uniform draws, so the law is the convolution
-    of their per-level delay laws. Returns (shift, tail): levels whose delay
-    is certain fold into `shift`, and `tail` lists (delay, probability) in
-    ascending delay order. It depends on the position only.
+    of their per-level delay laws. Returns (delay, count) pairs in ascending
+    delay order: a count is the number of draw combinations giving that
+    delay, so the counts sum to the product of the open budgets. It depends
+    on the position only.
     """
-    shift = 0
-    dist: Distribution = {0: 1.0}
+    law = {0: 1}
     for level in range(from_level, len(tree.ladder.levels)):
         _, table = _contribution(tree, level, pos)
-        budget = tree.ladder.levels[level].wait_budget
-        weight = 1.0 / budget
-        level_law: Distribution = {}
-        for draw in range(1, budget + 1):
+        level_law: dict[int, int] = {}
+        for draw in range(1, tree.ladder.levels[level].wait_budget + 1):
             d = _delay_of(table, draw)
-            level_law[d] = level_law.get(d, 0.0) + weight
-        if len(level_law) == 1:
-            shift += next(iter(level_law))
-            continue
-        new: Distribution = {}
-        for t, p in dist.items():
-            for d, q in level_law.items():
-                key = t + d
-                new[key] = new.get(key, 0.0) + p * q
-        dist = new
-    return shift, sorted(dist.items())
+            level_law[d] = level_law.get(d, 0) + 1
+        new: dict[int, int] = {}
+        for t, c in law.items():
+            for d, k in level_law.items():
+                new[t + d] = new.get(t + d, 0) + c * k
+        law = new
+    return sorted(law.items())
 
 
 def crossing_time(tree: Tree, assignment: DelayAssignment, packet: int, pos: int) -> int:
@@ -207,9 +203,10 @@ def crossing_distribution(
     The open levels' residual law, shifted by everything already determined.
     """
     terms = position_terms(tree, pos)
-    shift, tail = residual_law(tree, assignment.frontier, pos)
-    base = terms.offset + fixed_delay(terms, assignment.values[packet], assignment.frontier) + shift
-    return {base + t: p for t, p in tail}
+    law = residual_law(tree, assignment.frontier, pos)
+    total = sum(c for _, c in law)
+    base = terms.offset + fixed_delay(terms, assignment.values[packet], assignment.frontier)
+    return {base + t: c / total for t, c in law}
 
 
 def expected_load(

@@ -107,13 +107,6 @@ class BlockTree:
     def block_index(self, level: int, pos: int) -> int:
         return (pos - 1) // self.ladder.levels[level].block_len
 
-    def dump(self) -> str:
-        lines = [f"ladder: delta={self.ladder.delta} length={self.length} kind={self.kind}"]
-        for level, lv in enumerate(self.ladder.levels):
-            spans = " ".join(f"[{b.start}..{b.end}]" for b in self._blocks[level])
-            lines.append(f"level {level}: D={lv.block_len} W={lv.wait_budget} | {spans}")
-        return "\n".join(lines)
-
 
 def dissect_plain(ladder: LevelLadder) -> BlockTree:
     tree = BlockTree(ladder)
@@ -121,23 +114,6 @@ def dissect_plain(ladder: LevelLadder) -> BlockTree:
     for level in range(1, len(ladder.levels)):
         assert ladder.levels[level - 1].block_len % ladder.levels[level].block_len == 0
     return tree
-
-
-def assigned_level(pos: int, depth: int) -> int | None:
-    """Level handling edge position `pos` in a shifted tree of given depth.
-
-    pos = odd * 2^q maps to level depth - q for q in 0..depth-1; positions
-    divisible by 2^depth (including the top level's q) get nothing. Extends to
-    non-positive positions via the same 2-adic pattern.
-    """
-    if depth == 0:
-        return None
-    step = 1 << depth
-    residue = pos % step
-    if residue == 0:
-        return None
-    q = (residue & -residue).bit_length() - 1
-    return depth - q
 
 
 class ShiftedBlockTree:
@@ -196,19 +172,6 @@ class ShiftedBlockTree:
             return 0
         d = self.ladder.levels[level].block_len
         return (pos - 1 + d // 2) // d
-
-    def dump(self) -> str:
-        lines = [f"ladder: delta={self.ladder.delta} length={self.length} kind={self.kind}"]
-        for level, lv in enumerate(self.ladder.levels):
-            parts = []
-            for b in self._blocks[level]:
-                clipped_start, clipped_end = max(1, b.start), min(self.length, b.end)
-                mark = "*" if (b.start != clipped_start or b.end != clipped_end) else ""
-                parts.append(f"[{clipped_start}..{clipped_end}]{mark}")
-            lines.append(
-                f"level {level}: D={lv.block_len} W={lv.wait_budget} | " + " ".join(parts)
-            )
-        return "\n".join(lines)
 
 
 def dissect_shifted(ladder: LevelLadder) -> ShiftedBlockTree:

@@ -12,12 +12,15 @@ yields a capacity-1 schedule.
 What is still random about a crossing depends on its position alone, so a
 level's delay terms and residual laws are computed once per position and
 shared; each (packet, position) adds only the shift its fixed draws make.
+Every budget is a power of two, so the expected loads are exact integer
+counts of draw combinations, compared against an integer limit.
 """
 from __future__ import annotations
 
 import logging
 import random
 from dataclasses import asdict, dataclass, field
+from math import floor, prod
 
 from .delay_model import (
     AssignmentError,
@@ -118,148 +121,143 @@ class FixReport:
 class _Item:
     edge: str
     base: int
-    tail: list[tuple[int, float]]  # residual law of deeper open levels, shared per position
-    table: tuple[int, ...] | None  # this level's delay per draw (None = identity)
+    delays: tuple[int, ...]  # this level's delay per draw, shared per position
+    tail: list[tuple[int, int]]  # (delay, count) law of deeper open levels, shared per position
     var: tuple[int, int]  # (packet, block index)
 
 
 class _LevelWorkspace:
-    """Y(edge, slot) as a function of this level's draws, updated in place."""
+    """Y(edge, slot) as a function of this level's draws, updated in place.
+
+    Y is held in exact integers, in units of 1/`scale`, where `scale` is the
+    product of the budgets of this level and of every deeper level.
+    """
 
     def __init__(self, padded: PaddedInstance, tree: Tree, assignment: DelayAssignment, level: int):
-        self.level = level
         self.budget = tree.ladder.levels[level].wait_budget
+        self.scale = prod(lv.wait_budget for lv in tree.ladder.levels[level:])
+        self.n_packets = padded.padded.n_packets
+        self.n_blocks = tree.n_blocks(level)
         self.items: list[_Item] = []
-        self.by_var: dict[tuple[int, int], list[int]] = {}
-        self.by_edge: dict[str, list[int]] = {}
+        # items go in packet by packet, positions ascending, so the keys of
+        # by_var come in (packet, block) order
+        self.by_var: dict[tuple[int, int], list[_Item]] = {}
+        self.by_edge: dict[str, list[_Item]] = {}
         # everything still random is a function of the position alone
+        identity = tuple(range(1, self.budget + 1))
         positions = []
         for pos in range(1, padded.length + 1):
             terms = position_terms(tree, pos)
-            shift, tail = residual_law(tree, level + 1, pos)
-            positions.append((terms, terms.offset + shift, tail))
+            table = terms.tables[level]
+            delays = identity if table is None else table
+            positions.append((terms, delays, residual_law(tree, level + 1, pos)))
         for packet, path in enumerate(padded.padded.paths):
             values = assignment.values[packet]
-            for edge_id, (terms, base, tail) in zip(path, positions):
+            for edge_id, (terms, delays, tail) in zip(path, positions):
                 item = _Item(
                     edge_id,
-                    base + fixed_delay(terms, values, level),
+                    terms.offset + fixed_delay(terms, values, level),
+                    delays,
                     tail,
-                    terms.tables[level],
                     (packet, terms.blocks[level]),
                 )
-                idx = len(self.items)
                 self.items.append(item)
-                self.by_var.setdefault(item.var, []).append(idx)
-                self.by_edge.setdefault(edge_id, []).append(idx)
-        self.variables = sorted(self.by_var)
-        self.y: dict[tuple[str, int], float] = {}
+                self.by_var.setdefault(item.var, []).append(item)
+                self.by_edge.setdefault(edge_id, []).append(item)
+        self.y: dict[tuple[str, int], int] = {}
 
-    def _delay(self, item: _Item, draw: int) -> int:
-        return draw if item.table is None else item.table[draw - 1]
+    @staticmethod
+    def spread(y: dict[tuple[str, int], int], item: _Item, draw: int, weight: int) -> None:
+        """Add `weight` times the item's law, given this level's `draw`, into y."""
+        edge = item.edge
+        slot0 = item.base + item.delays[draw - 1]
+        for dt, count in item.tail:
+            key = (edge, slot0 + dt)
+            y[key] = y.get(key, 0) + weight * count
 
-    def add_point(self, idx: int, draw: int, sign: float) -> None:
-        item = self.items[idx]
-        slot0 = item.base + self._delay(item, draw)
-        y = self.y
-        for dt, p in item.tail:
-            key = (item.edge, slot0 + dt)
-            y[key] = y.get(key, 0.0) + sign * p
-
-    def add_blur(self, idx: int, sign: float) -> None:
+    def add_blur(self, item: _Item, sign: int) -> None:
         """This level's variable still random: spread the item over its law."""
-        item = self.items[idx]
-        w = sign / self.budget
-        y = self.y
         for draw in range(1, self.budget + 1):
-            slot0 = item.base + self._delay(item, draw)
-            for dt, p in item.tail:
-                key = (item.edge, slot0 + dt)
-                y[key] = y.get(key, 0.0) + w * p
+            self.spread(self.y, item, draw, sign)
 
-    def max_y(self) -> float:
-        return max(self.y.values()) if self.y else 0.0
+    def max_y(self) -> int:
+        return max(self.y.values(), default=0)
 
-    def bad_cells(self, threshold: float) -> list[tuple[str, int]]:
-        return sorted(cell for cell, v in self.y.items() if v > threshold)
+    def first_bad_cell(self, limit: int) -> tuple[str, int] | None:
+        return min((cell for cell, v in self.y.items() if v > limit), default=None)
 
-    def dependents(self, cell: tuple[str, int], draws: dict) -> list[tuple[int, int]]:
+    def dependents(self, cell: tuple[str, int], draws: list[list[int]]) -> list[tuple[int, int]]:
         """Variables of this level the cell's value currently depends on."""
         edge, slot = cell
         found: set[tuple[int, int]] = set()
-        for idx in self.by_edge.get(edge, ()):
-            item = self.items[idx]
-            rel = slot - item.base - self._delay(item, draws[item.var])
-            if any(dt == rel and p > 0 for dt, p in item.tail):
+        for item in self.by_edge.get(edge, ()):
+            packet, block = item.var
+            rel = slot - item.base - item.delays[draws[packet][block] - 1]
+            if any(dt == rel for dt, _ in item.tail):
                 found.add(item.var)
         return sorted(found)
 
 
 def _resample_fix(
-    ws: _LevelWorkspace, threshold: float, config: FixerConfig, seed_tag: str
-) -> tuple[bool, dict, float, int, int]:
-    """Moser-Tardos style: redraw the variables behind the worst cell."""
-    best_draws: dict | None = None
-    best_max = float("inf")
+    ws: _LevelWorkspace, limit: int, config: FixerConfig, seed_tag: str
+) -> tuple[list[list[int]], int, int, int]:
+    """Moser-Tardos style: redraw the variables behind the first bad cell.
+
+    Returns (draws, max Y, resamples, restarts); when every restart fails,
+    max Y is the least one a restart ended with, and it exceeds `limit`.
+    """
+    y, spread, budget = ws.y, ws.spread, ws.budget
+    best_max = None
     total_resamples = 0
     for restart in range(config.restart_budget):
         rng = random.Random(f"{config.seed}/{seed_tag}/restart{restart}")
-        draws = {var: rng.randint(1, ws.budget) for var in ws.variables}
-        ws.y.clear()
-        for idx in range(len(ws.items)):
-            ws.add_point(idx, draws[ws.items[idx].var], +1.0)
-        for _ in range(config.resample_budget):
-            bad = ws.bad_cells(threshold)
-            if not bad:
-                return True, draws, ws.max_y(), total_resamples, restart
+        draws = [[rng.randint(1, budget) for _ in range(ws.n_blocks)] for _ in range(ws.n_packets)]
+        y.clear()
+        for item in ws.items:
+            packet, block = item.var
+            spread(y, item, draws[packet][block], budget)
+        for step in range(config.resample_budget + 1):
+            cell = ws.first_bad_cell(limit)
+            if cell is None:
+                return draws, ws.max_y(), total_resamples, restart
+            if step == config.resample_budget:
+                break
             total_resamples += 1
-            for var in ws.dependents(bad[0], draws):
-                old = draws[var]
-                new = rng.randint(1, ws.budget)
-                draws[var] = new
-                for idx in ws.by_var[var]:
-                    ws.add_point(idx, old, -1.0)
-                    ws.add_point(idx, new, +1.0)
+            for var in ws.dependents(cell, draws):
+                packet, block = var
+                old = draws[packet][block]
+                new = rng.randint(1, budget)
+                draws[packet][block] = new
+                for item in ws.by_var[var]:
+                    spread(y, item, old, -budget)
+                    spread(y, item, new, budget)
         achieved = ws.max_y()
-        if achieved < best_max:
-            best_max, best_draws = achieved, dict(draws)
-    if ws.max_y() <= threshold:
-        return True, draws, ws.max_y(), total_resamples, config.restart_budget - 1
-    return False, best_draws or {}, best_max, total_resamples, config.restart_budget - 1
+        if best_max is None or achieved < best_max:
+            best_max = achieved
+    return draws, best_max, total_resamples, config.restart_budget - 1
 
 
-def _greedy_fix(ws: _LevelWorkspace) -> tuple[dict, float]:
+def _greedy_fix(ws: _LevelWorkspace) -> tuple[list[list[int]], int]:
     """Fix variables one by one, each draw chosen to minimize its local maximum."""
-    ws.y.clear()
-    for idx in range(len(ws.items)):
-        ws.add_blur(idx, +1.0)
-    draws: dict = {}
-    for var in ws.variables:
-        for idx in ws.by_var[var]:
-            ws.add_blur(idx, -1.0)
-        best_draw, best_val = 1, float("inf")
-        for draw in range(1, ws.budget + 1):
-            touched: dict[tuple[str, int], float] = {}
-            for idx in ws.by_var[var]:
-                item = ws.items[idx]
-                slot0 = item.base + ws._delay(item, draw)
-                for dt, p in item.tail:
-                    key = (item.edge, slot0 + dt)
-                    touched[key] = touched.get(key, 0.0) + p
-            worst = max(ws.y.get(key, 0.0) + extra for key, extra in touched.items())
-            if worst < best_val - 1e-12:
-                best_draw, best_val = draw, worst
-        draws[var] = best_draw
-        for idx in ws.by_var[var]:
-            ws.add_point(idx, best_draw, +1.0)
+    y, budget = ws.y, ws.budget
+    y.clear()
+    for item in ws.items:
+        ws.add_blur(item, +1)
+    draws = [[1] * ws.n_blocks for _ in range(ws.n_packets)]
+    for (packet, block), items in ws.by_var.items():
+        for item in items:
+            ws.add_blur(item, -1)
+        probes = []
+        for draw in range(1, budget + 1):
+            touched: dict[tuple[str, int], int] = {}
+            for item in items:
+                ws.spread(touched, item, draw, budget)
+            probes.append((max(y.get(key, 0) + extra for key, extra in touched.items()), draw))
+        best = min(probes)[1]  # the first draw with the least maximum
+        draws[packet][block] = best
+        for item in items:
+            ws.spread(y, item, best, budget)
     return draws, ws.max_y()
-
-
-def _draws_to_matrix(tree: Tree, draws: dict, n_packets: int, level: int):
-    matrix = [[1] * tree.n_blocks(level) for _ in range(n_packets)]
-    for (packet, block), draw in draws.items():
-        matrix[packet][block] = draw
-    return matrix
 
 
 def fix_level(
@@ -279,21 +277,22 @@ def fix_level(
     block_len = tree.ladder.levels[level].block_len
     slack = config.slack(block_len, relax)
     target = max(gamma, 1.0) + slack
-    threshold = target + 1e-9
     ws = _LevelWorkspace(padded, tree, assignment, level)
+    # Y is an integer, so Y > target * scale exactly when Y > limit
+    limit = floor(target * ws.scale)
     if config.strategy == "resample":
-        ok, draws, achieved, resamples, restarts = _resample_fix(
-            ws, threshold, config, f"fix/level{level}/relax{relax}"
+        draws, peak, resamples, restarts = _resample_fix(
+            ws, limit, config, f"fix/level{level}/relax{relax}"
         )
     else:
-        draws, achieved = _greedy_fix(ws)
-        ok, resamples, restarts = achieved <= threshold, 0, 0
-    if not ok:
+        (draws, peak), resamples, restarts = _greedy_fix(ws), 0, 0
+    achieved = peak / ws.scale
+    if peak > limit:
         raise FixerError(
             f"level {level}: budget exhausted at relax {relax} "
             f"(best achieved {achieved:.6f} vs target {target:.6f})"
         )
-    assignment.set_level(level, _draws_to_matrix(tree, draws, padded.padded.n_packets, level))
+    assignment.set_level(level, draws)
     log.info(
         "fixed level %d: achieved %.4f <= %.4f (relax %.1f, %d resamples)",
         level, achieved, target, relax, resamples,
@@ -316,11 +315,8 @@ def fix_level(
 def _greedy_finalize(padded: PaddedInstance, tree: Tree, assignment: DelayAssignment) -> None:
     while not assignment.fully_fixed:
         level = assignment.frontier
-        ws = _LevelWorkspace(padded, tree, assignment, level)
-        draws, _ = _greedy_fix(ws)
-        assignment.set_level(
-            level, _draws_to_matrix(tree, draws, padded.padded.n_packets, level)
-        )
+        draws, _ = _greedy_fix(_LevelWorkspace(padded, tree, assignment, level))
+        assignment.set_level(level, draws)
 
 
 def schedule_from_assignment(
@@ -373,23 +369,19 @@ def stretch(schedule: Schedule, load: int, instance: Instance) -> Schedule:
     """
     if load <= 1:
         return schedule
-    all_slots = [schedule.crossing_slots(i) for i in range(schedule.n_packets)]
-    groups: dict[tuple[str, int], list[int]] = {}
-    for i, path in enumerate(instance.paths):
-        for eid, slot in zip(path, all_slots[i]):
-            groups.setdefault((eid, slot), []).append(i)
-    rank: dict[tuple[int, str], int] = {}
-    for (eid, _), packets in groups.items():
-        for r, i in enumerate(sorted(packets)):
-            rank[(i, eid)] = r
+    # packets go in ascending id, so a crossing's rank is the number of
+    # crossings already placed in its (edge, slot)
+    sharers: dict[tuple[str, int], int] = {}
     waits = []
     for i, path in enumerate(instance.paths):
-        new_slots = [
-            load * (slot - 1) + 1 + rank[(i, eid)] for eid, slot in zip(path, all_slots[i])
-        ]
-        row = [new_slots[0] - 1]
-        for p in range(1, len(new_slots)):
-            row.append(new_slots[p] - new_slots[p - 1] - 1)
+        row = []
+        prev = 0
+        for eid, slot in zip(path, schedule.crossing_slots(i)):
+            rank = sharers.get((eid, slot), 0)
+            sharers[(eid, slot)] = rank + 1
+            new_slot = load * (slot - 1) + 1 + rank
+            row.append(new_slot - prev - 1)
+            prev = new_slot
         row.append(0)
         waits.append(row)
     return Schedule(waits=waits)
@@ -418,7 +410,7 @@ def finalize(
     report.residual_budget = residual
     report.counting_cap = report.gamma_final * residual
     report.load = load
-    if load > report.counting_cap + 1e-9:
+    if load > report.counting_cap:
         raise FixerError(
             f"counting bound violated: load {load} > "
             f"{report.gamma_final} * {residual}", report

@@ -128,9 +128,6 @@ class PaddedInstance:
     dummy_edge_ids: frozenset[str]
     stats: InstanceStats  # of `base`, computed once while padding
 
-    def is_dummy(self, edge_id: str) -> bool:
-        return edge_id in self.dummy_edge_ids
-
 
 def pad(instance: Instance) -> PaddedInstance:
     s = stats(instance)  # raises on invalid

@@ -1,12 +1,15 @@
 """Command-line behavior: output lines, file artifacts, exit codes."""
 import csv
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cd_router
 from cd_router.cli import EXIT_CAPACITY, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from cd_router.instance import encode, shared_path_instance
 
@@ -234,9 +237,12 @@ def test_log_env_is_honored(monkeypatch, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package under test, wherever it was found
+    src = str(Path(cd_router.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cd_router.cli", "analyze", FIG1],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "C=2 D=4 ok\n"

@@ -11,6 +11,7 @@ from cd_router.delay_model import (
     crossing_time,
     duty_count_table,
     expected_load,
+    residual_law,
 )
 from cd_router.dissection import Block, build_ladder, dissect_plain, dissect_shifted
 from cd_router.fixer import schedule_from_assignment
@@ -92,6 +93,21 @@ def test_buffered_crossing_matches_wait_walk():
         for pos in range(1, 17):
             slot += node_waits[pos - 1] + 1
             assert crossing_time(tree, a, 0, pos) == slot
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+def test_residual_law_counts_every_draw_combination(kind):
+    for length, delta in ((16, 2), (64, 2), (256, 2), (256, 4)):
+        ladder = build_ladder(length, delta)
+        tree = dissect_plain(ladder) if kind == "plain" else dissect_shifted(ladder)
+        for from_level in range(len(ladder.levels) + 1):
+            combos = math.prod(lv.wait_budget for lv in ladder.levels[from_level:])
+            for pos in range(1, length + 1):
+                law = residual_law(tree, from_level, pos)
+                delays = [d for d, _ in law]
+                assert delays == sorted(set(delays))
+                assert all(isinstance(c, int) and c > 0 for _, c in law)
+                assert sum(c for _, c in law) == combos
 
 
 def test_crossing_distribution_frozen_value():

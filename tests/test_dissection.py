@@ -2,7 +2,6 @@ import pytest
 
 from cd_router.dissection import (
     LadderError,
-    assigned_level,
     build_ladder,
     dissect_plain,
     dissect_shifted,
@@ -106,11 +105,26 @@ def test_plain_block_index():
     assert [tree.block_index(1, p) for p in (1, 4, 5, 16)] == [0, 0, 1, 3]
 
 
+def duty_levels(tree):
+    """Level whose blocks hold each position 1..length as a duty edge, or None."""
+    owner = dict.fromkeys(range(1, tree.length + 1))
+    for level in range(1, len(tree.ladder.levels)):
+        for block in tree.blocks(level):
+            for pos in block.assigned:
+                if pos in owner:
+                    assert owner[pos] is None, pos
+                    owner[pos] = level
+    return owner
+
+
 def test_assigned_level_frozen_example():
     # depth 2, positions 1..8
+    tree = dissect_shifted(build_ladder(32, 2))
+    assert tree.depth == 2
+    owner = duty_levels(tree)
     expected = {1: 2, 3: 2, 5: 2, 7: 2, 2: 1, 6: 1, 4: None, 8: None}
     for pos, level in expected.items():
-        assert assigned_level(pos, 2) == level
+        assert owner[pos] == level
 
 
 def test_assigned_level_counts():
@@ -118,13 +132,12 @@ def test_assigned_level_counts():
         for delta in (2, 4):
             if length < delta:
                 continue
-            ladder = build_ladder(length, delta)
-            depth = ladder.depth
+            tree = dissect_shifted(build_ladder(length, delta))
+            depth = tree.depth
             if depth == 0:
                 continue
             counts = {}
-            for pos in range(1, length + 1):
-                lvl = assigned_level(pos, depth)
+            for lvl in duty_levels(tree).values():
                 counts[lvl] = counts.get(lvl, 0) + 1
             for level in range(1, depth + 1):
                 assert counts[level] == length // (1 << (depth - level + 1))
@@ -197,16 +210,3 @@ def test_shifted_duty_near_boundary():
                 tail = b.assigned[-budget:]
                 assert all(p - b.start < budget * spacing for p in lead)
                 assert all(b.end - p < budget * spacing for p in tail)
-
-
-def test_golden_dumps():
-    assert dissect_plain(build_ladder(8, 2)).dump() == (
-        "ladder: delta=2 length=8 kind=plain\n"
-        "level 0: D=8 W=8 | [1..8]\n"
-        "level 1: D=4 W=2 | [1..4] [5..8]"
-    )
-    assert dissect_shifted(build_ladder(8, 2)).dump() == (
-        "ladder: delta=2 length=8 kind=buffered\n"
-        "level 0: D=8 W=8 | [1..8]\n"
-        "level 1: D=4 W=2 | [1..2]* [3..6] [7..8]*"
-    )

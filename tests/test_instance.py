@@ -93,7 +93,7 @@ def test_pad_fig1(fig1):
     s = stats(padded.padded)
     assert s.congestion == 2
     for eid, load in s.edge_loads.items():
-        if padded.is_dummy(eid):
+        if eid in padded.dummy_edge_ids:
             assert load == 1
 
 

@@ -5,13 +5,22 @@ single-level uniform draws) and frozen before the implementations under
 test were trusted.
 """
 import json
+import random
 
 import pytest
 
 from cd_router.delay_model import DelayAssignment, crossing_distribution, crossing_time, expected_load
 from cd_router.dissection import build_ladder, dissect_plain, dissect_shifted
 from cd_router.fixer import _LevelWorkspace
-from cd_router.instance import Edge, Instance, InvalidInstanceError, decode, pad, shared_path_instance
+from cd_router.instance import (
+    Edge,
+    Instance,
+    InvalidInstanceError,
+    decode,
+    generate_random_instance,
+    pad,
+    shared_path_instance,
+)
 from cd_router.oracle import OracleCapacityError, exhaustive_expectation, optimal_makespan
 
 from conftest import fixture_text
@@ -113,6 +122,29 @@ def test_crossing_laws_have_unit_mass(kind):
         assert sum(law.values()) == pytest.approx(1.0)
 
 
+def assert_closed_form_matches_exhaustive(padded, tree, assignment):
+    table = exhaustive_expectation(padded, tree, assignment)
+
+    for (packet, pos), law in table.crossing.items():
+        assert law == crossing_distribution(tree, assignment, packet, pos), (packet, pos)
+    assert expected_load(padded, tree, assignment) == table.load
+
+    # the fixer's level workspace must rebuild the same table, in exact
+    # integer units of 1/scale: blurred over the frontier level while it is
+    # open, else pinned to the last level's draws
+    if not assignment.fully_fixed:
+        ws = _LevelWorkspace(padded, tree, assignment, assignment.frontier)
+        for item in ws.items:
+            ws.add_blur(item, +1)
+    else:
+        last = assignment.n_levels - 1
+        ws = _LevelWorkspace(padded, tree, assignment, last)
+        for item in ws.items:
+            packet, block = item.var
+            ws.spread(ws.y, item, assignment.value(packet, last, block), ws.budget)
+    assert ws.y == {key: value * ws.scale for key, value in table.load.items()}
+
+
 @pytest.mark.parametrize("kind", ["plain", "buffered"])
 @pytest.mark.parametrize("frontier", [0, 1, 2])
 def test_exhaustive_agrees_with_closed_form(kind, frontier):
@@ -130,34 +162,33 @@ def test_exhaustive_agrees_with_closed_form(kind, frontier):
         assignment.set_level(
             1, [[(b % budget) + 1 for b in range(tree.n_blocks(1))] for _ in range(2)]
         )
-    table = exhaustive_expectation(padded, tree, assignment)
+    assert_closed_form_matches_exhaustive(padded, tree, assignment)
 
-    for (packet, pos), law in table.crossing.items():
-        formula = crossing_distribution(tree, assignment, packet, pos)
-        assert set(law) == set(formula), (packet, pos)
-        for slot, p in formula.items():
-            assert law[slot] == pytest.approx(p, abs=1e-12), (packet, pos, slot)
 
-    loads = expected_load(padded, tree, assignment)
-    assert set(loads) == set(table.load)
-    for key, value in loads.items():
-        assert table.load[key] == pytest.approx(value, abs=1e-12), key
-
-    # the fixer's level workspace must rebuild the same table: blurred over
-    # the frontier level while it is open, else pinned to the last level's draws
-    if frontier < assignment.n_levels:
-        ws = _LevelWorkspace(padded, tree, assignment, frontier)
-        for idx in range(len(ws.items)):
-            ws.add_blur(idx, +1.0)
-    else:
-        last = assignment.n_levels - 1
-        ws = _LevelWorkspace(padded, tree, assignment, last)
-        for idx, item in enumerate(ws.items):
-            packet, block = item.var
-            ws.add_point(idx, assignment.value(packet, last, block), +1.0)
-    assert set(ws.y) == set(table.load)
-    for key, value in ws.y.items():
-        assert table.load[key] == pytest.approx(value, abs=1e-12), key
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+@pytest.mark.parametrize("index", [0, 2, 4, 8])
+def test_exhaustive_agrees_with_closed_form_on_random_instances(kind, index):
+    # instances of the acceptance small suite, at every frontier, with the
+    # fixed levels drawn at random
+    inst = generate_random_instance(f"accept2/{index}", max_packets=6, max_length=28, n_nodes=12)
+    padded = pad(inst)
+    ladder = build_ladder(padded.length, 2)
+    tree = dissect_plain(ladder) if kind == "plain" else dissect_shifted(ladder)
+    assignment = DelayAssignment(tree, padded.padded.n_packets)
+    rng = random.Random(f"closed-form/{kind}/{index}")
+    while True:
+        assert_closed_form_matches_exhaustive(padded, tree, assignment)
+        if assignment.fully_fixed:
+            break
+        level = assignment.frontier
+        budget = ladder.levels[level].wait_budget
+        assignment.set_level(
+            level,
+            [
+                [rng.randint(1, budget) for _ in range(tree.n_blocks(level))]
+                for _ in range(padded.padded.n_packets)
+            ],
+        )
 
 
 def test_exhaustive_point_mass_when_fully_fixed(fig1):
