@@ -12,9 +12,17 @@ import pytest
 
 from cd_router import schedule
 from cd_router.fixer import FixerConfig, run_pipeline
-from cd_router.instance import decode, generate_random_instance, shared_path_instance
+from cd_router.instance import Edge, Instance, decode, generate_random_instance, shared_path_instance
 
 from conftest import fixture_text
+
+
+def _disjoint_paths(k: int, d: int) -> Instance:
+    """k packets, each on a private chain of d edges: no edge is shared."""
+    edges = [Edge(f"p{i}e{j}", f"p{i}n{j}", f"p{i}n{j + 1}") for i in range(k) for j in range(d)]
+    nodes = {e.tail for e in edges} | {e.head for e in edges}
+    paths = [[f"p{i}e{j}" for j in range(d)] for i in range(k)]
+    return Instance(nodes=nodes, edges=edges, paths=paths)
 
 
 def _instance(name: str):
@@ -23,6 +31,9 @@ def _instance(name: str):
     if name.startswith("shared-"):
         c, d = name.removeprefix("shared-").split("x")
         return shared_path_instance(int(c), int(d))
+    if name.startswith("disjoint-"):
+        k, d = name.removeprefix("disjoint-").split("x")
+        return _disjoint_paths(int(k), int(d))
     return generate_random_instance(int(name.removeprefix("random-")), max_packets=24, max_length=64)
 
 
@@ -45,6 +56,13 @@ CASES = (
     ]
     # a three-level ladder, so buffered runs fix a level with duty tables below it
     + [("shared-16x256", variant, "resample", "ones", 2) for variant in ("plain", "buffered")]
+    # no edge carries two packets, so the level fixer has no shared edge at all
+    + [
+        (name, variant, strategy, "ones", 2)
+        for name in ("shared-1x64", "disjoint-4x64")
+        for variant in ("plain", "buffered")
+        for strategy in ("resample", "greedy")
+    ]
 )
 
 
@@ -172,6 +190,14 @@ GOLDEN = {
     'shared-30x32/buffered/greedy/greedy/4': ('a64425dff58743b7', 'edca5627604cfc5f'),
     'shared-16x256/plain/resample/ones/2': ('2f38bcb93b5fb411', '2c7dac68565ede9d'),
     'shared-16x256/buffered/resample/ones/2': ('97e57e763c3b33f5', '7b863bdf769f7616'),
+    'shared-1x64/plain/resample/ones/2': ('36049c5919370058', '0435c300d1e89896'),
+    'shared-1x64/plain/greedy/ones/2': ('679d79bbdd324898', 'c5c25e7919b51a3c'),
+    'shared-1x64/buffered/resample/ones/2': ('15daa33a65191c39', '22676109204e302d'),
+    'shared-1x64/buffered/greedy/ones/2': ('f4f775f0270999f3', '77f22f50113d587b'),
+    'disjoint-4x64/plain/resample/ones/2': ('6474c236912a40ab', '2d6ff08ba6367330'),
+    'disjoint-4x64/plain/greedy/ones/2': ('d91dc7d6125a30de', 'c5c25e7919b51a3c'),
+    'disjoint-4x64/buffered/resample/ones/2': ('513ff3475ca69f92', '3cc6b6c1b162cf96'),
+    'disjoint-4x64/buffered/greedy/ones/2': ('50935d70f1450cdd', '77f22f50113d587b'),
 }
 
 
