@@ -272,8 +272,8 @@ def build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("schedule")
     p.add_argument("--capacity", type=_int_at_least(1), default=1)
-    p.add_argument("--max-makespan", type=int, default=None)
-    p.add_argument("--max-wait", type=int, default=None)
+    p.add_argument("--max-makespan", type=_int_at_least(0), default=None)
+    p.add_argument("--max-wait", type=_int_at_least(0), default=None)
     p.add_argument("--trace-csv", default=None)
     p.add_argument("--arrivals-csv", default=None)
     p.set_defaults(func=cmd_simulate)
@@ -298,10 +298,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="run pipeline benchmarks, emit CSV")
     p.add_argument("--suite", default="random")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_int_at_least(1), default=10)
     p.add_argument("--delta", type=_int_at_least(2), default=4)
     p.add_argument("--seed", default="0")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 

@@ -13,14 +13,16 @@ What is still random about a crossing depends on its position alone, so a
 level's delay terms and residual laws are computed once per position and
 shared; each (packet, position) adds only the shift its fixed draws make.
 Every budget is a power of two, so the expected loads are exact integer
-counts of draw combinations, compared against an integer limit.
+counts of draw combinations, compared against an integer limit. They are
+kept in one slot-indexed row per edge that two or more packets use; an
+edge of one packet can never break the limit and gets no row.
 """
 from __future__ import annotations
 
 import logging
 import random
 from dataclasses import asdict, dataclass, field
-from math import floor, prod
+from math import floor, inf, prod
 
 from .delay_model import (
     AssignmentError,
@@ -119,8 +121,8 @@ class FixReport:
 
 @dataclass(slots=True)
 class _Item:
-    edge: str
-    base: int
+    row: int  # index of its edge's row in Y
+    base: int  # slot offset within that row, before this level's delay
     delays: tuple[int, ...]  # this level's delay per draw, shared per position
     tail: list[tuple[int, int]]  # (delay, count) law of deeper open levels, shared per position
     var: tuple[int, int]  # (packet, block index)
@@ -131,6 +133,23 @@ class _LevelWorkspace:
 
     Y is held in exact integers, in units of 1/`scale`, where `scale` is the
     product of the budgets of this level and of every deeper level.
+
+    Y is a list of slot rows, one per edge that two or more padded paths
+    use, in ascending edge id order: `edges[r]` is row r's edge and `lo[r]`
+    its first slot, so cell (edges[r], lo[r] + i) is `y[r][i]`. A row covers
+    every slot its items can reach under any draw, and an item's `base` is
+    relative to its row's `lo`.
+
+    An edge that one packet uses holds a single item at weight `budget`, so
+    none of its cells exceeds `scale`; the limit `floor(target * scale)` has
+    target > 1, so such a cell is never bad, and the edge gets no row. Its
+    largest cell is `budget` times the largest count of its tail law under
+    every draw; `solo` keeps the largest such count per variable, and
+    `max_y` and the greedy probes take it into their maximum.
+
+    The first bad cell is in the first row whose maximum exceeds the limit.
+    The built-in `max` scans a row far faster than a heap or per-row maxima
+    could be kept up to date on every spread, so neither is kept.
     """
 
     def __init__(self, padded: PaddedInstance, tree: Tree, assignment: DelayAssignment, level: int):
@@ -138,11 +157,17 @@ class _LevelWorkspace:
         self.scale = prod(lv.wait_budget for lv in tree.ladder.levels[level:])
         self.n_packets = padded.padded.n_packets
         self.n_blocks = tree.n_blocks(level)
+        # rows go in ascending edge id order, the order of (edge, slot) cells
+        self.edges = sorted(e for e, load in padded.stats.edge_loads.items() if load > 1)
+        row_of = {e: r for r, e in enumerate(self.edges)}
         self.items: list[_Item] = []
-        # items go in packet by packet, positions ascending, so the keys of
-        # by_var come in (packet, block) order
+        self.by_row: list[list[_Item]] = [[] for _ in self.edges]
+        # by_var gets its keys packet by packet, blocks ascending, so they
+        # come in (packet, block) order
         self.by_var: dict[tuple[int, int], list[_Item]] = {}
-        self.by_edge: dict[str, list[_Item]] = {}
+        self.solo: dict[tuple[int, int], int] = {}
+        lo = [inf] * len(self.edges)
+        hi = [-inf] * len(self.edges)
         # everything still random is a function of the position alone
         identity = tuple(range(1, self.budget + 1))
         positions = []
@@ -150,30 +175,47 @@ class _LevelWorkspace:
             terms = position_terms(tree, pos)
             table = terms.tables[level]
             delays = identity if table is None else table
-            positions.append((terms, delays, residual_law(tree, level + 1, pos)))
+            tail = residual_law(tree, level + 1, pos)
+            first, last = min(delays) + tail[0][0], max(delays) + tail[-1][0]
+            peak = max(count for _, count in tail)
+            positions.append((terms, terms.blocks[level], delays, tail, first, last, peak))
         for packet, path in enumerate(padded.padded.paths):
             values = assignment.values[packet]
-            for edge_id, (terms, delays, tail) in zip(path, positions):
-                item = _Item(
-                    edge_id,
-                    terms.offset + fixed_delay(terms, values, level),
-                    delays,
-                    tail,
-                    (packet, terms.blocks[level]),
-                )
+            packet_vars = [(packet, block) for block in range(self.n_blocks)]
+            packet_items = [self.by_var.setdefault(var, []) for var in packet_vars]
+            for edge_id, (terms, block, delays, tail, first, last, peak) in zip(path, positions):
+                var = packet_vars[block]
+                row = row_of.get(edge_id)
+                if row is None:
+                    if peak > self.solo.get(var, 0):
+                        self.solo[var] = peak
+                    continue
+                base = terms.offset + fixed_delay(terms, values, level)
+                item = _Item(row, base, delays, tail, var)
+                packet_items[block].append(item)
                 self.items.append(item)
-                self.by_var.setdefault(item.var, []).append(item)
-                self.by_edge.setdefault(edge_id, []).append(item)
-        self.y: dict[tuple[str, int], int] = {}
+                self.by_row[row].append(item)
+                if base + first < lo[row]:
+                    lo[row] = base + first
+                if base + last > hi[row]:
+                    hi[row] = base + last
+        for item in self.items:
+            item.base -= lo[item.row]
+        self.lo = lo
+        self.y: list[list[int]] = [[0] * (b - a + 1) for a, b in zip(lo, hi)]
+        self.solo_max = max(self.solo.values(), default=0)
 
     @staticmethod
-    def spread(y: dict[tuple[str, int], int], item: _Item, draw: int, weight: int) -> None:
+    def spread(y: list[list[int]], item: _Item, draw: int, weight: int) -> None:
         """Add `weight` times the item's law, given this level's `draw`, into y."""
-        edge = item.edge
+        row = y[item.row]
         slot0 = item.base + item.delays[draw - 1]
         for dt, count in item.tail:
-            key = (edge, slot0 + dt)
-            y[key] = y.get(key, 0) + weight * count
+            row[slot0 + dt] += weight * count
+
+    def clear(self) -> None:
+        for row in self.y:
+            row[:] = [0] * len(row)
 
     def add_blur(self, item: _Item, sign: int) -> None:
         """This level's variable still random: spread the item over its law."""
@@ -181,18 +223,22 @@ class _LevelWorkspace:
             self.spread(self.y, item, draw, sign)
 
     def max_y(self) -> int:
-        return max(self.y.values(), default=0)
+        return max(self.budget * self.solo_max, max(map(max, self.y), default=0))
 
-    def first_bad_cell(self, limit: int) -> tuple[str, int] | None:
-        return min((cell for cell, v in self.y.items() if v > limit), default=None)
+    def first_bad_cell(self, limit: int) -> tuple[int, int] | None:
+        """(row, index) of the least (edge id, slot) cell above `limit`, if any."""
+        for r, row in enumerate(self.y):
+            if max(row) > limit:
+                return r, next(i for i, v in enumerate(row) if v > limit)
+        return None
 
-    def dependents(self, cell: tuple[str, int], draws: list[list[int]]) -> list[tuple[int, int]]:
+    def dependents(self, cell: tuple[int, int], draws: list[list[int]]) -> list[tuple[int, int]]:
         """Variables of this level the cell's value currently depends on."""
-        edge, slot = cell
+        row, index = cell
         found: set[tuple[int, int]] = set()
-        for item in self.by_edge.get(edge, ()):
+        for item in self.by_row[row]:
             packet, block = item.var
-            rel = slot - item.base - item.delays[draws[packet][block] - 1]
+            rel = index - item.base - item.delays[draws[packet][block] - 1]
             if any(dt == rel for dt, _ in item.tail):
                 found.add(item.var)
         return sorted(found)
@@ -212,7 +258,7 @@ def _resample_fix(
     for restart in range(config.restart_budget):
         rng = random.Random(f"{config.seed}/{seed_tag}/restart{restart}")
         draws = [[rng.randint(1, budget) for _ in range(ws.n_blocks)] for _ in range(ws.n_packets)]
-        y.clear()
+        ws.clear()
         for item in ws.items:
             packet, block = item.var
             spread(y, item, draws[packet][block], budget)
@@ -239,24 +285,33 @@ def _resample_fix(
 
 def _greedy_fix(ws: _LevelWorkspace) -> tuple[list[list[int]], int]:
     """Fix variables one by one, each draw chosen to minimize its local maximum."""
-    y, budget = ws.y, ws.budget
-    y.clear()
+    y, spread, budget = ws.y, ws.spread, ws.budget
+    ws.clear()
     for item in ws.items:
         ws.add_blur(item, +1)
     draws = [[1] * ws.n_blocks for _ in range(ws.n_packets)]
-    for (packet, block), items in ws.by_var.items():
+    for var, items in ws.by_var.items():
         for item in items:
             ws.add_blur(item, -1)
+        # the variable's unshared edges add the same maximum under every draw
+        solo = budget * ws.solo.get(var, 0)
         probes = []
         for draw in range(1, budget + 1):
-            touched: dict[tuple[str, int], int] = {}
             for item in items:
-                ws.spread(touched, item, draw, budget)
-            probes.append((max(y.get(key, 0) + extra for key, extra in touched.items()), draw))
+                spread(y, item, draw, budget)
+            peak = solo
+            for item in items:
+                row = y[item.row]
+                slot0 = item.base + item.delays[draw - 1]
+                peak = max(peak, max(row[slot0 + dt] for dt, _ in item.tail))
+            for item in items:
+                spread(y, item, draw, -budget)
+            probes.append((peak, draw))
         best = min(probes)[1]  # the first draw with the least maximum
+        packet, block = var
         draws[packet][block] = best
         for item in items:
-            ws.spread(y, item, best, budget)
+            spread(y, item, best, budget)
     return draws, ws.max_y()
 
 

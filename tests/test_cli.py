@@ -215,6 +215,24 @@ def test_bad_capacity_exits_64(tmp_path, capsys, capacity):
     assert "argument --capacity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--max-makespan", "-1"), ("--max-wait", "-5")])
+def test_bad_simulate_bounds_exit_64(tmp_path, capsys, flag, value):
+    sched = tmp_path / "sched.json"
+    assert main(["schedule", FIG1, "--out", str(sched)]) == EXIT_OK
+    assert main(["simulate", FIG1, str(sched), flag, value]) == EXIT_USAGE
+    assert f"argument {flag}" in capsys.readouterr().err
+    # a bound of zero is a bound, not a usage error
+    assert main(["simulate", FIG1, str(sched), flag, "0"]) != EXIT_USAGE
+
+
+@pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "-2"), ("--jobs", "0"), ("--jobs", "-3")])
+def test_bad_bench_counts_exit_64(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.csv"
+    assert main(["bench", "--count", "1", flag, value, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_bad_values_exit_1_cleanly(tmp_path, capsys):
     assert main(["lowerbound", "margin", "--eps", "-1"]) == EXIT_FAILURE
     assert "error:" in capsys.readouterr().err

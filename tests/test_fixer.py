@@ -1,14 +1,19 @@
 """Level fixing, finalization, stretching, and the end-to-end pipeline."""
 import json
+from collections import Counter
+from math import floor
 
 import pytest
 
 from cd_router import instance as instance_mod
-from cd_router.delay_model import DelayAssignment, crossing_time
-from cd_router.dissection import build_ladder, dissect_plain
+from cd_router.delay_model import DelayAssignment, crossing_time, expected_load
+from cd_router.dissection import build_ladder, dissect_plain, dissect_shifted
 from cd_router.fixer import (
     FixerConfig,
     FixerError,
+    _greedy_fix,
+    _LevelWorkspace,
+    _resample_fix,
     run_pipeline,
     schedule_from_assignment,
     stretch,
@@ -51,6 +56,57 @@ def test_config_rejects_bad_values():
     for delta in (1, 0, -3):
         with pytest.raises(ValueError, match="delta"):
             run_pipeline(shared_path_instance(1, 2), FixerConfig(delta=delta))
+
+
+# --- level workspace -----------------------------------------------------------
+
+def _workspace_instance(name: str):
+    if name.startswith("accept2/"):
+        # acceptance small suite: dummy edges, and shared ids e10 < e13 < e2
+        return generate_random_instance(name, max_packets=6, max_length=28, n_nodes=12)
+    c, d = name.removeprefix("shared-").split("x")
+    return shared_path_instance(int(c), int(d))
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+@pytest.mark.parametrize("name", ["shared-30x32", "accept2/8", "shared-1x64"])
+def test_workspace_rows_match_a_table_rebuilt_from_the_draws(name, kind):
+    padded = pad(_workspace_instance(name))
+    ladder = build_ladder(padded.length, 2)
+    tree = dissect_plain(ladder) if kind == "plain" else dissect_shifted(ladder)
+    uses = Counter(eid for path in padded.padded.paths for eid in path)
+    shared = sorted(eid for eid, n in uses.items() if n >= 2)
+    for seed in range(3):
+        for strategy in ("resample", "greedy"):
+            assignment = DelayAssignment(tree, padded.padded.n_packets)
+            config = FixerConfig(variant=kind, seed=seed, resample_budget=300)
+            ws = _LevelWorkspace(padded, tree, assignment, 0)
+            # one row per edge that two or more padded paths use, in edge id order
+            assert len(ws.y) == len(shared)
+            assert ws.edges == shared
+            limit = floor((1.0 + config.slack(ladder.levels[0].block_len, 1.0)) * ws.scale)
+            if strategy == "resample":
+                draws, peak, _, _ = _resample_fix(ws, limit, config, f"workspace/{seed}")
+            else:
+                draws, peak = _greedy_fix(ws)
+            assignment.set_level(0, draws)
+            table = {key: p * ws.scale for key, p in expected_load(padded, tree, assignment).items()}
+            rebuilt = [
+                [table.get((edge, lo + index), 0) for index in range(len(row))]
+                for edge, lo, row in zip(ws.edges, ws.lo, ws.y)
+            ]
+            assert ws.y == rebuilt
+            # every shared-edge cell of the table lies inside its row
+            assert sum(map(sum, ws.y)) == sum(v for (edge, _), v in table.items() if uses[edge] >= 2)
+            assert ws.max_y() == max(table.values())
+            if peak > limit:  # every restart failed: the least maximum one reached
+                assert strategy == "resample" and peak <= ws.max_y()
+            else:
+                assert peak == ws.max_y()
+            for lim in sorted({limit, ws.scale} | {v - 1 for v in table.values() if v > ws.scale}):
+                cell = ws.first_bad_cell(lim)
+                found = None if cell is None else (ws.edges[cell[0]], ws.lo[cell[0]] + cell[1])
+                assert found == min((key for key, v in table.items() if v > lim), default=None)
 
 
 # --- stretching --------------------------------------------------------------

@@ -142,7 +142,23 @@ def assert_closed_form_matches_exhaustive(padded, tree, assignment):
         for item in ws.items:
             packet, block = item.var
             ws.spread(ws.y, item, assignment.value(packet, last, block), ws.budget)
-    assert ws.y == {key: value * ws.scale for key, value in table.load.items()}
+    # Y keeps a row only for an edge that two or more packets use; map every
+    # row cell back to its (edge, slot)
+    rows = {
+        (edge, lo + index): value
+        for edge, lo, row in zip(ws.edges, ws.lo, ws.y)
+        for index, value in enumerate(row)
+        if value
+    }
+    expected = {key: value * ws.scale for key, value in table.load.items()}
+    assert rows == {key: value for key, value in expected.items() if key[0] in ws.edges}
+    # an unshared edge holds one packet's law: no cell of it can exceed
+    # scale, and once the level is pinned its largest cell is the largest
+    # tail count, at weight budget
+    unshared = [value for key, value in expected.items() if key[0] not in ws.edges]
+    assert all(value <= ws.scale for value in unshared)
+    if assignment.fully_fixed:
+        assert max(unshared, default=0) == ws.budget * ws.solo_max
 
 
 @pytest.mark.parametrize("kind", ["plain", "buffered"])
