@@ -58,7 +58,7 @@ def test_config_rejects_bad_values():
             run_pipeline(shared_path_instance(1, 2), FixerConfig(delta=delta))
 
 
-# --- level workspace -----------------------------------------------------------
+# --- level workspace ---------------------------------------------------------
 
 def _workspace_instance(name: str):
     if name.startswith("accept2/"):
