@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -58,6 +59,18 @@ def _int_at_least(low: int):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _finite_at_least(low: float):
+    """argparse type: a finite number no smaller than `low` (else exit 64)."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or value < low:
+            raise argparse.ArgumentTypeError(f"must be a finite number at least {low}, got {text}")
         return value
 
     return parse
@@ -282,18 +295,18 @@ def build_parser() -> _Parser:
     lb_sub = p.add_subparsers(dest="lb_command", required=True)
 
     q = lb_sub.add_parser("gen", help="generate a random-permutation gadget")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_int_at_least(1), required=True)
     q.add_argument("--seed", default="0")
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_lowerbound_gen)
 
     q = lb_sub.add_parser("solve", help="exact optimal makespan (small n)")
     q.add_argument("instance")
-    q.add_argument("--horizon", type=int, default=None)
+    q.add_argument("--horizon", type=_int_at_least(0), default=None)
     q.set_defaults(func=cmd_lowerbound_solve)
 
     q = lb_sub.add_parser("margin", help="compare counting vs collision exponents")
-    q.add_argument("--eps", type=float, required=True)
+    q.add_argument("--eps", type=_finite_at_least(0), required=True)
     q.set_defaults(func=cmd_lowerbound_margin)
 
     p = sub.add_parser("bench", help="run pipeline benchmarks, emit CSV")

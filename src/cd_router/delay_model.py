@@ -26,8 +26,6 @@ from .dissection import Block, BlockTree, ShiftedBlockTree
 from .instance import PaddedInstance
 
 Tree = BlockTree | ShiftedBlockTree
-Distribution = dict[int, float]
-LoadTable = dict[tuple[str, int], float]
 
 
 class AssignmentError(ValueError):
@@ -77,17 +75,6 @@ class DelayAssignment:
             self.set_level(
                 self.frontier,
                 [[value] * self.tree.n_blocks(self.frontier) for _ in range(self.n_packets)],
-            )
-
-    def randomize_remaining(self, rng) -> None:
-        while self.frontier < self.n_levels:
-            budget = self.tree.ladder.levels[self.frontier].wait_budget
-            self.set_level(
-                self.frontier,
-                [
-                    [rng.randint(1, budget) for _ in range(self.tree.n_blocks(self.frontier))]
-                    for _ in range(self.n_packets)
-                ],
             )
 
     @property
@@ -197,7 +184,7 @@ def crossing_time(tree: Tree, assignment: DelayAssignment, packet: int, pos: int
 
 def crossing_distribution(
     tree: Tree, assignment: DelayAssignment, packet: int, pos: int
-) -> Distribution:
+) -> dict[int, float]:
     """Exact law of the crossing slot given the fixed prefix of levels.
 
     The open levels' residual law, shifted by everything already determined.
@@ -211,13 +198,13 @@ def crossing_distribution(
 
 def expected_load(
     padded: PaddedInstance, tree: Tree, assignment: DelayAssignment
-) -> LoadTable:
+) -> dict[tuple[str, int], float]:
     """Conditional expected number of crossings per (edge, slot).
 
     Sum of independent per-packet crossing laws; with nothing fixed this
     never exceeds 1 because padding guarantees congestion <= path length.
     """
-    table: LoadTable = {}
+    table: dict[tuple[str, int], float] = {}
     for packet, path in enumerate(padded.padded.paths):
         for pos, edge_id in enumerate(path, start=1):
             for slot, p in crossing_distribution(tree, assignment, packet, pos).items():

@@ -11,24 +11,33 @@ yields a capacity-1 schedule.
 
 What is still random about a crossing depends on its position alone, so a
 level's delay terms and residual laws are computed once per position and
-shared; each (packet, position) adds only the shift its fixed draws make.
-Every budget is a power of two, so the expected loads are exact integer
-counts of draw combinations, compared against an integer limit. They are
-kept in one slot-indexed row per edge that two or more packets use; an
-edge of one packet can never break the limit and gets no row.
+shared, and the dissection's terms are held as per-position columns. A
+packet's fixed draws become its slot at every position in one column-wise
+pass (`_fixed_slots`), which both the level workspace and the final
+schedule use; no (packet, position) pair gets an object or a call of its
+own. Every budget is a power of two, so the expected loads are exact
+integer counts of draw combinations, compared against an integer limit.
+They are kept in one slot-indexed row per edge that two or more packets
+use; an edge of one packet can never break the limit and gets no row. The
+crossings on those rows are flat integer lists, the items of a row are
+indexed only once a bad cell needs its dependents, and a level that needs
+no resample scans its rows once.
 """
 from __future__ import annotations
 
 import logging
 import random
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from itertools import chain, compress, pairwise, repeat
 from math import floor, inf, prod
+from operator import add, getitem, not_, sub
+from typing import NamedTuple
 
 from .delay_model import (
     AssignmentError,
     DelayAssignment,
     Tree,
-    fixed_delay,
     position_terms,
     residual_law,
 )
@@ -119,13 +128,36 @@ class FixReport:
 
 # --- incremental conditional-expectation table for one level ----------------
 
-@dataclass(slots=True)
-class _Item:
-    row: int  # index of its edge's row in Y
-    base: int  # slot offset within that row, before this level's delay
-    delays: tuple[int, ...]  # this level's delay per draw, shared per position
-    tail: list[tuple[int, int]]  # (delay, count) law of deeper open levels, shared per position
-    var: tuple[int, int]  # (packet, block index)
+class _Columns(NamedTuple):
+    """Position terms as columns: entry p describes edge position p + 1."""
+
+    offsets: list[int]
+    blocks: list[list[int]]  # per level: the containing block
+    tables: list[list[tuple[int, ...]] | None]  # per level: delay per draw; None where it is the draw
+
+
+def _position_columns(tree: Tree) -> _Columns:
+    terms = [position_terms(tree, pos) for pos in range(1, tree.length + 1)]
+    blocks = [list(column) for column in zip(*(t.blocks for t in terms))]
+    tables = [None if column[0] is None else list(column) for column in zip(*(t.tables for t in terms))]
+    return _Columns([t.offset for t in terms], blocks, tables)
+
+
+def _fixed_slots(columns: _Columns, values: list[list[int | None]], levels: int) -> list[int]:
+    """One packet's slot at every position, shifted by its draws on the first `levels` levels.
+
+    Entry p is `offset + fixed_delay(...)` at position p + 1, summed a level
+    at a time over whole columns. With `levels` 0 it is `columns.offsets`
+    itself.
+    """
+    slots = columns.offsets
+    for level in range(levels):
+        delays = map(values[level].__getitem__, columns.blocks[level])
+        table = columns.tables[level]
+        if table is not None:
+            delays = map(getitem, table, map((-1).__add__, delays))
+        slots = list(map(add, slots, delays))
+    return slots
 
 
 class _LevelWorkspace:
@@ -137,111 +169,167 @@ class _LevelWorkspace:
     Y is a list of slot rows, one per edge that two or more padded paths
     use, in ascending edge id order: `edges[r]` is row r's edge and `lo[r]`
     its first slot, so cell (edges[r], lo[r] + i) is `y[r][i]`. A row covers
-    every slot its items can reach under any draw, and an item's `base` is
-    relative to its row's `lo`.
+    every slot its items can reach under any draw.
+
+    Item i, a (packet, position) crossing of a shared edge, is four flat
+    ints: `rows[i]`, `bases[i]` (its slot before this level's delay,
+    relative to its row's `lo`), `pos[i]` (position index p, for edge
+    position p + 1) and `var[i]` (packet * n_blocks + block, the variable
+    whose draw moves it). What is still random is a function of the
+    position alone, so its delay per draw, `delays[p]`, and the law of the
+    deeper open levels, `tails[p]`, are held once per position; a packet's
+    fixed draws only shift `bases`, computed a column at a time by
+    `_fixed_slots`.
+
+    Items go in packet order and, within a packet, in position order, and a
+    block index never falls as the position grows, so a variable's items
+    are contiguous: `by_var[v]` is a range, found by bisection. `by_row`,
+    the items per row, is needed only to find a bad cell's dependents; it
+    is built on the first call of `dependents`, as one list append per
+    item. `spread` writes one variable's items into Y and is the only
+    writer once resampling starts.
 
     An edge that one packet uses holds a single item at weight `budget`, so
     none of its cells exceeds `scale`; the limit `floor(target * scale)` has
     target > 1, so such a cell is never bad, and the edge gets no row. Its
     largest cell is `budget` times the largest count of its tail law under
-    every draw; `solo` keeps the largest such count per variable, and
+    every draw; `solo[v]` keeps the largest such count per variable, and
     `max_y` and the greedy probes take it into their maximum.
 
     The first bad cell is in the first row whose maximum exceeds the limit.
     The built-in `max` scans a row far faster than a heap or per-row maxima
-    could be kept up to date on every spread, so neither is kept.
+    could be kept up to date on every spread, so neither is kept; when no
+    row is bad, the row maxima read on the way are max Y, so a level that
+    needs no resample scans Y once.
     """
 
     def __init__(self, padded: PaddedInstance, tree: Tree, assignment: DelayAssignment, level: int):
         self.budget = tree.ladder.levels[level].wait_budget
         self.scale = prod(lv.wait_budget for lv in tree.ladder.levels[level:])
-        self.n_packets = padded.padded.n_packets
-        self.n_blocks = tree.n_blocks(level)
+        self.n_blocks = n_blocks = tree.n_blocks(level)
         # rows go in ascending edge id order, the order of (edge, slot) cells
         self.edges = sorted(e for e, load in padded.stats.edge_loads.items() if load > 1)
         row_of = {e: r for r, e in enumerate(self.edges)}
-        self.items: list[_Item] = []
-        self.by_row: list[list[_Item]] = [[] for _ in self.edges]
-        # by_var gets its keys packet by packet, blocks ascending, so they
-        # come in (packet, block) order
-        self.by_var: dict[tuple[int, int], list[_Item]] = {}
-        self.solo: dict[tuple[int, int], int] = {}
+        columns = _position_columns(tree)
+        positions = range(padded.length)
+        # what is still random at a position depends only on its delay
+        # tables for this level and the deeper ones, and few positions
+        # differ in those
+        identity = tuple(range(1, self.budget + 1))
+        laws: dict[tuple, tuple] = {}
+        per_position = []
+        deeper = (repeat(None) if t is None else t for t in columns.tables[level:])
+        for p, key in zip(positions, zip(*deeper)):
+            law = laws.get(key)
+            if law is None:
+                delays = identity if key[0] is None else key[0]
+                tail = residual_law(tree, level + 1, p + 1)
+                first, last = min(delays) + tail[0][0], max(delays) + tail[-1][0]
+                law = laws[key] = (delays, tail, first, last, max(count for _, count in tail))
+            per_position.append(law)
+        self.delays, self.tails, first, last, peak = (list(c) for c in zip(*per_position))
+        block_of = columns.blocks[level]
+        rows: list[int] = []
+        bases: list[int] = []
+        pos: list[int] = []
+        var: list[int] = []
+        self.solo = solo = [0] * (padded.padded.n_packets * n_blocks)
+        for packet, path in enumerate(padded.padded.paths):
+            slots = _fixed_slots(columns, assignment.values[packet], level)
+            shared = list(map(row_of.__contains__, path))
+            vars_at = map((packet * n_blocks).__add__, block_of)
+            rows.extend(map(row_of.__getitem__, compress(path, shared)))
+            bases.extend(compress(slots, shared))
+            pos.extend(compress(positions, shared))
+            var.extend(compress(vars_at, shared))
+            for p in compress(positions, map(not_, shared)):
+                v = packet * n_blocks + block_of[p]
+                if peak[p] > solo[v]:
+                    solo[v] = peak[p]
         lo = [inf] * len(self.edges)
         hi = [-inf] * len(self.edges)
-        # everything still random is a function of the position alone
-        identity = tuple(range(1, self.budget + 1))
-        positions = []
-        for pos in range(1, padded.length + 1):
-            terms = position_terms(tree, pos)
-            table = terms.tables[level]
-            delays = identity if table is None else table
-            tail = residual_law(tree, level + 1, pos)
-            first, last = min(delays) + tail[0][0], max(delays) + tail[-1][0]
-            peak = max(count for _, count in tail)
-            positions.append((terms, terms.blocks[level], delays, tail, first, last, peak))
-        for packet, path in enumerate(padded.padded.paths):
-            values = assignment.values[packet]
-            packet_vars = [(packet, block) for block in range(self.n_blocks)]
-            packet_items = [self.by_var.setdefault(var, []) for var in packet_vars]
-            for edge_id, (terms, block, delays, tail, first, last, peak) in zip(path, positions):
-                var = packet_vars[block]
-                row = row_of.get(edge_id)
-                if row is None:
-                    if peak > self.solo.get(var, 0):
-                        self.solo[var] = peak
-                    continue
-                base = terms.offset + fixed_delay(terms, values, level)
-                item = _Item(row, base, delays, tail, var)
-                packet_items[block].append(item)
-                self.items.append(item)
-                self.by_row[row].append(item)
-                if base + first < lo[row]:
-                    lo[row] = base + first
-                if base + last > hi[row]:
-                    hi[row] = base + last
-        for item in self.items:
-            item.base -= lo[item.row]
+        for r, a, b in zip(rows, map(add, bases, map(first.__getitem__, pos)),
+                           map(add, bases, map(last.__getitem__, pos))):
+            if a < lo[r]:
+                lo[r] = a
+            if b > hi[r]:
+                hi[r] = b
         self.lo = lo
+        self.rows, self.pos, self.var = rows, pos, var
+        self.bases = list(map(sub, bases, map(lo.__getitem__, rows)))
+        bounds = [bisect_left(var, v) for v in range(len(solo) + 1)]
+        self.by_var = [range(a, b) for a, b in pairwise(bounds)]
+        self.by_row: list[list[int]] | None = None
         self.y: list[list[int]] = [[0] * (b - a + 1) for a, b in zip(lo, hi)]
-        self.solo_max = max(self.solo.values(), default=0)
+        self.solo_max = max(solo, default=0)
 
-    @staticmethod
-    def spread(y: list[list[int]], item: _Item, draw: int, weight: int) -> None:
-        """Add `weight` times the item's law, given this level's `draw`, into y."""
-        row = y[item.row]
-        slot0 = item.base + item.delays[draw - 1]
-        for dt, count in item.tail:
-            row[slot0 + dt] += weight * count
+    def fill(self, draws: list[int]) -> None:
+        """Add every item's law at weight `budget`, given the draws per variable, into a zero Y."""
+        y, delays, budget = self.y, self.delays, self.budget
+        weighted = [[(dt, budget * count) for dt, count in tail] for tail in self.tails]
+        for r, base, p, v in zip(self.rows, self.bases, self.pos, self.var):
+            row = y[r]
+            slot0 = base + delays[p][draws[v] - 1]
+            for dt, value in weighted[p]:
+                row[slot0 + dt] += value
+
+    def spread(self, var: int, draw: int, weight: int) -> None:
+        """Add `weight` times the law of the variable's items, given this level's `draw`, into Y."""
+        y, rows, bases, pos, delays, tails = self.y, self.rows, self.bases, self.pos, self.delays, self.tails
+        for i in self.by_var[var]:
+            p = pos[i]
+            row = y[rows[i]]
+            slot0 = bases[i] + delays[p][draw - 1]
+            for dt, count in tails[p]:
+                row[slot0 + dt] += weight * count
 
     def clear(self) -> None:
         for row in self.y:
             row[:] = [0] * len(row)
 
-    def add_blur(self, item: _Item, sign: int) -> None:
-        """This level's variable still random: spread the item over its law."""
+    def add_blur(self, var: int, sign: int) -> None:
+        """The variable still random: spread its items over its law."""
         for draw in range(1, self.budget + 1):
-            self.spread(self.y, item, draw, sign)
+            self.spread(var, draw, sign)
 
     def max_y(self) -> int:
         return max(self.budget * self.solo_max, max(map(max, self.y), default=0))
 
-    def first_bad_cell(self, limit: int) -> tuple[int, int] | None:
-        """(row, index) of the least (edge id, slot) cell above `limit`, if any."""
-        for r, row in enumerate(self.y):
-            if max(row) > limit:
-                return r, next(i for i, v in enumerate(row) if v > limit)
-        return None
+    def first_bad_cell(self, limit: int) -> tuple[tuple[int, int] | None, int]:
+        """(row, index) of the least (edge id, slot) cell above `limit`, and a maximum.
 
-    def dependents(self, cell: tuple[int, int], draws: list[list[int]]) -> list[tuple[int, int]]:
+        The scan stops at the first bad row, whose maximum comes second;
+        with no bad cell it reads every row, and max Y comes second.
+        """
+        peak = self.budget * self.solo_max
+        for r, row in enumerate(self.y):
+            top = max(row)
+            if top > limit:
+                return (r, next(i for i, v in enumerate(row) if v > limit)), top
+            if top > peak:
+                peak = top
+        return None, peak
+
+    def dependents(self, cell: tuple[int, int], draws: list[int]) -> list[int]:
         """Variables of this level the cell's value currently depends on."""
+        if self.by_row is None:
+            self.by_row = [[] for _ in self.edges]
+            for i, r in enumerate(self.rows):
+                self.by_row[r].append(i)
         row, index = cell
-        found: set[tuple[int, int]] = set()
-        for item in self.by_row[row]:
-            packet, block = item.var
-            rel = index - item.base - item.delays[draws[packet][block] - 1]
-            if any(dt == rel for dt, _ in item.tail):
-                found.add(item.var)
+        bases, pos, var, delays, tails = self.bases, self.pos, self.var, self.delays, self.tails
+        found: set[int] = set()
+        for i in self.by_row[row]:
+            p = pos[i]
+            rel = index - bases[i] - delays[p][draws[var[i]] - 1]
+            if any(dt == rel for dt, _ in tails[p]):
+                found.add(var[i])
         return sorted(found)
+
+    def per_packet(self, draws: list[int]) -> list[list[int]]:
+        """Draws per variable as one row of blocks per packet."""
+        n = self.n_blocks
+        return [draws[k:k + n] for k in range(0, len(draws), n)]
 
 
 def _resample_fix(
@@ -249,70 +337,67 @@ def _resample_fix(
 ) -> tuple[list[list[int]], int, int, int]:
     """Moser-Tardos style: redraw the variables behind the first bad cell.
 
-    Returns (draws, max Y, resamples, restarts); when every restart fails,
-    max Y is the least one a restart ended with, and it exceeds `limit`.
+    Takes a freshly built workspace. Returns (draws, max Y, resamples,
+    restarts); when every restart fails, max Y is the least one a restart
+    ended with, and it exceeds `limit`.
     """
-    y, spread, budget = ws.y, ws.spread, ws.budget
+    spread, budget = ws.spread, ws.budget
     best_max = None
     total_resamples = 0
     for restart in range(config.restart_budget):
         rng = random.Random(f"{config.seed}/{seed_tag}/restart{restart}")
-        draws = [[rng.randint(1, budget) for _ in range(ws.n_blocks)] for _ in range(ws.n_packets)]
-        ws.clear()
-        for item in ws.items:
-            packet, block = item.var
-            spread(y, item, draws[packet][block], budget)
+        draws = [rng.randint(1, budget) for _ in range(len(ws.by_var))]
+        if restart:
+            ws.clear()
+        ws.fill(draws)
         for step in range(config.resample_budget + 1):
-            cell = ws.first_bad_cell(limit)
+            cell, peak = ws.first_bad_cell(limit)
             if cell is None:
-                return draws, ws.max_y(), total_resamples, restart
+                return ws.per_packet(draws), peak, total_resamples, restart
             if step == config.resample_budget:
                 break
             total_resamples += 1
             for var in ws.dependents(cell, draws):
-                packet, block = var
-                old = draws[packet][block]
+                old = draws[var]
                 new = rng.randint(1, budget)
-                draws[packet][block] = new
-                for item in ws.by_var[var]:
-                    spread(y, item, old, -budget)
-                    spread(y, item, new, budget)
+                draws[var] = new
+                spread(var, old, -budget)
+                spread(var, new, budget)
         achieved = ws.max_y()
         if best_max is None or achieved < best_max:
             best_max = achieved
-    return draws, best_max, total_resamples, config.restart_budget - 1
+    return ws.per_packet(draws), best_max, total_resamples, config.restart_budget - 1
 
 
 def _greedy_fix(ws: _LevelWorkspace) -> tuple[list[list[int]], int]:
-    """Fix variables one by one, each draw chosen to minimize its local maximum."""
+    """Fix variables one by one, each draw chosen to minimize its local maximum.
+
+    Takes a freshly built workspace.
+    """
     y, spread, budget = ws.y, ws.spread, ws.budget
-    ws.clear()
-    for item in ws.items:
-        ws.add_blur(item, +1)
-    draws = [[1] * ws.n_blocks for _ in range(ws.n_packets)]
-    for var, items in ws.by_var.items():
-        for item in items:
-            ws.add_blur(item, -1)
+    rows, bases, pos, delays, tails = ws.rows, ws.bases, ws.pos, ws.delays, ws.tails
+    for var in range(len(ws.by_var)):
+        ws.add_blur(var, +1)
+    draws = [1] * len(ws.by_var)
+    for var, items in enumerate(ws.by_var):
+        ws.add_blur(var, -1)
         # the variable's unshared edges add the same maximum under every draw
-        solo = budget * ws.solo.get(var, 0)
+        solo = budget * ws.solo[var]
         probes = []
         for draw in range(1, budget + 1):
-            for item in items:
-                spread(y, item, draw, budget)
+            spread(var, draw, budget)
             peak = solo
-            for item in items:
-                row = y[item.row]
-                slot0 = item.base + item.delays[draw - 1]
-                peak = max(peak, max(row[slot0 + dt] for dt, _ in item.tail))
-            for item in items:
-                spread(y, item, draw, -budget)
+            for i in items:
+                p = pos[i]
+                row = y[rows[i]]
+                slot0 = bases[i] + delays[p][draw - 1]
+                peak = max(peak, max(row[slot0 + dt] for dt, _ in tails[p]))
+            spread(var, draw, -budget)
             probes.append((peak, draw))
         best = min(probes)[1]  # the first draw with the least maximum
-        packet, block = var
-        draws[packet][block] = best
-        for item in items:
-            spread(y, item, best, budget)
-    return draws, ws.max_y()
+        draws[var] = best
+        spread(var, best, budget)
+    return ws.per_packet(draws), ws.max_y()
 
 
 def fix_level(
@@ -380,16 +465,12 @@ def schedule_from_assignment(
     """Concrete per-node waits realizing the fully fixed policy (padded paths)."""
     if not assignment.fully_fixed:
         raise AssignmentError("assignment incomplete: a schedule needs all levels fixed")
-    terms = [position_terms(tree, pos) for pos in range(1, padded.length + 1)]
-    n_levels = assignment.n_levels
+    columns = _position_columns(tree)
     waits: list[list[int]] = []
     for values in assignment.values:
-        row = []
-        prev = 0
-        for t in terms:
-            slot = t.offset + fixed_delay(t, values, n_levels)
-            row.append(slot - prev - 1)
-            prev = slot
+        slots = _fixed_slots(columns, values, assignment.n_levels)
+        # the wait before position j is slot_j - slot_(j-1) - 1, with slot_0 = 0
+        row = list(map(sub, slots, chain((1,), map((1).__add__, slots))))
         sink = 0
         if tree.kind == "plain":
             for level, lv in enumerate(tree.ladder.levels):

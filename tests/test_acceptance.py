@@ -33,7 +33,7 @@ from cd_router.oracle import exhaustive_expectation, optimal_makespan
 from cd_router.schedule import Schedule
 from cd_router.simulator import CheckRequirements, check, simulate
 
-from conftest import fixture_text
+from conftest import fixture_text, randomize_remaining
 
 
 def _verdict(capfd, n: int, label: str, failures: list, elapsed: float, extra: str = "") -> None:
@@ -318,9 +318,7 @@ def test_criterion_8_formula_matches_execution(capfd):
             tree = dissect_plain(ladder) if kind == "plain" else dissect_shifted(ladder)
             for rep in range(4):
                 assignment = DelayAssignment(tree, k)
-                assignment.randomize_remaining(
-                    random.Random(f"accept8/{seed_index}/{kind}/{rep}")
-                )
+                randomize_remaining(assignment, random.Random(f"accept8/{seed_index}/{kind}/{rep}"))
                 schedule = schedule_from_assignment(padded, tree, assignment)
                 trace = simulate(padded.padded, schedule, capacity=k)
                 for packet in range(k):

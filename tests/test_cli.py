@@ -233,11 +233,42 @@ def test_bad_bench_counts_exit_64(tmp_path, capsys, flag, value):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["lowerbound", "solve", str(FIXTURES / "lb-n2.json"), "--horizon", "-5"], "--horizon"),
+    (["lowerbound", "solve", str(FIXTURES / "lb-n2.json"), "--horizon", "1.5"], "--horizon"),
+    (["lowerbound", "gen", "--n", "0"], "--n"),
+    (["lowerbound", "gen", "--n", "-2"], "--n"),
+    (["lowerbound", "margin", "--eps", "nan"], "--eps"),
+    (["lowerbound", "margin", "--eps", "inf"], "--eps"),
+    (["lowerbound", "margin", "--eps", "-1"], "--eps"),
+    (["lowerbound", "margin", "--eps", "tiny"], "--eps"),
+])
+def test_bad_lowerbound_flags_exit_64(capsys, argv, flag):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"argument {flag}" in captured.err
+    assert captured.out == ""
+
+
+def test_lowerbound_edge_values_are_not_usage_errors(capsys):
+    # no schedule fits a horizon of 0: an answer, not a usage error
+    assert main(["lowerbound", "solve", str(FIXTURES / "lb-n2.json"), "--horizon", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == "optimal_makespan=None C=2 D=7\n"
+    assert main(["lowerbound", "margin", "--eps", "0"]) == EXIT_OK
+    assert main(["lowerbound", "gen", "--n", "1"]) == EXIT_OK
+    capsys.readouterr()
+
+
 def test_bad_values_exit_1_cleanly(tmp_path, capsys):
-    assert main(["lowerbound", "margin", "--eps", "-1"]) == EXIT_FAILURE
+    bad = tmp_path / "bad.json"
+    bad.write_text("nope {")
+    assert main(["lowerbound", "solve", str(bad)]) == EXIT_FAILURE
     assert "error:" in capsys.readouterr().err
-    out = tmp_path / "x.json"
-    assert main(["lowerbound", "gen", "--n", "0", "--out", str(out)]) == EXIT_FAILURE
+    looped = tmp_path / "looped.json"
+    looped.write_text(json.dumps({
+        "nodes": ["a", "b"], "edges": [{"id": "e", "tail": "a", "head": "b"}], "paths": [["e", "e"]],
+    }))
+    assert main(["lowerbound", "solve", str(looped)]) == EXIT_FAILURE
     assert "error:" in capsys.readouterr().err
 
 

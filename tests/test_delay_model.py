@@ -18,6 +18,8 @@ from cd_router.fixer import schedule_from_assignment
 from cd_router.instance import pad, shared_path_instance
 from cd_router.simulator import simulate
 
+from conftest import randomize_remaining
+
 
 def plain_16_2():
     return dissect_plain(build_ladder(16, 2))  # levels [(16,16),(4,2)]
@@ -57,7 +59,7 @@ def test_crossing_times_strictly_increase_along_path():
     rng = random.Random(5)
     for _ in range(20):
         a = DelayAssignment(tree, 1)
-        a.randomize_remaining(rng)
+        randomize_remaining(a, rng)
         slots = [crossing_time(tree, a, 0, pos) for pos in range(1, 17)]
         assert all(b > c for b, c in zip(slots[1:], slots))
 
@@ -78,7 +80,7 @@ def test_buffered_crossing_matches_wait_walk():
     rng = random.Random(11)
     for _ in range(40):
         a = DelayAssignment(tree, 1)
-        a.randomize_remaining(rng)
+        randomize_remaining(a, rng)
         node_waits = [0] * 17  # wait before crossing position p stored at p-1
         node_waits[0] += a.value(0, 0, 0)
         for b in tree.blocks(1):
@@ -155,7 +157,7 @@ def test_distribution_matches_monte_carlo():
     hits: dict[int, int] = {}
     for _ in range(n):
         a = DelayAssignment(tree, 1)
-        a.randomize_remaining(rng)
+        randomize_remaining(a, rng)
         t = crossing_time(tree, a, 0, 9)
         hits[t] = hits.get(t, 0) + 1
     for slot, p in law.items():
@@ -224,7 +226,7 @@ def test_formula_equals_simulation_small():
         rng = random.Random(kind)
         for _ in range(10):
             a = DelayAssignment(tree, 2)
-            a.randomize_remaining(rng)
+            randomize_remaining(a, rng)
             sched = schedule_from_assignment(padded, tree, a)
             trace = simulate(padded.padded, sched, capacity=2)
             for i in range(2):

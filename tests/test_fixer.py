@@ -1,5 +1,6 @@
 """Level fixing, finalization, stretching, and the end-to-end pipeline."""
 import json
+import random
 from collections import Counter
 from math import floor
 
@@ -22,6 +23,8 @@ from cd_router.fixer import (
 from cd_router.instance import generate_random_instance, pad, shared_path_instance, stats
 from cd_router.schedule import Schedule, encode
 from cd_router.simulator import simulate
+
+from conftest import randomize_remaining
 
 
 # --- config ------------------------------------------------------------------
@@ -80,33 +83,42 @@ def test_workspace_rows_match_a_table_rebuilt_from_the_draws(name, kind):
         for strategy in ("resample", "greedy"):
             assignment = DelayAssignment(tree, padded.padded.n_packets)
             config = FixerConfig(variant=kind, seed=seed, resample_budget=300)
-            ws = _LevelWorkspace(padded, tree, assignment, 0)
-            # one row per edge that two or more padded paths use, in edge id order
-            assert len(ws.y) == len(shared)
-            assert ws.edges == shared
-            limit = floor((1.0 + config.slack(ladder.levels[0].block_len, 1.0)) * ws.scale)
-            if strategy == "resample":
-                draws, peak, _, _ = _resample_fix(ws, limit, config, f"workspace/{seed}")
-            else:
-                draws, peak = _greedy_fix(ws)
-            assignment.set_level(0, draws)
-            table = {key: p * ws.scale for key, p in expected_load(padded, tree, assignment).items()}
-            rebuilt = [
-                [table.get((edge, lo + index), 0) for index in range(len(row))]
-                for edge, lo, row in zip(ws.edges, ws.lo, ws.y)
-            ]
-            assert ws.y == rebuilt
-            # every shared-edge cell of the table lies inside its row
-            assert sum(map(sum, ws.y)) == sum(v for (edge, _), v in table.items() if uses[edge] >= 2)
-            assert ws.max_y() == max(table.values())
-            if peak > limit:  # every restart failed: the least maximum one reached
-                assert strategy == "resample" and peak <= ws.max_y()
-            else:
-                assert peak == ws.max_y()
-            for lim in sorted({limit, ws.scale} | {v - 1 for v in table.values() if v > ws.scale}):
-                cell = ws.first_bad_cell(lim)
-                found = None if cell is None else (ws.edges[cell[0]], ws.lo[cell[0]] + cell[1])
-                assert found == min((key for key, v in table.items() if v > lim), default=None)
+            # every level, built on the draws fixed at the levels before it
+            for level in range(len(ladder.levels)):
+                ws = _LevelWorkspace(padded, tree, assignment, level)
+                # one row per edge that two or more padded paths use, in edge id order
+                assert len(ws.y) == len(shared)
+                assert ws.edges == shared
+                slack = config.slack(ladder.levels[level].block_len, 1.0)
+                limit = floor((1.0 + slack) * ws.scale)
+                if strategy == "resample":
+                    draws, peak, _, _ = _resample_fix(ws, limit, config, f"workspace/{seed}/{level}")
+                else:
+                    draws, peak = _greedy_fix(ws)
+                assignment.set_level(level, draws)
+                table = {
+                    key: p * ws.scale for key, p in expected_load(padded, tree, assignment).items()
+                }
+                rebuilt = [
+                    [table.get((edge, lo + index), 0) for index in range(len(row))]
+                    for edge, lo, row in zip(ws.edges, ws.lo, ws.y)
+                ]
+                assert ws.y == rebuilt, level
+                # every shared-edge cell of the table lies inside its row
+                assert sum(map(sum, ws.y)) == sum(
+                    v for (edge, _), v in table.items() if uses[edge] >= 2
+                )
+                assert ws.max_y() == max(table.values())
+                if peak > limit:  # every restart failed: the least maximum one reached
+                    assert strategy == "resample" and peak <= ws.max_y()
+                else:
+                    assert peak == ws.max_y()
+                for lim in sorted({limit, ws.scale} | {v - 1 for v in table.values() if v > ws.scale}):
+                    cell, top = ws.first_bad_cell(lim)
+                    found = None if cell is None else (ws.edges[cell[0]], ws.lo[cell[0]] + cell[1])
+                    assert found == min((key for key, v in table.items() if v > lim), default=None)
+                    # with no bad cell, the one scan has read max Y
+                    assert cell is not None or top == ws.max_y()
 
 
 # --- stretching --------------------------------------------------------------
@@ -279,6 +291,32 @@ def test_schedule_matches_crossing_times():
         slots = schedule.crossing_slots(packet)
         for pos in range(1, padded.length + 1):
             assert slots[pos - 1] == crossing_time(tree, assignment, packet, pos)
+
+
+def test_schedule_matches_crossing_times_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        seed=st.integers(0, 10**6),
+        kind=st.sampled_from(["plain", "buffered"]),
+        delta=st.integers(2, 5),
+        draws_seed=st.integers(0, 10**6),
+    )
+    def agree(seed, kind, delta, draws_seed):
+        padded = pad(generate_random_instance(seed, max_packets=6, max_length=64))
+        ladder = build_ladder(padded.length, min(delta, padded.length))
+        tree = dissect_plain(ladder) if kind == "plain" else dissect_shifted(ladder)
+        assignment = DelayAssignment(tree, padded.padded.n_packets)
+        randomize_remaining(assignment, random.Random(draws_seed))
+        schedule = schedule_from_assignment(padded, tree, assignment)
+        for packet in range(padded.padded.n_packets):
+            assert schedule.crossing_slots(packet) == [
+                crossing_time(tree, assignment, packet, pos) for pos in range(1, padded.length + 1)
+            ]
+
+    agree()
 
 
 def test_unpad_drops_dummy_motion_only():

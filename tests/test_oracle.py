@@ -134,14 +134,14 @@ def assert_closed_form_matches_exhaustive(padded, tree, assignment):
     # open, else pinned to the last level's draws
     if not assignment.fully_fixed:
         ws = _LevelWorkspace(padded, tree, assignment, assignment.frontier)
-        for item in ws.items:
-            ws.add_blur(item, +1)
+        for var in range(len(ws.by_var)):
+            ws.add_blur(var, +1)
     else:
         last = assignment.n_levels - 1
         ws = _LevelWorkspace(padded, tree, assignment, last)
-        for item in ws.items:
-            packet, block = item.var
-            ws.spread(ws.y, item, assignment.value(packet, last, block), ws.budget)
+        for var in range(len(ws.by_var)):
+            packet, block = divmod(var, ws.n_blocks)
+            ws.spread(var, assignment.value(packet, last, block), ws.budget)
     # Y keeps a row only for an edge that two or more packets use; map every
     # row cell back to its (edge, slot)
     rows = {
