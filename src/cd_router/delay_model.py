@@ -20,6 +20,8 @@ floats.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
+from operator import add, getitem
 from typing import NamedTuple
 
 from .dissection import Block, BlockTree, ShiftedBlockTree
@@ -81,6 +83,31 @@ class DelayAssignment:
     def fully_fixed(self) -> bool:
         return self.frontier == self.n_levels
 
+    @cached_property
+    def columns(self) -> PositionColumns:
+        """The tree's position terms as columns, built on first use and shared by every level."""
+        terms = [position_terms(self.tree, pos) for pos in range(1, self.tree.length + 1)]
+        blocks = [list(column) for column in zip(*(t.blocks for t in terms))]
+        tables = [None if column[0] is None else list(column) for column in zip(*(t.tables for t in terms))]
+        return PositionColumns([t.offset for t in terms], blocks, tables)
+
+    def fixed_slots(self, packet: int, levels: int) -> list[int]:
+        """The packet's slot at every position, shifted by its draws on the first `levels` levels.
+
+        Entry p is `offset + fixed_delay(...)` at position p + 1, summed a
+        level at a time over whole columns. With `levels` 0 it is
+        `columns.offsets` itself.
+        """
+        columns, values = self.columns, self.values[packet]
+        slots = columns.offsets
+        for level in range(levels):
+            delays = map(values[level].__getitem__, columns.blocks[level])
+            table = columns.tables[level]
+            if table is not None:
+                delays = map(getitem, table, map((-1).__add__, delays))
+            slots = list(map(add, slots, delays))
+        return slots
+
 
 # --- per-level crossing contributions --------------------------------------
 
@@ -128,6 +155,14 @@ class PositionTerms(NamedTuple):
     offset: int  # pos plus every level's deterministic offset
     blocks: tuple[int, ...]  # containing block, per level
     tables: tuple[tuple[int, ...] | None, ...]  # delay per draw, per level
+
+
+class PositionColumns(NamedTuple):
+    """Position terms as columns: entry p describes edge position p + 1."""
+
+    offsets: list[int]
+    blocks: list[list[int]]  # per level: the containing block
+    tables: list[list[tuple[int, ...]] | None]  # per level: delay per draw; None where it is the draw
 
 
 def position_terms(tree: Tree, pos: int) -> PositionTerms:

@@ -4,24 +4,24 @@ Each level's draws are pinned so that no (edge, slot) cell's conditional
 expected load exceeds the running target plus a per-level slack; a
 constructive resampling loop (redraw exactly the variables a bad cell
 depends on) is the default, with a greedy min-max sweep as the alternative.
-Whatever stays random after the last fixed level is finalized arbitrarily;
-the realized integral load c is then certified against the counting bound
-c <= gamma * prod(open budgets), and stretching every slot into c slots
-yields a capacity-1 schedule.
+The expected loads are exact integers, held per level by `_LevelWorkspace`,
+whose docstring gives their layout. Whatever stays random after the last
+fixed level is finalized arbitrarily.
 
-What is still random about a crossing depends on its position alone, so a
-level's delay terms and residual laws are computed once per position and
-shared, and the dissection's terms are held as per-position columns. A
-packet's fixed draws become its slot at every position in one column-wise
-pass (`_fixed_slots`), which both the level workspace and the final
-schedule use; no (packet, position) pair gets an object or a call of its
-own. Every budget is a power of two, so the expected loads are exact
-integer counts of draw combinations, compared against an integer limit.
-They are kept in one slot-indexed row per edge that two or more packets
-use; an edge of one packet can never break the limit and gets no row. The
-crossings on those rows are flat integer lists, the items of a row are
-indexed only once a bad cell needs its dependents, and a level that needs
-no resample scans its rows once.
+The fully fixed assignment is realized once. Its slots become waits through
+`waits_from_slots`, the inverse of `Schedule.crossing_slots`. One ranking of
+the crossings, `realized_loads` (how many packets of lower id share each
+crossing's (edge, slot) cell), gives both the integral load c = 1 + the
+largest rank, certified against the counting bound
+c <= gamma * prod(open budgets), and each crossing's place when `stretch`
+expands every slot into c slots, which yields a capacity-1 schedule.
+
+What is still random about a crossing depends on its position alone. The
+dissection's terms are per-position columns, built once per run by the
+`DelayAssignment`, and a packet's fixed draws become its slot at every
+position in one column-wise pass (`DelayAssignment.fixed_slots`), which
+every level workspace and the final waits use; no (packet, position) pair
+gets an object or a call of its own.
 """
 from __future__ import annotations
 
@@ -29,21 +29,14 @@ import logging
 import random
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from itertools import chain, compress, pairwise, repeat
-from math import floor, inf, prod
-from operator import add, getitem, not_, sub
-from typing import NamedTuple
+from itertools import compress, pairwise, repeat
+from math import floor, inf, isfinite, prod
+from operator import add, not_, sub
 
-from .delay_model import (
-    AssignmentError,
-    DelayAssignment,
-    Tree,
-    position_terms,
-    residual_law,
-)
+from .delay_model import AssignmentError, DelayAssignment, Tree, residual_law
 from .dissection import build_ladder, dissect_plain, dissect_shifted
 from .instance import Instance, PaddedInstance, pad, stats  # noqa: F401  (perfbench/tracing.py patches fixer.stats)
-from .schedule import Schedule
+from .schedule import Schedule, waits_from_slots
 from .simulator import simulate
 
 log = logging.getLogger(__name__)
@@ -87,8 +80,11 @@ def _validated(config: FixerConfig) -> None:
         raise ValueError(f"delta must be at least 2, got {config.delta}")
     if config.resample_budget < 1 or config.restart_budget < 1:
         raise ValueError("budgets must be at least 1")
-    if not config.relax_ladder or any(r < 1 for r in config.relax_ladder):
-        raise ValueError("relax factors must be at least 1")
+    if not config.relax_ladder or not all(isfinite(r) and r >= 1 for r in config.relax_ladder):
+        raise ValueError(f"relax factors must be finite and at least 1, got {config.relax_ladder}")
+    exponent = config.slack_exponent
+    if exponent is not None and not (isfinite(exponent) and exponent >= 0):
+        raise ValueError(f"slack_exponent must be finite and at least 0, got {exponent}")
 
 
 @dataclass(frozen=True)
@@ -128,38 +124,6 @@ class FixReport:
 
 # --- incremental conditional-expectation table for one level ----------------
 
-class _Columns(NamedTuple):
-    """Position terms as columns: entry p describes edge position p + 1."""
-
-    offsets: list[int]
-    blocks: list[list[int]]  # per level: the containing block
-    tables: list[list[tuple[int, ...]] | None]  # per level: delay per draw; None where it is the draw
-
-
-def _position_columns(tree: Tree) -> _Columns:
-    terms = [position_terms(tree, pos) for pos in range(1, tree.length + 1)]
-    blocks = [list(column) for column in zip(*(t.blocks for t in terms))]
-    tables = [None if column[0] is None else list(column) for column in zip(*(t.tables for t in terms))]
-    return _Columns([t.offset for t in terms], blocks, tables)
-
-
-def _fixed_slots(columns: _Columns, values: list[list[int | None]], levels: int) -> list[int]:
-    """One packet's slot at every position, shifted by its draws on the first `levels` levels.
-
-    Entry p is `offset + fixed_delay(...)` at position p + 1, summed a level
-    at a time over whole columns. With `levels` 0 it is `columns.offsets`
-    itself.
-    """
-    slots = columns.offsets
-    for level in range(levels):
-        delays = map(values[level].__getitem__, columns.blocks[level])
-        table = columns.tables[level]
-        if table is not None:
-            delays = map(getitem, table, map((-1).__add__, delays))
-        slots = list(map(add, slots, delays))
-    return slots
-
-
 class _LevelWorkspace:
     """Y(edge, slot) as a function of this level's draws, updated in place.
 
@@ -179,7 +143,7 @@ class _LevelWorkspace:
     position alone, so its delay per draw, `delays[p]`, and the law of the
     deeper open levels, `tails[p]`, are held once per position; a packet's
     fixed draws only shift `bases`, computed a column at a time by
-    `_fixed_slots`.
+    `DelayAssignment.fixed_slots`.
 
     Items go in packet order and, within a packet, in position order, and a
     block index never falls as the position grows, so a variable's items
@@ -210,7 +174,7 @@ class _LevelWorkspace:
         # rows go in ascending edge id order, the order of (edge, slot) cells
         self.edges = sorted(e for e, load in padded.stats.edge_loads.items() if load > 1)
         row_of = {e: r for r, e in enumerate(self.edges)}
-        columns = _position_columns(tree)
+        columns = assignment.columns
         positions = range(padded.length)
         # what is still random at a position depends only on its delay
         # tables for this level and the deeper ones, and few positions
@@ -235,7 +199,7 @@ class _LevelWorkspace:
         var: list[int] = []
         self.solo = solo = [0] * (padded.padded.n_packets * n_blocks)
         for packet, path in enumerate(padded.padded.paths):
-            slots = _fixed_slots(columns, assignment.values[packet], level)
+            slots = assignment.fixed_slots(packet, level)
             shared = list(map(row_of.__contains__, path))
             vars_at = map((packet * n_blocks).__add__, block_of)
             rows.extend(map(row_of.__getitem__, compress(path, shared)))
@@ -465,27 +429,31 @@ def schedule_from_assignment(
     """Concrete per-node waits realizing the fully fixed policy (padded paths)."""
     if not assignment.fully_fixed:
         raise AssignmentError("assignment incomplete: a schedule needs all levels fixed")
-    columns = _position_columns(tree)
     waits: list[list[int]] = []
-    for values in assignment.values:
-        slots = _fixed_slots(columns, values, assignment.n_levels)
-        # the wait before position j is slot_j - slot_(j-1) - 1, with slot_0 = 0
-        row = list(map(sub, slots, chain((1,), map((1).__add__, slots))))
+    for packet, values in enumerate(assignment.values):
         sink = 0
-        if tree.kind == "plain":
-            for level, lv in enumerate(tree.ladder.levels):
-                sink += lv.wait_budget - values[level][-1]
-        row.append(sink)
-        waits.append(row)
+        if tree.kind == "plain":  # what the last blocks leave of their budgets is parked
+            sink = sum(lv.wait_budget - values[level][-1] for level, lv in enumerate(tree.ladder.levels))
+        waits.append(waits_from_slots(assignment.fixed_slots(packet, assignment.n_levels), sink))
     return Schedule(waits=waits)
 
 
-def realized_loads(padded: PaddedInstance, schedule: Schedule) -> dict[tuple[str, int], int]:
-    loads: dict[tuple[str, int], int] = {}
-    for packet, path in enumerate(padded.padded.paths):
-        for pos, slot in zip(path, schedule.crossing_slots(packet)):
-            loads[(pos, slot)] = loads.get((pos, slot), 0) + 1
-    return loads
+def realized_loads(instance: Instance, schedule: Schedule) -> list[list[int]]:
+    """Per packet and crossing, how many packets of lower id cross the same (edge, slot).
+
+    A cell holding k crossings ranks them 0 .. k - 1 in packet order, so the
+    realized load is 1 + the largest rank.
+    """
+    seen: dict[tuple[str, int], int] = {}  # crossings per cell so far
+    ranks = []
+    for packet, path in enumerate(instance.paths):
+        rank = []
+        for cell in zip(path, schedule.crossing_slots(packet)):
+            r = seen.get(cell, 0)
+            seen[cell] = r + 1
+            rank.append(r)
+        ranks.append(rank)
+    return ranks
 
 
 def unpad_schedule(padded: PaddedInstance, schedule: Schedule) -> Schedule:
@@ -505,21 +473,10 @@ def stretch(schedule: Schedule, load: int, instance: Instance) -> Schedule:
     """
     if load <= 1:
         return schedule
-    # packets go in ascending id, so a crossing's rank is the number of
-    # crossings already placed in its (edge, slot)
-    sharers: dict[tuple[str, int], int] = {}
     waits = []
-    for i, path in enumerate(instance.paths):
-        row = []
-        prev = 0
-        for eid, slot in zip(path, schedule.crossing_slots(i)):
-            rank = sharers.get((eid, slot), 0)
-            sharers[(eid, slot)] = rank + 1
-            new_slot = load * (slot - 1) + 1 + rank
-            row.append(new_slot - prev - 1)
-            prev = new_slot
-        row.append(0)
-        waits.append(row)
+    for packet, ranks in enumerate(realized_loads(instance, schedule)):
+        slots = schedule.crossing_slots(packet)
+        waits.append(waits_from_slots([load * (t - 1) + 1 + r for t, r in zip(slots, ranks)], 0))
     return Schedule(waits=waits)
 
 
@@ -532,16 +489,15 @@ def finalize(
 ) -> Schedule:
     """Fill whatever is still random, certify the counting bound, build waits."""
     open_levels = tuple(range(assignment.frontier, assignment.n_levels))
-    residual = 1
-    for level in open_levels:
-        residual *= tree.ladder.levels[level].wait_budget
+    residual = prod(tree.ladder.levels[level].wait_budget for level in open_levels)
     if config.finalize_strategy == "greedy":
         _greedy_finalize(padded, tree, assignment)
     else:
         assignment.fill_remaining(1)
     schedule = schedule_from_assignment(padded, tree, assignment)
-    loads = realized_loads(padded, schedule)
-    load = max(loads.values())
+    # dummy edges are private and never raise a rank, so the real paths,
+    # each a prefix of its padded one, give the load
+    load = 1 + max(map(max, realized_loads(padded.base, schedule)))
     report.residual_levels = open_levels
     report.residual_budget = residual
     report.counting_cap = report.gamma_final * residual

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 class InvalidInstanceError(ValueError):
@@ -191,13 +192,17 @@ def decode(text: str) -> Instance:
         if type(p) is not list:
             raise InvalidInstanceError(f"malformed instance document: path {i} is not a JSON array")
     try:
-        edges = [Edge(str(e["id"]), str(e["tail"]), str(e["head"])) for e in arrays["edges"]]
+        fields = [(e["id"], e["tail"], e["head"]) for e in arrays["edges"]]
     except (KeyError, TypeError) as exc:
         raise InvalidInstanceError(f"malformed instance document: {exc}") from exc
+    # ids are taken as they are: 1 and "1" are different values, and null is no id
+    for x in chain(arrays["nodes"], chain.from_iterable(fields), chain.from_iterable(arrays["paths"])):
+        if type(x) is not str:
+            raise InvalidInstanceError(f"malformed instance document: id {x!r} is not a JSON string")
     return Instance(
-        nodes={str(n) for n in arrays["nodes"]},
-        edges=edges,
-        paths=[[str(eid) for eid in p] for p in arrays["paths"]],
+        nodes=set(arrays["nodes"]),
+        edges=[Edge(*f) for f in fields],
+        paths=arrays["paths"],
     )
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import sub
 
 
 class ScheduleError(ValueError):
@@ -26,13 +28,8 @@ class Schedule:
         return len(self.waits[packet]) - 1
 
     def crossing_slots(self, packet: int) -> list[int]:
-        """Slot of each edge crossing; waits accumulate strictly in order."""
-        slots = []
-        t = 0
-        for p in range(self.path_length(packet)):
-            t += self.waits[packet][p] + 1
-            slots.append(t)
-        return slots
+        """Slot of each edge crossing: the running sum of wait + 1; `waits_from_slots` inverts it."""
+        return list(accumulate(map((1).__add__, self.waits[packet][:-1])))
 
     def arrival(self, packet: int) -> int:
         n = self.path_length(packet)
@@ -58,6 +55,17 @@ class Schedule:
                 )
             if any(x < 0 for x in w):
                 raise ScheduleError(f"packet {i}: negative wait")
+
+
+def waits_from_slots(slots: list[int], sink: int) -> list[int]:
+    """The wait list whose crossings fall in `slots`, then `sink` slots parked at the sink.
+
+    The wait before crossing j is slot_j - slot_(j-1) - 1, with slot_0 = 0,
+    so no wait is negative when `slots` increases strictly from 1 or later.
+    """
+    waits = list(map(sub, slots, chain((1,), map((1).__add__, slots))))
+    waits.append(sink)
+    return waits
 
 
 def encode(schedule: Schedule) -> str:

@@ -35,6 +35,15 @@ def test_analyze_reports_violations(tmp_path, capsys):
     assert "repeated" in out
 
 
+def test_analyze_rejects_ids_that_are_not_strings(tmp_path, capsys):
+    # with ids passed through str(), this decoded to a valid instance
+    doc = {"nodes": ["1", "2"], "edges": [{"id": 1, "tail": 1, "head": 2}], "paths": [[1]]}
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == EXIT_FAILURE
+    assert "is not a JSON string" in capsys.readouterr().err
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == EXIT_FAILURE
     assert "error:" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from math import floor
 
 import pytest
 
+from cd_router import delay_model
 from cd_router import instance as instance_mod
 from cd_router.delay_model import DelayAssignment, crossing_time, expected_load
 from cd_router.dissection import build_ladder, dissect_plain, dissect_shifted
@@ -59,6 +60,12 @@ def test_config_rejects_bad_values():
     for delta in (1, 0, -3):
         with pytest.raises(ValueError, match="delta"):
             run_pipeline(shared_path_instance(1, 2), FixerConfig(delta=delta))
+    for relax in (float("nan"), float("inf"), 0.5):
+        with pytest.raises(ValueError, match="relax"):
+            run_pipeline(shared_path_instance(4, 16), FixerConfig(relax_ladder=(1.0, relax)))
+    for exponent in (float("nan"), float("inf"), float("-inf"), -1.0):
+        with pytest.raises(ValueError, match="slack_exponent"):
+            run_pipeline(shared_path_instance(4, 16), FixerConfig(slack_exponent=exponent))
 
 
 # --- level workspace ---------------------------------------------------------
@@ -250,8 +257,38 @@ def test_pipeline_greedy_paths():
     rep = result.report
     assert all(lf.strategy == "greedy" for lf in rep.levels)
     assert all(lf.resamples == 0 for lf in rep.levels)
-    assert rep.load <= rep.counting_cap + 1e-9
+    assert rep.load <= rep.counting_cap
     assert simulate(inst, result.schedule, capacity=1).max_load == 1
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+@pytest.mark.parametrize("name", [
+    *(f"random-{seed}" for seed in range(24)),
+    "shared-4x16", "shared-21x32", "shared-30x32", "shared-64x256",
+])
+def test_certified_load_is_the_replayed_load(name, kind):
+    # the load finalize certifies is exactly what the independent replay of
+    # the pre-stretch schedule counts, not just a bound on it
+    if name.startswith("random-"):
+        inst = generate_random_instance(name, max_packets=24, max_length=64)
+    else:
+        inst = _workspace_instance(name)
+    result = run_pipeline(inst, FixerConfig(variant=kind, seed=name))
+    load = result.report.load
+    assert load == simulate(inst, result.prestretch, capacity=load).max_load
+
+
+def test_pipeline_builds_the_position_columns_once(monkeypatch):
+    calls = []
+    terms = delay_model.position_terms
+    monkeypatch.setattr(delay_model, "position_terms", lambda tree, pos: calls.append(pos) or terms(tree, pos))
+    for kind in ("plain", "buffered"):
+        calls.clear()
+        # plain fixes three levels and buffered two; every attempt and the
+        # final waits read the same columns
+        result = run_pipeline(shared_path_instance(8, 300), FixerConfig(variant=kind, delta=2))
+        assert result.report.levels
+        assert sorted(calls) == list(range(1, result.padded.length + 1))
 
 
 def test_pipeline_reports_exhausted_budgets():

@@ -166,6 +166,25 @@ def test_decode_rejects_non_arrays(field, value):
         decode(json.dumps(doc))
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(nodes=["a", 2]),
+    lambda doc: doc.update(nodes=["a", "b", None]),
+    lambda doc: doc.update(nodes=["a", "b", ["c"]]),
+    lambda doc: doc["edges"][0].update(id=1),
+    # with str() over ids, null became "None" and this was a valid instance
+    lambda doc: doc.update(nodes=["None", "b"]) or doc["edges"][0].update(tail=None),
+    lambda doc: doc["edges"][0].update(head=2.0),
+    lambda doc: doc.update(paths=[[None]]),
+    lambda doc: doc.update(paths=[["e", True]]),
+], ids=["node-int", "node-null", "node-array", "edge-id-int", "tail-null-beside-node-None", "edge-head-float",
+        "path-null", "path-bool"])
+def test_decode_rejects_ids_that_are_not_strings(edit):
+    doc = {"nodes": ["a", "b"], "edges": [{"id": "e", "tail": "a", "head": "b"}], "paths": [["e"]]}
+    edit(doc)
+    with pytest.raises(InvalidInstanceError, match="is not a JSON string"):
+        decode(json.dumps(doc))
+
+
 def test_random_instances_valid_and_deterministic():
     a = generate_random_instance("seed-x")
     b = generate_random_instance("seed-x")

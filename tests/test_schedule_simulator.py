@@ -6,7 +6,7 @@ import pytest
 
 from cd_router.instance import Edge, Instance, generate_random_instance, shared_path_instance, stats
 from cd_router.oracle import stepped_simulation
-from cd_router.schedule import Schedule, ScheduleError, decode, encode
+from cd_router.schedule import Schedule, ScheduleError, decode, encode, waits_from_slots
 from cd_router.simulator import (
     CheckRequirements,
     arrivals_csv_rows,
@@ -25,6 +25,7 @@ def test_schedule_accessors():
     assert s.n_packets == 1
     assert s.path_length(0) == 3
     assert s.crossing_slots(0) == [3, 4, 6]
+    assert waits_from_slots([3, 4, 6], 0) == [2, 0, 1, 0]
     assert s.arrival(0) == 6
     assert s.makespan == 6
     assert s.total_waiting(0) == 3
@@ -242,6 +243,28 @@ def test_simulate_matches_stepper_property():
             for p in instance.paths
         ]
         _assert_same_trace(instance, Schedule(waits=waits))
+
+    agree()
+
+
+def test_crossing_slots_match_the_replay_and_invert_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(seed=st.integers(0, 10**6), data=st.data())
+    def agree(seed, data):
+        instance = generate_random_instance(seed, max_packets=6, max_length=24)
+        waits = [
+            data.draw(st.lists(st.integers(0, 10**9), min_size=len(p) + 1, max_size=len(p) + 1))
+            for p in instance.paths
+        ]
+        schedule = Schedule(waits=waits)
+        trace = simulate(instance, schedule)
+        for packet, row in enumerate(waits):
+            slots = schedule.crossing_slots(packet)
+            assert slots == trace.crossing_slots[packet]
+            assert waits_from_slots(slots, row[-1]) == row
 
     agree()
 

@@ -1,0 +1,30 @@
+"""The benchmark's tracer patches program names from outside; they must all exist."""
+import importlib.util
+from pathlib import Path
+
+from cd_router import fixer
+from cd_router.instance import shared_path_instance
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_over_every_patched_name_and_restores_them():
+    tracing = _load_tracing()
+    originals = [getattr(module, attr) for module, attr, _, _ in tracing.PATCHES]
+    # a name the program no longer has fails on entry, with AttributeError
+    with tracing.Tracer().installed() as tracer:
+        # one fixed level, and load 2, so stretch has work to do
+        result = fixer.run_pipeline(shared_path_instance(8, 32), fixer.FixerConfig(seed=0))
+    assert (len(result.report.levels), result.report.load) == (1, 2)
+    assert [getattr(module, attr) for module, attr, _, _ in tracing.PATCHES] == originals
+    for layer in ("pipeline", "fixer.fix_level", "fixer.finalize", "fixer.realized_loads", "fixer.stretch"):
+        assert layer in tracer.self_s
+    assert tracer.counts["pipeline.ok"] == 1
+    assert tracer.counts["fixer.fix_level.calls"] == 1
