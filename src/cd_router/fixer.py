@@ -5,8 +5,10 @@ expected load exceeds the running target plus a per-level slack; a
 constructive resampling loop (redraw exactly the variables a bad cell
 depends on) is the default, with a greedy min-max sweep as the alternative.
 The expected loads are exact integers, held per level by `_LevelWorkspace`,
-whose docstring gives their layout. Whatever stays random after the last
-fixed level is finalized arbitrarily.
+whose docstring gives their layout. A resample step costs its cell writes:
+each redrawn variable's items move from the old draw to the new one in one
+pass (`move`), and a redraw that repeats the old draw writes nothing. Whatever
+stays random after the last fixed level is finalized arbitrarily.
 
 The fully fixed assignment is realized once. Its slots become waits through
 `waits_from_slots`, the inverse of `Schedule.crossing_slots`. One ranking of
@@ -140,18 +142,26 @@ class _LevelWorkspace:
     relative to its row's `lo`), `pos[i]` (position index p, for edge
     position p + 1) and `var[i]` (packet * n_blocks + block, the variable
     whose draw moves it). What is still random is a function of the
-    position alone, so its delay per draw, `delays[p]`, and the law of the
-    deeper open levels, `tails[p]`, are held once per position; a packet's
-    fixed draws only shift `bases`, computed a column at a time by
-    `DelayAssignment.fixed_slots`.
+    position alone, so it is held once per position: the delay per draw,
+    `delays[p]`; the law of the deeper open levels, `tails[p]`, as
+    (offset, count) pairs; that law at weight `budget`, `weighted[p]`; and
+    its offsets as a set, `offsets[p]`. A packet's fixed draws only shift
+    `bases`, computed a column at a time by `DelayAssignment.fixed_slots`.
 
     Items go in packet order and, within a packet, in position order, and a
     block index never falls as the position grows, so a variable's items
     are contiguous: `by_var[v]` is a range, found by bisection. `by_row`,
     the items per row, is needed only to find a bad cell's dependents; it
     is built on the first call of `dependents`, as one list append per
-    item. `spread` writes one variable's items into Y and is the only
-    writer once resampling starts.
+    item, and an item is a dependent when the cell's offset from its slot
+    is in `offsets[p]`.
+
+    Y has three writers. `fill` adds every item at its draw into a zero Y.
+    `move` redraws one variable: one pass over its items takes each one's
+    weighted law off at the old slot and puts it on at the new one, and the
+    resampling loop skips it when the redraw repeats the old draw. `spread`
+    adds one variable's items at any weight; the greedy sweep and
+    `add_blur` use it.
 
     An edge that one packet uses holds a single item at weight `budget`, so
     none of its cells exceeds `scale`; the limit `floor(target * scale)` has
@@ -189,9 +199,14 @@ class _LevelWorkspace:
                 delays = identity if key[0] is None else key[0]
                 tail = residual_law(tree, level + 1, p + 1)
                 first, last = min(delays) + tail[0][0], max(delays) + tail[-1][0]
-                law = laws[key] = (delays, tail, first, last, max(count for _, count in tail))
+                weighted = [(dt, self.budget * count) for dt, count in tail]
+                offsets = frozenset(dt for dt, _ in tail)
+                law = laws[key] = (delays, tail, weighted, offsets, first, last,
+                                   max(count for _, count in tail))
             per_position.append(law)
-        self.delays, self.tails, first, last, peak = (list(c) for c in zip(*per_position))
+        self.delays, self.tails, self.weighted, self.offsets, first, last, peak = (
+            list(c) for c in zip(*per_position)
+        )
         block_of = columns.blocks[level]
         rows: list[int] = []
         bases: list[int] = []
@@ -229,8 +244,7 @@ class _LevelWorkspace:
 
     def fill(self, draws: list[int]) -> None:
         """Add every item's law at weight `budget`, given the draws per variable, into a zero Y."""
-        y, delays, budget = self.y, self.delays, self.budget
-        weighted = [[(dt, budget * count) for dt, count in tail] for tail in self.tails]
+        y, delays, weighted = self.y, self.delays, self.weighted
         for r, base, p, v in zip(self.rows, self.bases, self.pos, self.var):
             row = y[r]
             slot0 = base + delays[p][draws[v] - 1]
@@ -246,6 +260,19 @@ class _LevelWorkspace:
             slot0 = bases[i] + delays[p][draw - 1]
             for dt, count in tails[p]:
                 row[slot0 + dt] += weight * count
+
+    def move(self, var: int, old: int, new: int) -> None:
+        """Redraw one variable: move its items' laws, at weight `budget`, from draw `old` to `new`."""
+        y, delays, weighted = self.y, self.delays, self.weighted
+        items = self.by_var[var]
+        a, b = items.start, items.stop
+        for r, base, p in zip(self.rows[a:b], self.bases[a:b], self.pos[a:b]):
+            row = y[r]
+            at = delays[p]
+            gone, come = base + at[old - 1], base + at[new - 1]
+            for dt, value in weighted[p]:
+                row[gone + dt] -= value
+                row[come + dt] += value
 
     def clear(self) -> None:
         for row in self.y:
@@ -281,13 +308,12 @@ class _LevelWorkspace:
             for i, r in enumerate(self.rows):
                 self.by_row[r].append(i)
         row, index = cell
-        bases, pos, var, delays, tails = self.bases, self.pos, self.var, self.delays, self.tails
+        bases, pos, var, delays, offsets = self.bases, self.pos, self.var, self.delays, self.offsets
         found: set[int] = set()
         for i in self.by_row[row]:
-            p = pos[i]
-            rel = index - bases[i] - delays[p][draws[var[i]] - 1]
-            if any(dt == rel for dt, _ in tails[p]):
-                found.add(var[i])
+            p, v = pos[i], var[i]
+            if index - bases[i] - delays[p][draws[v] - 1] in offsets[p]:
+                found.add(v)
         return sorted(found)
 
     def per_packet(self, draws: list[int]) -> list[list[int]]:
@@ -305,7 +331,7 @@ def _resample_fix(
     restarts); when every restart fails, max Y is the least one a restart
     ended with, and it exceeds `limit`.
     """
-    spread, budget = ws.spread, ws.budget
+    move, budget = ws.move, ws.budget
     best_max = None
     total_resamples = 0
     for restart in range(config.restart_budget):
@@ -324,9 +350,9 @@ def _resample_fix(
             for var in ws.dependents(cell, draws):
                 old = draws[var]
                 new = rng.randint(1, budget)
-                draws[var] = new
-                spread(var, old, -budget)
-                spread(var, new, budget)
+                if new != old:  # a repeated draw leaves Y as it is
+                    draws[var] = new
+                    move(var, old, new)
         achieved = ws.max_y()
         if best_max is None or achieved < best_max:
             best_max = achieved

@@ -119,7 +119,10 @@ class PaddedInstance:
 
     Every path is extended with a private chain of dummy edges up to `length`
     (a power of two >= max(congestion, dilation)), so dummy edges always have
-    congestion 1 and real edges keep their loads.
+    congestion 1 and real edges keep their loads. Dummy ids are
+    `__pad_n{packet}_{k}` and `__pad_e{packet}_{k}`; when a real node or edge
+    id equals one of them, every dummy takes the prefix `__pad_` with as many
+    more underscores as make it a prefix of no real id.
     """
 
     base: Instance
@@ -130,27 +133,40 @@ class PaddedInstance:
     stats: InstanceStats  # of `base`, computed once while padding
 
 
-def pad(instance: Instance) -> PaddedInstance:
-    s = stats(instance)  # raises on invalid
-    target = _next_power_of_two(max(s.congestion, s.dilation))
+def _extended(
+    instance: Instance, emap: dict[str, Edge], target: int, prefix: str
+) -> tuple[Instance, set[str]]:
+    """Every path extended to `target` edges by a private dummy chain, and the dummy edge ids."""
     nodes = set(instance.nodes)
     edges = list(instance.edges)
-    emap = instance.edge_map()
     paths: list[list[str]] = []
     dummies: set[str] = set()
     for i, path in enumerate(instance.paths):
         new_path = list(path)
         tail_node = emap[path[-1]].head
         for extra in range(target - len(path)):
-            nid = f"__pad_n{i}_{extra}"
-            eid = f"__pad_e{i}_{extra}"
+            nid = f"{prefix}n{i}_{extra}"
+            eid = f"{prefix}e{i}_{extra}"
             nodes.add(nid)
             edges.append(Edge(eid, tail_node, nid))
             dummies.add(eid)
             new_path.append(eid)
             tail_node = nid
         paths.append(new_path)
-    padded = Instance(nodes=nodes, edges=edges, paths=paths)
+    return Instance(nodes=nodes, edges=edges, paths=paths), dummies
+
+
+def pad(instance: Instance) -> PaddedInstance:
+    s = stats(instance)  # raises on invalid
+    target = _next_power_of_two(max(s.congestion, s.dilation))
+    emap = instance.edge_map()
+    padded, dummies = _extended(instance, emap, target, "__pad_")
+    # one dummy node per dummy edge: fewer new nodes means a real node id was taken
+    if len(padded.nodes) < len(instance.nodes) + len(dummies) or not dummies.isdisjoint(emap):
+        prefix = "__pad_"
+        while any(x.startswith(prefix) for x in chain(instance.nodes, emap)):
+            prefix += "_"
+        padded, dummies = _extended(instance, emap, target, prefix)
     return PaddedInstance(
         base=instance,
         padded=padded,

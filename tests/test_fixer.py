@@ -128,6 +128,70 @@ def test_workspace_rows_match_a_table_rebuilt_from_the_draws(name, kind):
                     assert cell is not None or top == ws.max_y()
 
 
+def _level_workspace_args(name: str, kind: str, rng: random.Random):
+    """`_LevelWorkspace` arguments for each level at delta 2, the levels before it fixed at random."""
+    padded = pad(_workspace_instance(name))
+    tree = (dissect_plain if kind == "plain" else dissect_shifted)(build_ladder(padded.length, 2))
+    assignment = DelayAssignment(tree, padded.padded.n_packets)
+    while not assignment.fully_fixed:
+        level = assignment.frontier
+        yield padded, tree, assignment, level
+        budget = tree.ladder.levels[level].wait_budget
+        assignment.set_level(level, [
+            [rng.randint(1, budget) for _ in range(tree.n_blocks(level))]
+            for _ in range(padded.padded.n_packets)
+        ])
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+@pytest.mark.parametrize("name", ["shared-30x32", "accept2/3", "accept2/8"])
+def test_move_equals_a_fill_with_the_final_draws(name, kind):
+    rng = random.Random(f"move/{name}/{kind}")
+    budgets = []
+    for args in _level_workspace_args(name, kind, rng):
+        ws = _LevelWorkspace(*args)
+        assert ws.y
+        budgets.append(ws.budget)
+        n_vars = len(ws.by_var)
+        draws = [rng.randint(1, ws.budget) for _ in range(n_vars)]
+        ws.fill(draws)
+        for _ in range(4):
+            for _ in range(rng.randint(1, 3 * n_vars)):
+                var = rng.randrange(n_vars)
+                new = rng.choice([draws[var], rng.randint(1, ws.budget)])  # repeats included
+                ws.move(var, draws[var], new)
+                draws[var] = new
+            fresh = _LevelWorkspace(*args)
+            fresh.fill(draws)
+            assert ws.y == fresh.y
+    assert len(budgets) >= 2 and min(budgets) <= 4
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+@pytest.mark.parametrize("name", ["shared-30x32", "accept2/3", "accept2/8"])
+def test_dependents_are_the_variables_whose_removal_changes_the_cell(name, kind):
+    rng = random.Random(f"dependents/{name}/{kind}")
+    for args in _level_workspace_args(name, kind, rng):
+        ws = _LevelWorkspace(*args)
+        draws = [rng.randint(1, ws.budget) for _ in range(len(ws.by_var))]
+        ws.fill(draws)
+        y = ws.y
+        cells = [(r, i) for r, row in enumerate(y) for i in range(len(row))]
+        unreached = [(r, i) for r, i in cells if y[r][i] == 0]
+        assert unreached
+        cells = rng.sample(cells, min(len(cells), 40)) + rng.sample(unreached, min(len(unreached), 10))
+        expected = {cell: [] for cell in cells}
+        for var in range(len(ws.by_var)):
+            ws.y = [row[:] for row in y]
+            ws.spread(var, draws[var], -ws.budget)
+            for r, i in cells:
+                if ws.y[r][i] != y[r][i]:
+                    expected[r, i].append(var)
+        ws.y = y
+        for cell in cells:
+            assert ws.dependents(cell, draws) == expected[cell], cell
+
+
 # --- stretching --------------------------------------------------------------
 
 def test_stretch_orders_sharers_within_their_window():

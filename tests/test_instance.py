@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cd_router.fixer import FixerConfig, run_pipeline
 from cd_router.instance import (
     Edge,
     Instance,
@@ -123,6 +124,39 @@ def test_pad_preserves_original_prefix(fig1):
     for original, widened in zip(fig1.paths, padded.padded.paths):
         assert widened[: len(original)] == original
     assert padded.original_lengths == tuple(len(p) for p in fig1.paths)
+
+
+def _renamed(inst: Instance, prefix: str) -> Instance:
+    return Instance(
+        nodes={prefix + n for n in inst.nodes},
+        edges=[Edge(prefix + e.id, prefix + e.tail, prefix + e.head) for e in inst.edges],
+        paths=[[prefix + eid for eid in path] for path in inst.paths],
+    )
+
+
+@pytest.mark.parametrize("taken_edge", ["__pad_e1_0", "y"])
+def test_pad_ids_never_collide_with_real_ids(taken_edge):
+    # a real node has the default id of packet 1's dummy node; with
+    # "__pad_e1_0", a real edge has its dummy edge's default id too
+    inst = Instance(
+        nodes={"a", "b", "c", "__pad_n1_0"},
+        edges=[Edge("e0", "a", "b"), Edge(taken_edge, "b", "c"), Edge("x", "c", "__pad_n1_0")],
+        paths=[["e0", taken_edge], ["e0"]],
+    )
+    assert validate(inst).ok
+    padded = pad(inst)
+    assert validate(padded.padded).ok, validate(padded.padded).violations
+    assert padded.dummy_edge_ids and not padded.dummy_edge_ids & {e.id for e in inst.edges}
+    assert not {e.head for e in padded.padded.edges if e.id in padded.dummy_edge_ids} & inst.nodes
+    for variant in ("plain", "buffered"):
+        config = FixerConfig(variant=variant)
+        assert run_pipeline(inst, config).schedule == run_pipeline(_renamed(inst, "r"), config).schedule
+
+
+def test_pad_keeps_the_default_dummy_ids_when_no_real_id_takes_one(fig1):
+    assert pad(fig1).dummy_edge_ids == {"__pad_e0_0", "__pad_e2_0"}
+    # real ids may start like dummy ids, as long as none equals one
+    assert pad(_renamed(fig1, "__pad_")).dummy_edge_ids == {"__pad_e0_0", "__pad_e2_0"}
 
 
 def test_json_round_trip(fig1):
