@@ -89,6 +89,14 @@ def _load_instance(path: str) -> Instance:
     return decode(text)
 
 
+def _invalid(instance: Instance) -> bool:
+    """Print each violation as `invalid: <reason>` on stderr; True when there is one."""
+    report = validate(instance)
+    for violation in report.violations:
+        print(f"invalid: {violation}", file=sys.stderr)
+    return not report.ok
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -112,10 +120,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    report = validate(instance)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"invalid: {violation}", file=sys.stderr)
+    if _invalid(instance):
         return EXIT_FAILURE
     config = FixerConfig(
         variant=args.variant,
@@ -143,6 +148,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
+    if _invalid(instance):
+        return EXIT_FAILURE
     try:
         sched = schedule_mod.decode(Path(args.schedule).read_text())
     except OSError as exc:

@@ -11,12 +11,13 @@ pass (`move`), and a redraw that repeats the old draw writes nothing. Whatever
 stays random after the last fixed level is finalized arbitrarily.
 
 The fully fixed assignment is realized once. Its slots become waits through
-`waits_from_slots`, the inverse of `Schedule.crossing_slots`. One ranking of
-the crossings, `realized_loads` (how many packets of lower id share each
-crossing's (edge, slot) cell), gives both the integral load c = 1 + the
-largest rank, certified against the counting bound
-c <= gamma * prod(open budgets), and each crossing's place when `stretch`
-expands every slot into c slots, which yields a capacity-1 schedule.
+`waits_from_slots`, the inverse of `Schedule.crossing_slots`. The crossings
+are ranked once per run: `finalize` calls `realized_loads` (how many packets
+of lower id share each crossing's (edge, slot) cell), certifies the integral
+load c = 1 + the largest rank against the counting bound
+c <= gamma * prod(open budgets), and hands the ranks on; `stretch` places
+each crossing from them when it expands every slot into c slots, which
+yields a capacity-1 schedule.
 
 What is still random about a crossing depends on its position alone. The
 dissection's terms are per-position columns, built once per run by the
@@ -490,19 +491,20 @@ def unpad_schedule(padded: PaddedInstance, schedule: Schedule) -> Schedule:
     return Schedule(waits=waits)
 
 
-def stretch(schedule: Schedule, load: int, instance: Instance) -> Schedule:
+def stretch(schedule: Schedule, load: int, ranks: list[list[int]]) -> Schedule:
     """Expand each slot into `load` slots; sharers are ordered by packet id.
 
-    A crossing at slot t with rank r lands at load*(t-1) + 1 + r, so every
-    original (edge, slot) group spreads over the window [load*t-load+1, load*t]
-    collision-free while crossings stay strictly increasing along each path.
+    `ranks` are the schedule's `realized_loads`. A crossing at slot t with
+    rank r lands at load*(t-1) + 1 + r, so every original (edge, slot) group
+    spreads over the window [load*t-load+1, load*t] collision-free while
+    crossings stay strictly increasing along each path.
     """
     if load <= 1:
         return schedule
     waits = []
-    for packet, ranks in enumerate(realized_loads(instance, schedule)):
+    for packet, rank in enumerate(ranks):
         slots = schedule.crossing_slots(packet)
-        waits.append(waits_from_slots([load * (t - 1) + 1 + r for t, r in zip(slots, ranks)], 0))
+        waits.append(waits_from_slots([load * (t - 1) + 1 + r for t, r in zip(slots, rank)], 0))
     return Schedule(waits=waits)
 
 
@@ -512,8 +514,12 @@ def finalize(
     assignment: DelayAssignment,
     config: FixerConfig,
     report: FixReport,
-) -> Schedule:
-    """Fill whatever is still random, certify the counting bound, build waits."""
+) -> tuple[Schedule, list[list[int]]]:
+    """Fill whatever is still random, certify the counting bound, build waits.
+
+    Returns the padded schedule and the `realized_loads` ranks of its real
+    crossings, which are the ranks of the schedule cut at each real path's end.
+    """
     open_levels = tuple(range(assignment.frontier, assignment.n_levels))
     residual = prod(tree.ladder.levels[level].wait_budget for level in open_levels)
     if config.finalize_strategy == "greedy":
@@ -523,7 +529,8 @@ def finalize(
     schedule = schedule_from_assignment(padded, tree, assignment)
     # dummy edges are private and never raise a rank, so the real paths,
     # each a prefix of its padded one, give the load
-    load = 1 + max(map(max, realized_loads(padded.base, schedule)))
+    ranks = realized_loads(padded.base, schedule)
+    load = 1 + max(map(max, ranks))
     report.residual_levels = open_levels
     report.residual_budget = residual
     report.counting_cap = report.gamma_final * residual
@@ -533,7 +540,7 @@ def finalize(
             f"counting bound violated: load {load} > "
             f"{report.gamma_final} * {residual}", report
         )
-    return schedule
+    return schedule, ranks
 
 
 @dataclass
@@ -581,7 +588,7 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
         gamma = outcome.gamma_after
     report.gamma_final = gamma
 
-    padded_schedule = finalize(padded, tree, assignment, config, report)
+    padded_schedule, ranks = finalize(padded, tree, assignment, config, report)
 
     # plain policy conserves its waiting budget exactly, sink parking included
     if config.variant == "plain":
@@ -598,7 +605,7 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
         raise FixerError("pre-stretch load exceeds the certified bound", report)
     report.prestretch_max_edge_wait = pre_trace.max_edge_wait
 
-    final_schedule = stretch(prestretch, report.load, instance)
+    final_schedule = stretch(prestretch, report.load, ranks)
     final_trace = simulate(instance, final_schedule, capacity=1)
     if final_trace.max_load > 1:
         raise FixerError("stretched schedule is not capacity-1 feasible", report)

@@ -69,14 +69,22 @@ def waits_from_slots(slots: list[int], sink: int) -> list[int]:
 
 
 def encode(schedule: Schedule) -> str:
-    doc = {
-        "packets": [
-            {"waits": list(w), "arrival": schedule.arrival(i)}
-            for i, w in enumerate(schedule.waits)
-        ],
-        "makespan": schedule.makespan,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The schedule document, byte for byte as `json.dumps(doc, indent=2) + "\n"` writes it.
+
+    `doc` is {"packets": [{"waits": [...], "arrival": a}, ...], "makespan": m}.
+    With `indent`, `json` falls back to its pure-Python encoder; here each
+    wait list is written by the C encoder with its default separators, and
+    each ", " becomes a newline and the indent, since in a list of integers
+    ", " occurs only between items.
+    """
+    arrivals = [schedule.arrival(i) for i in range(schedule.n_packets)]
+    entries = []
+    for waits, arrival in zip(schedule.waits, arrivals):
+        items = json.dumps(waits)[1:-1].replace(", ", ",\n        ")
+        rows = f"[\n        {items}\n      ]" if items else "[]"
+        entries.append(f'    {{\n      "waits": {rows},\n      "arrival": {arrival}\n    }}')
+    body = ",\n".join(entries)
+    return f'{{\n  "packets": [\n{body}\n  ],\n  "makespan": {max(arrivals)}\n}}\n'
 
 
 def decode(text: str) -> Schedule:

@@ -4,12 +4,13 @@ Ground truth for everything the closed-form machinery claims: packets follow
 their wait lists literally (wait, then cross one edge per slot), so a
 packet's crossing slots are the prefix sums of its waits plus one slot per
 edge. One pass over the paths yields per-(edge, slot) loads, arrivals and
-waiting charged per (packet, edge), in O(total path length) whatever the
-size of the waits. A packet occupies no buffer while at a node equal to its
-own source or sink; everywhere else it sits in its next edge's buffer. Buffer
-occupancy at slot boundaries and per-slot packet states are derived from
-those stays only when read; the largest occupancy comes from a sweep over
-the stays' endpoints. `oracle.stepped_simulation` is the slot-by-slot
+crossing slots, in O(total path length) whatever the size of the waits. A
+packet occupies no buffer while at a node equal to its own source or sink;
+everywhere else it sits in its next edge's buffer. The waiting charged per
+(packet, edge), buffer occupancy at slot boundaries and per-slot packet
+states are derived from the trace only when first read; the largest
+occupancy comes from a sweep over the stays' endpoints. Replay does not
+validate the instance. `oracle.stepped_simulation` is the slot-by-slot
 reference this module is checked against.
 """
 from __future__ import annotations
@@ -27,11 +28,12 @@ from .schedule import Schedule
 class SimulationTrace:
     loads: dict[tuple[str, int], int]
     arrivals: list[int]
-    edge_waits: dict[tuple[int, str], int]  # (packet, edge) -> slots waited before it
     capacity: int
     crossing_slots: list[list[int]]
     # the replayed instance, whose paths and nodes locate each stay
     instance: Instance = field(repr=False, compare=False)
+    # the replayed schedule, whose waits are charged to edges
+    schedule: Schedule = field(repr=False, compare=False)
 
     @property
     def makespan(self) -> int:
@@ -40,6 +42,21 @@ class SimulationTrace:
     @property
     def max_load(self) -> int:
         return max(self.loads.values())
+
+    @cached_property
+    def edge_waits(self) -> dict[tuple[int, str], int]:
+        """(packet, edge) -> slots waited at the interior node before the edge."""
+        emap = self.instance.edge_map()
+        edge_waits: dict[tuple[int, str], int] = {}
+        for i, (path, waits) in enumerate(zip(self.instance.paths, self.schedule.waits)):
+            n = len(path)
+            # waiting at the source, at the sink or at a node equal to either is parking
+            ends = (emap[path[0]].tail, emap[path[-1]].head)
+            for p in compress(range(1, n), islice(waits, 1, n)):
+                if emap[path[p - 1]].head not in ends:
+                    key = (i, path[p])
+                    edge_waits[key] = edge_waits.get(key, 0) + waits[p]
+        return edge_waits
 
     @cached_property
     def _stays(self) -> list[tuple[str, int, int]]:
@@ -108,31 +125,23 @@ class SimulationTrace:
 def simulate(instance: Instance, schedule: Schedule, capacity: int = 1) -> SimulationTrace:
     """Run the schedule to completion; never enforces anything, only measures."""
     schedule.validate_shape(instance.paths)
-    emap = instance.edge_map()
     loads: dict[tuple[str, int], int] = {}
-    edge_waits: dict[tuple[int, str], int] = {}
     arrivals: list[int] = []
     crossing: list[list[int]] = []
-    for i, (path, waits) in enumerate(zip(instance.paths, schedule.waits)):
+    for path, waits in zip(instance.paths, schedule.waits):
         n = len(path)
         slots = list(map(add, accumulate(islice(waits, n)), range(1, n + 1)))
         crossing.append(slots)
         arrivals.append(slots[-1])
         for key in zip(path, slots):
             loads[key] = loads.get(key, 0) + 1
-        # waiting at the source, at the sink or at a node equal to either is parking
-        ends = (emap[path[0]].tail, emap[path[-1]].head)
-        for p in compress(range(1, n), islice(waits, 1, n)):
-            if emap[path[p - 1]].head not in ends:
-                key = (i, path[p])
-                edge_waits[key] = edge_waits.get(key, 0) + waits[p]
     return SimulationTrace(
         loads=loads,
         arrivals=arrivals,
-        edge_waits=edge_waits,
         capacity=capacity,
         crossing_slots=crossing,
         instance=instance,
+        schedule=schedule,
     )
 
 

@@ -146,6 +146,29 @@ def test_simulate_replays_a_huge_wait_at_once(tmp_path, capsys):
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("paths, waits, violation", [
+    ([["e0", "zz"]], [[0, 0, 0]], "path 0: unknown edge zz"),
+    ([[]], [[0]], "path 0: empty"),
+    ([["e0", "e1"]], [[0, 0, 0]], "path 0: edge e1 tail a does not continue from b"),
+])
+def test_simulate_validates_the_instance(tmp_path, capsys, paths, waits, violation):
+    # replay itself never validates: an unknown edge replayed as a pass,
+    # and an empty path died with an IndexError
+    doc = {
+        "nodes": ["a", "b"],
+        "edges": [{"id": "e0", "tail": "a", "head": "b"}, {"id": "e1", "tail": "a", "head": "b"}],
+        "paths": paths,
+    }
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(doc))
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({"packets": [{"waits": w} for w in waits]}))
+    assert main(["simulate", str(inst), str(sched)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid: {violation}\n" in captured.err
+
+
 def test_lowerbound_gen_is_reproducible(tmp_path, capsys):
     out = tmp_path / "gadget.json"
     assert main(["lowerbound", "gen", "--n", "2", "--seed", "0", "--out", str(out)]) == EXIT_OK

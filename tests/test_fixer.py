@@ -7,6 +7,7 @@ from math import floor
 import pytest
 
 from cd_router import delay_model
+from cd_router import fixer as fixer_mod
 from cd_router import instance as instance_mod
 from cd_router.delay_model import DelayAssignment, crossing_time, expected_load
 from cd_router.dissection import build_ladder, dissect_plain, dissect_shifted
@@ -16,6 +17,7 @@ from cd_router.fixer import (
     _greedy_fix,
     _LevelWorkspace,
     _resample_fix,
+    realized_loads,
     run_pipeline,
     schedule_from_assignment,
     stretch,
@@ -200,7 +202,7 @@ def test_stretch_orders_sharers_within_their_window():
     inst = shared_path_instance(2, 1)
     schedule = Schedule(waits=[[4, 0], [4, 0]])
     assert schedule.crossing_slots(0) == [5]
-    stretched = stretch(schedule, 2, inst)
+    stretched = stretch(schedule, 2, realized_loads(inst, schedule))
     assert stretched.crossing_slots(0) == [9]
     assert stretched.crossing_slots(1) == [10]
     trace = simulate(inst, stretched, capacity=1)
@@ -210,17 +212,55 @@ def test_stretch_orders_sharers_within_their_window():
 def test_stretch_is_identity_at_unit_load():
     inst = shared_path_instance(2, 3)
     schedule = Schedule(waits=[[0, 1, 0, 0], [2, 0, 0, 0]])
-    assert stretch(schedule, 1, inst) is schedule
+    assert stretch(schedule, 1, realized_loads(inst, schedule)) is schedule
 
 
 def test_stretch_preserves_order_and_feasibility():
     inst = shared_path_instance(3, 4)
     schedule = Schedule(waits=[[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [2, 0, 0, 0, 0]])
     base = simulate(inst, schedule, capacity=3)
-    stretched = stretch(schedule, base.max_load, inst)
+    stretched = stretch(schedule, base.max_load, realized_loads(inst, schedule))
     trace = simulate(inst, stretched, capacity=1)
     assert trace.max_load == 1
     assert trace.makespan <= base.max_load * base.makespan
+
+
+def _acceptance_small_suite():
+    """The instances of the acceptance tests' small suite, in its order."""
+    suite = []
+    i = 0
+    while len(suite) < 19:
+        if len(suite) < 13:
+            inst = generate_random_instance(f"accept2/{i}", max_packets=6, max_length=28, n_nodes=12)
+        else:
+            inst = generate_random_instance(f"accept2/{i}", max_packets=4, max_length=60, n_nodes=30)
+        i += 1
+        if pad(inst).length >= 4:
+            suite.append(inst)
+    for j in range(6):
+        rng = random.Random(f"accept2/shared{j}")
+        suite.append(shared_path_instance(rng.randint(2, 5), rng.randint(40, 120)))
+    return suite
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+def test_pipeline_stretches_with_the_ranks_of_the_prestretch_schedule(kind):
+    # finalize ranks the padded schedule's real crossings; they are the
+    # crossings of the pre-stretch schedule, so its own ranks stretch the same
+    for index, inst in enumerate(_acceptance_small_suite()):
+        result = run_pipeline(inst, FixerConfig(variant=kind, seed=f"accept2/{index}"))
+        load = result.report.load
+        ranks = realized_loads(inst, result.prestretch)
+        assert result.schedule == stretch(result.prestretch, load, ranks), index
+
+
+def test_pipeline_ranks_the_crossings_once(monkeypatch):
+    calls = []
+    rank = fixer_mod.realized_loads
+    monkeypatch.setattr(fixer_mod, "realized_loads", lambda inst, sched: calls.append(inst) or rank(inst, sched))
+    result = run_pipeline(shared_path_instance(8, 32), FixerConfig(seed=0))
+    assert result.report.load == 2  # so stretch has work to do
+    assert len(calls) == 1
 
 
 # --- pipeline ----------------------------------------------------------------

@@ -40,6 +40,38 @@ def test_schedule_json_round_trip():
     assert decode(text) == s
 
 
+def _indented_encode(schedule: Schedule) -> str:
+    """The schedule document as `json` lays it out with indent=2."""
+    doc = {
+        "packets": [
+            {"waits": list(w), "arrival": schedule.arrival(i)}
+            for i, w in enumerate(schedule.waits)
+        ],
+        "makespan": schedule.makespan,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_schedule_encode_of_a_single_wait():
+    text = encode(Schedule(waits=[[0]]))
+    assert text == _indented_encode(Schedule(waits=[[0]]))
+    assert text == '{\n  "packets": [\n    {\n      "waits": [\n        0\n      ],\n' \
+        '      "arrival": 0\n    }\n  ],\n  "makespan": 0\n}\n'
+
+
+def test_schedule_encode_is_the_indented_layout_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.lists(st.integers(0, 10**12), min_size=1, max_size=8), min_size=1, max_size=6))
+    def prop(waits):
+        schedule = Schedule(waits=waits)
+        assert encode(schedule) == _indented_encode(schedule)
+
+    prop()
+
+
 def test_schedule_decode_rejects_bad_documents():
     with pytest.raises(ScheduleError):
         decode("nope {")
@@ -109,6 +141,16 @@ def test_waits_split_parking_from_buffering():
     assert trace.max_occupancy == 1
     # occupancy is charged to the waited-for edge while the packet holds
     assert all(occ <= 1 for occ in trace.occupancy.values())
+
+
+def test_edge_waits_are_derived_on_first_read():
+    inst = shared_path_instance(1, 3)
+    trace = simulate(inst, Schedule(waits=[[5, 2, 0, 0]]))
+    assert "edge_waits" not in vars(trace)
+    assert trace.max_load == 1 and trace.makespan == 10
+    assert "edge_waits" not in vars(trace)
+    assert check(trace, CheckRequirements(edge_wait_bound=1)).ok is False
+    assert vars(trace)["edge_waits"] == {(0, "e1"): 2}
 
 
 def test_revisiting_own_source_counts_as_parking():
