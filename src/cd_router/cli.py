@@ -206,7 +206,6 @@ def cmd_lowerbound_margin(args: argparse.Namespace) -> int:
 def _bench_one(job: tuple[int, str, str, int]) -> tuple[dict | None, str | None]:
     index, seed, variant, delta = job
     instance = generate_random_instance(seed)
-    s = stats(instance)
     config = FixerConfig(variant=variant, delta=delta, seed=seed)
     start = time.perf_counter()
     try:
@@ -224,9 +223,9 @@ def _bench_one(job: tuple[int, str, str, int]) -> tuple[dict | None, str | None]
         "gamma": f"{r.gamma_final:.6g}",
         "load": r.load,
         "makespan": r.makespan,
-        "C": s.congestion,
-        "D": s.dilation,
-        "ratio": f"{r.makespan / (s.congestion + s.dilation):.4f}",
+        "C": result.congestion,
+        "D": result.dilation,
+        "ratio": f"{r.makespan / (result.congestion + result.dilation):.4f}",
         "ms": f"{elapsed_ms:.1f}",
     }
     return row, None

@@ -32,7 +32,7 @@ import logging
 import random
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from itertools import compress, pairwise, repeat
+from itertools import chain, compress, pairwise, repeat
 from math import floor, inf, isfinite, prod
 from operator import add, not_, sub
 
@@ -166,7 +166,9 @@ class _LevelWorkspace:
 
     An edge that one packet uses holds a single item at weight `budget`, so
     none of its cells exceeds `scale`; the limit `floor(target * scale)` has
-    target > 1, so such a cell is never bad, and the edge gets no row. Its
+    target > 1, so such a cell is never bad, and the edge gets no row. So
+    does every dummy position, past a real path's end up to `length`; it
+    is counted from the path's length, and no dummy edge is built. Its
     largest cell is `budget` times the largest count of its tail law under
     every draw; `solo[v]` keeps the largest such count per variable, and
     `max_y` and the greedy probes take it into their maximum.
@@ -213,8 +215,8 @@ class _LevelWorkspace:
         bases: list[int] = []
         pos: list[int] = []
         var: list[int] = []
-        self.solo = solo = [0] * (padded.padded.n_packets * n_blocks)
-        for packet, path in enumerate(padded.padded.paths):
+        self.solo = solo = [0] * (padded.base.n_packets * n_blocks)
+        for packet, path in enumerate(padded.base.paths):
             slots = assignment.fixed_slots(packet, level)
             shared = list(map(row_of.__contains__, path))
             vars_at = map((packet * n_blocks).__add__, block_of)
@@ -222,7 +224,8 @@ class _LevelWorkspace:
             bases.extend(compress(slots, shared))
             pos.extend(compress(positions, shared))
             var.extend(compress(vars_at, shared))
-            for p in compress(positions, map(not_, shared)):
+            # positions past the real path are its private dummy edges
+            for p in chain(compress(positions, map(not_, shared)), positions[len(path):]):
                 v = packet * n_blocks + block_of[p]
                 if peak[p] > solo[v]:
                     solo[v] = peak[p]
@@ -593,7 +596,7 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
     # plain policy conserves its waiting budget exactly, sink parking included
     if config.variant == "plain":
         budget = ladder.total_wait_budget()
-        for packet in range(padded.padded.n_packets):
+        for packet in range(instance.n_packets):
             got = padded_schedule.total_waiting(packet)
             if got != budget:
                 raise FixerError(f"packet {packet}: waiting {got} != budget {budget}", report)

@@ -2,15 +2,16 @@
 
 The network and every packet's route are inputs; schedulers only choose
 waiting times. Two numbers summarize hardness: congestion (most paths sharing
-one edge) and dilation (longest path). Padding appends private dummy edges so
-every path has the same power-of-two length, which the dissection machinery
-requires.
+one edge) and dilation (longest path). Padding gives every path the same
+power-of-two length, which the dissection machinery requires; the appended
+dummy edges are private, so the scheduler only counts them.
 """
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 
@@ -115,22 +116,47 @@ def _next_power_of_two(n: int) -> int:
 
 @dataclass
 class PaddedInstance:
-    """Original instance plus a same-length-paths version of it.
+    """Original instance, viewed with every path padded to one length.
 
     Every path is extended with a private chain of dummy edges up to `length`
     (a power of two >= max(congestion, dilation)), so dummy edges always have
-    congestion 1 and real edges keep their loads. Dummy ids are
+    congestion 1 and real edges keep their loads. A dummy position never
+    shares its edge, so the scheduler counts dummy positions (`length` minus
+    a path's original length) and builds none of them.
+
+    The explicit padded instance, `padded`, and its `dummy_edge_ids` are built
+    on first read, for the oracles and for inspection. Dummy ids are
     `__pad_n{packet}_{k}` and `__pad_e{packet}_{k}`; when a real node or edge
     id equals one of them, every dummy takes the prefix `__pad_` with as many
     more underscores as make it a prefix of no real id.
     """
 
     base: Instance
-    padded: Instance
     length: int
     original_lengths: tuple[int, ...]
-    dummy_edge_ids: frozenset[str]
     stats: InstanceStats  # of `base`, computed once while padding
+
+    @cached_property
+    def _chain(self) -> tuple[Instance, frozenset[str]]:
+        base = self.base
+        emap = base.edge_map()
+        padded, dummies = _extended(base, emap, self.length, "__pad_")
+        # one dummy node per dummy edge: fewer new nodes means a real node id was taken
+        if len(padded.nodes) < len(base.nodes) + len(dummies) or not dummies.isdisjoint(emap):
+            prefix = "__pad_"
+            while any(x.startswith(prefix) for x in chain(base.nodes, emap)):
+                prefix += "_"
+            padded, dummies = _extended(base, emap, self.length, prefix)
+        return padded, frozenset(dummies)
+
+    @property
+    def padded(self) -> Instance:
+        """Every path extended by its dummy chain, as an explicit instance."""
+        return self._chain[0]
+
+    @property
+    def dummy_edge_ids(self) -> frozenset[str]:
+        return self._chain[1]
 
 
 def _extended(
@@ -157,22 +183,12 @@ def _extended(
 
 
 def pad(instance: Instance) -> PaddedInstance:
+    """Validate, count, and fix the padded length D'; no dummy is built."""
     s = stats(instance)  # raises on invalid
-    target = _next_power_of_two(max(s.congestion, s.dilation))
-    emap = instance.edge_map()
-    padded, dummies = _extended(instance, emap, target, "__pad_")
-    # one dummy node per dummy edge: fewer new nodes means a real node id was taken
-    if len(padded.nodes) < len(instance.nodes) + len(dummies) or not dummies.isdisjoint(emap):
-        prefix = "__pad_"
-        while any(x.startswith(prefix) for x in chain(instance.nodes, emap)):
-            prefix += "_"
-        padded, dummies = _extended(instance, emap, target, prefix)
     return PaddedInstance(
         base=instance,
-        padded=padded,
-        length=target,
+        length=_next_power_of_two(max(s.congestion, s.dilation)),
         original_lengths=tuple(len(p) for p in instance.paths),
-        dummy_edge_ids=frozenset(dummies),
         stats=s,
     )
 

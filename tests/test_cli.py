@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cd_router
+from cd_router import instance as instance_mod
 from cd_router.cli import EXIT_CAPACITY, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from cd_router.instance import encode, shared_path_instance
 
@@ -202,6 +203,27 @@ def test_bench_emits_the_csv_contract(tmp_path, capsys):
     variants = {r[2] for r in rows[1:]}
     assert variants == {"plain", "buffered"}
     assert "wrote 4 rows" in capsys.readouterr().out
+
+
+def test_bench_rows_are_pinned_and_validate_each_instance_once(tmp_path, monkeypatch):
+    calls = []
+    validate = instance_mod.validate
+    monkeypatch.setattr(instance_mod, "validate", lambda inst: calls.append(inst) or validate(inst))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--count", "3", "--out", str(out)]) == EXIT_OK
+    assert len(calls) == 6  # once per job, inside run_pipeline
+    # every byte but the wall-clock column
+    lines = [line.rsplit(b",", 1)[0] for line in out.read_bytes().split(b"\r\n")]
+    assert lines == [
+        b"instance,seed,variant,delta,relax,gamma,load,makespan,C,D,ratio",
+        b"random-0,0/bench0,plain,2,1,1,1,3,1,2,1.0000",
+        b"random-0,0/bench0,buffered,2,1,1,1,3,1,2,1.0000",
+        b"random-1,0/bench1,plain,4,1,1,2,15,5,7,1.2500",
+        b"random-1,0/bench1,buffered,4,1,1,2,15,5,7,1.2500",
+        b"random-2,0/bench2,plain,4,1,1,2,17,5,8,1.3077",
+        b"random-2,0/bench2,buffered,4,1,1,2,17,5,8,1.3077",
+        b"",
+    ]
 
 
 def test_bench_parallel_jobs_match_serial(tmp_path):

@@ -395,6 +395,62 @@ def test_pipeline_builds_the_position_columns_once(monkeypatch):
         assert sorted(calls) == list(range(1, result.padded.length + 1))
 
 
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+@pytest.mark.parametrize("strategies", [
+    {}, {"strategy": "greedy", "finalize_strategy": "greedy"},
+])
+def test_pipeline_builds_no_dummy_chain(monkeypatch, kind, strategies):
+    ladder = shared_path_instance(6, 140)  # D' 256: both variants fix levels
+    ladder.paths = [path[:140 - 20 * i] for i, path in enumerate(ladder.paths)]
+    instances = [_workspace_instance("accept2/8"), ladder]
+    for inst in instances:
+        assert len({len(p) for p in inst.paths}) > 1  # unequal lengths: dummy positions
+
+    def refuse(*args):
+        raise AssertionError("the pipeline built the explicit dummy chain")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(instance_mod, "_extended", refuse)
+        results = [run_pipeline(inst, FixerConfig(variant=kind, delta=2, seed=0, **strategies))
+                   for inst in instances]
+    assert results[1].report.levels
+    calls = []
+    extended = instance_mod._extended
+    monkeypatch.setattr(instance_mod, "_extended", lambda *a: calls.append(a) or extended(*a))
+    padded = results[0].padded
+    explicit, dummies = padded.padded, padded.dummy_edge_ids
+    assert padded.padded is explicit and padded.dummy_edge_ids is dummies
+    assert len(calls) == 1
+    assert len(dummies) == sum(padded.length - m for m in padded.original_lengths) > 0
+
+
+def test_virtual_padding_equals_explicit_padding_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        seed=st.integers(0, 10**6),
+        kind=st.sampled_from(["plain", "buffered"]),
+        greedy=st.booleans(),
+    )
+    # the greedy sweep reads the dummy positions' largest counts here
+    @hypothesis.example(seed=16, kind="buffered", greedy=True)
+    def agree(seed, kind, greedy):
+        inst = generate_random_instance(seed, max_packets=24, max_length=64)
+        strategies = {"strategy": "greedy", "finalize_strategy": "greedy"} if greedy else {}
+        config = FixerConfig(variant=kind, seed=seed, **strategies)
+        virtual = run_pipeline(inst, config)
+        explicit = run_pipeline(pad(inst).padded, config)
+        assert explicit.padded.length == virtual.padded.length
+        assert (explicit.report.load, explicit.report.levels) == (virtual.report.load, virtual.report.levels)
+        for packet, path in enumerate(inst.paths):
+            assert (virtual.schedule.crossing_slots(packet)
+                    == explicit.schedule.crossing_slots(packet)[:len(path)])
+
+    agree()
+
+
 def test_pipeline_reports_exhausted_budgets():
     # threshold pinned to ~1.0 with one restart and one resample: sixteen
     # uniform draws from sixteen values collide almost surely

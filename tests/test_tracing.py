@@ -3,7 +3,7 @@ import importlib.util
 from pathlib import Path
 
 from cd_router import fixer
-from cd_router.instance import shared_path_instance
+from cd_router.instance import generate_random_instance, pad, shared_path_instance
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -15,9 +15,13 @@ def _load_tracing():
     return module
 
 
+def _originals(tracing):
+    return [getattr(module, attr) for module, attr, _, _ in tracing.PATCHES]
+
+
 def test_tracer_installs_over_every_patched_name_and_restores_them():
     tracing = _load_tracing()
-    originals = [getattr(module, attr) for module, attr, _, _ in tracing.PATCHES]
+    originals = _originals(tracing)
     # a name the program no longer has fails on entry, with AttributeError
     with tracing.Tracer().installed() as tracer:
         # one fixed level, and load 2, so stretch has work to do
@@ -28,3 +32,21 @@ def test_tracer_installs_over_every_patched_name_and_restores_them():
         assert layer in tracer.self_s
     assert tracer.counts["pipeline.ok"] == 1
     assert tracer.counts["fixer.fix_level.calls"] == 1
+
+
+def test_traced_pipeline_counts_the_dummy_edges_it_does_not_build():
+    tracing = _load_tracing()
+    inst = generate_random_instance("accept2/8", max_packets=6, max_length=28, n_nodes=12)
+    padded = pad(inst)
+    dummies = sum(padded.length - m for m in padded.original_lengths)
+    assert dummies > 0
+    originals = _originals(tracing)
+    with tracing.Tracer().installed() as tracer:
+        # every patched name is installed: a missing one fails on entry
+        assert all(a is not b for a, b in zip(_originals(tracing), originals))
+        result = fixer.run_pipeline(inst, fixer.FixerConfig(delta=2, seed=0))
+    assert result.report.levels
+    assert tracer.counts["pipeline.ok"] == 1
+    assert tracer.counts["instance.pad.dummy_edges"] == dummies
+    # the count hook built the explicit chain, outside the pad span
+    assert "_chain" in vars(result.padded)
