@@ -10,11 +10,13 @@ each redrawn variable's items move from the old draw to the new one in one
 pass (`move`), and a redraw that repeats the old draw writes nothing. Whatever
 stays random after the last fixed level is finalized arbitrarily.
 
-The fully fixed assignment is realized once. Its slots become waits through
-`waits_from_slots`, the inverse of `Schedule.crossing_slots`. The crossings
-are ranked once per run: `finalize` calls `realized_loads` (how many packets
-of lower id share each crossing's (edge, slot) cell), certifies the integral
-load c = 1 + the largest rank against the counting bound
+The fully fixed assignment is realized once, at the real positions only:
+`finalize` turns each packet's first m slots, for a path of m edges, into
+waits through `waits_from_slots`, the inverse of `Schedule.crossing_slots`;
+the padded schedule is built on first read (`PipelineResult.padded_schedule`).
+The crossings are ranked once per run: `finalize` calls `realized_loads` (how
+many packets of lower id share each crossing's (edge, slot) cell), certifies
+the integral load c = 1 + the largest rank against the counting bound
 c <= gamma * prod(open budgets), and hands the ranks on; `stretch` places
 each crossing from them when it expands every slot into c slots, which
 yields a capacity-1 schedule.
@@ -32,6 +34,7 @@ import logging
 import random
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import chain, compress, pairwise, repeat
 from math import floor, inf, isfinite, prod
 from operator import add, not_, sub
@@ -453,19 +456,23 @@ def _greedy_finalize(padded: PaddedInstance, tree: Tree, assignment: DelayAssign
         assignment.set_level(level, draws)
 
 
+def _parking(tree: Tree, values: list[list[int]]) -> int:
+    """What a packet's last blocks leave of their budgets, parked at its sink (plain only)."""
+    if tree.kind != "plain":
+        return 0
+    return sum(lv.wait_budget - values[level][-1] for level, lv in enumerate(tree.ladder.levels))
+
+
 def schedule_from_assignment(
     padded: PaddedInstance, tree: Tree, assignment: DelayAssignment
 ) -> Schedule:
     """Concrete per-node waits realizing the fully fixed policy (padded paths)."""
     if not assignment.fully_fixed:
         raise AssignmentError("assignment incomplete: a schedule needs all levels fixed")
-    waits: list[list[int]] = []
-    for packet, values in enumerate(assignment.values):
-        sink = 0
-        if tree.kind == "plain":  # what the last blocks leave of their budgets is parked
-            sink = sum(lv.wait_budget - values[level][-1] for level, lv in enumerate(tree.ladder.levels))
-        waits.append(waits_from_slots(assignment.fixed_slots(packet, assignment.n_levels), sink))
-    return Schedule(waits=waits)
+    return Schedule(waits=[
+        waits_from_slots(assignment.fixed_slots(packet, assignment.n_levels), _parking(tree, values))
+        for packet, values in enumerate(assignment.values)
+    ])
 
 
 def realized_loads(instance: Instance, schedule: Schedule) -> list[list[int]]:
@@ -487,7 +494,7 @@ def realized_loads(instance: Instance, schedule: Schedule) -> list[list[int]]:
 
 
 def unpad_schedule(padded: PaddedInstance, schedule: Schedule) -> Schedule:
-    """Strip dummy suffixes: motion on real edges is untouched."""
+    """Strip dummy suffixes, leaving motion on real edges: the reference for `finalize`'s waits."""
     waits = []
     for packet, m in enumerate(padded.original_lengths):
         waits.append(schedule.waits[packet][:m] + [0])
@@ -518,10 +525,11 @@ def finalize(
     config: FixerConfig,
     report: FixReport,
 ) -> tuple[Schedule, list[list[int]]]:
-    """Fill whatever is still random, certify the counting bound, build waits.
+    """Fill whatever is still random, build the waits, certify the counting bound.
 
-    Returns the padded schedule and the `realized_loads` ranks of its real
-    crossings, which are the ranks of the schedule cut at each real path's end.
+    Returns the pre-stretch schedule, on the real paths, and its
+    `realized_loads` ranks. Dummy positions are private and never raise a
+    rank, so the real paths, each a prefix of its padded one, give the load.
     """
     open_levels = tuple(range(assignment.frontier, assignment.n_levels))
     residual = prod(tree.ladder.levels[level].wait_budget for level in open_levels)
@@ -529,9 +537,18 @@ def finalize(
         _greedy_finalize(padded, tree, assignment)
     else:
         assignment.fill_remaining(1)
-    schedule = schedule_from_assignment(padded, tree, assignment)
-    # dummy edges are private and never raise a rank, so the real paths,
-    # each a prefix of its padded one, give the load
+    budget = tree.ladder.total_wait_budget()
+    waits = []
+    for packet, m in enumerate(padded.original_lengths):
+        slots = assignment.fixed_slots(packet, assignment.n_levels)
+        # plain policy conserves its waiting budget exactly: the waits before
+        # the last padded crossing, plus what is parked at the sink
+        if tree.kind == "plain":
+            got = slots[-1] - padded.length + _parking(tree, assignment.values[packet])
+            if got != budget:
+                raise FixerError(f"packet {packet}: waiting {got} != budget {budget}", report)
+        waits.append(waits_from_slots(slots[:m], 0))
+    schedule = Schedule(waits=waits)
     ranks = realized_loads(padded.base, schedule)
     load = 1 + max(map(max, ranks))
     report.residual_levels = open_levels
@@ -553,11 +570,15 @@ class PipelineResult:
     tree: Tree
     assignment: DelayAssignment
     report: FixReport
-    padded_schedule: Schedule  # load-c schedule on the padded instance
-    prestretch: Schedule       # same motion, dummy suffixes removed
-    schedule: Schedule         # stretched to capacity 1 on the original instance
+    prestretch: Schedule  # load-c schedule on the original instance
+    schedule: Schedule    # stretched to capacity 1 on the original instance
     congestion: int = 0
     dilation: int = 0
+
+    @cached_property
+    def padded_schedule(self) -> Schedule:
+        """The same motion on the padded instance, dummy suffixes included, built on first read."""
+        return schedule_from_assignment(self.padded, self.tree, self.assignment)
 
 
 def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> PipelineResult:
@@ -591,19 +612,9 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
         gamma = outcome.gamma_after
     report.gamma_final = gamma
 
-    padded_schedule, ranks = finalize(padded, tree, assignment, config, report)
-
-    # plain policy conserves its waiting budget exactly, sink parking included
-    if config.variant == "plain":
-        budget = ladder.total_wait_budget()
-        for packet in range(instance.n_packets):
-            got = padded_schedule.total_waiting(packet)
-            if got != budget:
-                raise FixerError(f"packet {packet}: waiting {got} != budget {budget}", report)
-
-    prestretch = unpad_schedule(padded, padded_schedule)
-    report.makespan_prestretch = prestretch.makespan
+    prestretch, ranks = finalize(padded, tree, assignment, config, report)
     pre_trace = simulate(instance, prestretch, capacity=report.load)
+    report.makespan_prestretch = pre_trace.makespan
     if pre_trace.max_load > report.load:
         raise FixerError("pre-stretch load exceeds the certified bound", report)
     report.prestretch_max_edge_wait = pre_trace.max_edge_wait
@@ -620,7 +631,6 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
         tree=tree,
         assignment=assignment,
         report=report,
-        padded_schedule=padded_schedule,
         prestretch=prestretch,
         schedule=final_schedule,
         congestion=s.congestion,

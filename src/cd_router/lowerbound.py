@@ -128,49 +128,36 @@ def is_candidate(lb: LowerBoundInstance, matrix: list[list[int]], horizon: int) 
     return len(set(entry)) == lb.n and len(set(arrivals)) == lb.n
 
 
-def _rows_with_sum_at_most(width: int, cap: int) -> list[tuple[int, ...]]:
-    rows: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], left: int) -> None:
-        if len(prefix) == width:
-            rows.append(prefix)
-            return
-        for w in range(left + 1):
-            extend(prefix + (w,), left - w)
-
-    extend((), cap)
-    return rows
-
-
 def count_candidates(lb: LowerBoundInstance, horizon: int, cap: int = 10**7) -> int:
-    """Exhaustively count candidate matrices (entry slots and arrivals distinct).
+    """Exactly count candidate matrices (entry slots and arrivals distinct).
 
-    Candidacy depends on each row only through its first entry and its sum,
-    so rows enumerate independently of the permutations.
+    Candidacy depends on a row only through its first entry a and its sum
+    s <= slack, and C(s - a + n, n) rows share them, independently of the
+    permutations. So a candidate is a placement of n non-attacking rooks on
+    the cells a <= s, each weighted by its rows, in one of n! packet orders.
+    A DP over a, with the set of used sums as a bitmask, sums the weights;
+    `cap` bounds its steps, which are counted before any work.
     """
     n = lb.n
     slack = horizon - lb.path_length
     if slack < 0:
         return 0
-    rows = _rows_with_sum_at_most(n + 2, slack)
-    if len(rows) ** n > cap:
-        raise oracle.OracleCapacityError(
-            f"{len(rows)}^{n} matrices exceed the enumeration cap {cap}"
-        )
-    count = 0
-
-    def place(i: int, entries: tuple[int, ...], sums: tuple[int, ...]) -> None:
-        nonlocal count
-        if i == n:
-            count += 1
-            return
-        for row in rows:
-            if row[0] in entries or sum(row) in sums:
+    size = slack + 1
+    steps = size * size * sum(math.comb(size, k) for k in range(n))
+    if steps > cap:
+        raise oracle.OracleCapacityError(f"{steps} counting steps exceed the cap {cap}")
+    ways = {0: 1}  # bitmask of used sums -> weighted placements in the rows so far
+    for a in range(size):
+        grown = dict(ways)  # no rook in this row
+        for used, weight in ways.items():
+            if used.bit_count() == n:
                 continue
-            place(i + 1, entries + (row[0],), sums + (sum(row),))
-
-    place(0, (), ())
-    return count
+            for s in range(a, size):
+                if not used >> s & 1:
+                    key = used | 1 << s
+                    grown[key] = grown.get(key, 0) + weight * math.comb(s - a + n, n)
+        ways = grown
+    return math.factorial(n) * sum(w for used, w in ways.items() if used.bit_count() == n)
 
 
 def critical_crossings(lb: LowerBoundInstance, schedule: Schedule) -> dict[int, int]:

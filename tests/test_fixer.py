@@ -407,10 +407,12 @@ def test_pipeline_builds_no_dummy_chain(monkeypatch, kind, strategies):
         assert len({len(p) for p in inst.paths}) > 1  # unequal lengths: dummy positions
 
     def refuse(*args):
-        raise AssertionError("the pipeline built the explicit dummy chain")
+        raise AssertionError("the pipeline built the explicit dummy chain or the padded schedule")
 
     with monkeypatch.context() as patched:
         patched.setattr(instance_mod, "_extended", refuse)
+        patched.setattr(fixer_mod, "schedule_from_assignment", refuse)
+        patched.setattr(fixer_mod, "unpad_schedule", refuse)
         results = [run_pipeline(inst, FixerConfig(variant=kind, delta=2, seed=0, **strategies))
                    for inst in instances]
     assert results[1].report.levels
@@ -422,6 +424,11 @@ def test_pipeline_builds_no_dummy_chain(monkeypatch, kind, strategies):
     assert padded.padded is explicit and padded.dummy_edge_ids is dummies
     assert len(calls) == 1
     assert len(dummies) == sum(padded.length - m for m in padded.original_lengths) > 0
+    for result in results:
+        assert "padded_schedule" not in vars(result)
+        padded_schedule = result.padded_schedule
+        assert result.padded_schedule is padded_schedule
+        assert padded_schedule == schedule_from_assignment(result.padded, result.tree, result.assignment)
 
 
 def test_virtual_padding_equals_explicit_padding_property():
@@ -517,13 +524,32 @@ def test_schedule_matches_crossing_times_property():
 
 
 def test_unpad_drops_dummy_motion_only():
-    inst = shared_path_instance(3, 13)  # pads to 16 with 3 dummy edges
-    result = run_pipeline(inst, FixerConfig(delta=2))
-    for packet, path in enumerate(inst.paths):
-        padded_row = result.padded_schedule.waits[packet]
-        pre_row = result.prestretch.waits[packet]
-        assert len(pre_row) == len(path) + 1
-        assert pre_row[:-1] == padded_row[: len(path)]
-        assert pre_row[-1] == 0
-    trace = simulate(inst, result.prestretch, capacity=result.report.load)
-    assert trace.makespan == result.report.makespan_prestretch
+    # finalize realizes the real positions only; cutting the padded schedule
+    # at each real path's end must give the same waits
+    for kind in ("plain", "buffered"):
+        for index, inst in enumerate(_acceptance_small_suite()):
+            result = run_pipeline(inst, FixerConfig(variant=kind, seed=f"accept2/{index}"))
+            where = (kind, index)
+            assert result.prestretch == unpad_schedule(result.padded, result.padded_schedule), where
+            if kind == "plain":
+                budget = result.tree.ladder.total_wait_budget()
+                for packet in range(inst.n_packets):
+                    assert result.padded_schedule.total_waiting(packet) == budget, (where, packet)
+            trace = simulate(inst, result.prestretch, capacity=result.report.load)
+            assert trace.makespan == result.report.makespan_prestretch, where
+
+
+def test_pipeline_refuses_a_plain_schedule_that_breaks_its_budget(monkeypatch):
+    inst = shared_path_instance(3, 13)  # pads to 16: the last padded slot is a dummy's
+    fixed_slots = DelayAssignment.fixed_slots
+
+    def late(self, packet, levels):
+        slots = fixed_slots(self, packet, levels)
+        if levels == self.n_levels:  # the realized slots: one more slot of waiting
+            slots = [*slots[:-1], slots[-1] + 1]
+        return slots
+
+    monkeypatch.setattr(DelayAssignment, "fixed_slots", late)
+    with pytest.raises(FixerError, match="waiting") as excinfo:
+        run_pipeline(inst, FixerConfig(delta=2))
+    assert excinfo.value.report.variant == "plain"

@@ -139,10 +139,26 @@ def test_candidate_count_respects_entropy_bound(gadget2):
         assert lb.count_candidates(gadget2, horizon=horizon) <= 2 ** bound
 
 
+@pytest.mark.parametrize("n, horizons, counts", [
+    (1, range(4, 13), [0, 1, 4, 10, 20, 35, 56, 84, 120]),
+    (2, range(6, 15), [0, 0, 2, 48, 394, 1990, 7506, 23214, 62106]),
+    (3, range(8, 15), [0, 0, 0, 6, 1392, 51378, 823_332]),
+])
+def test_candidate_count_frozen_values(n, horizons, counts):
+    # taken from the rows^n enumeration this count replaced (its cap raised at n = 3, horizon 14)
+    gadget = lb.generate(n, seed=0)
+    assert [lb.count_candidates(gadget, horizon=h) for h in horizons] == counts
+
+
 def test_candidate_count_refuses_explosions():
+    # the cap bounds the DP's steps, (slack + 1)^2 * sum of C(slack + 1, k) for k < n:
+    # 32^2 * 529 = 541,696 at n = 3, horizon 40
     g3 = lb.generate(3, seed=0)
+    assert lb.count_candidates(g3, horizon=40, cap=541_696) == 31_755_573_808_994_688
     with pytest.raises(OracleCapacityError):
-        lb.count_candidates(g3, horizon=40)
+        lb.count_candidates(g3, horizon=40, cap=541_695)
+    with pytest.raises(OracleCapacityError):
+        lb.count_candidates(lb.generate(8, seed=0), horizon=80)
 
 
 # --- entropy side ------------------------------------------------------------
