@@ -27,6 +27,12 @@ dissection's terms are per-position columns, built once per run by the
 position in one column-wise pass (`DelayAssignment.fixed_slots`), which
 every level workspace and the final waits use; no (packet, position) pair
 gets an object or a call of its own.
+
+The crossings that share an edge, and every slot they could reach at any
+level, are indexed once per run (`_CrossingIndex`) and read by every
+`fix_level` attempt and the greedy finalize, so a level workspace computes
+only what its level changes. At load 1 `stretch` hands back the
+pre-stretch schedule, and its replay is also the capacity-1 check's.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ from itertools import chain, compress, pairwise, repeat
 from math import floor, inf, isfinite, prod
 from operator import add, not_, sub
 
-from .delay_model import AssignmentError, DelayAssignment, Tree, residual_law
+from .delay_model import AssignmentError, DelayAssignment, PositionColumns, Tree, residual_law
 from .dissection import build_ladder, dissect_plain, dissect_shifted
 from .instance import Instance, PaddedInstance, pad, stats  # noqa: F401  (perfbench/tracing.py patches fixer.stats)
 from .schedule import Schedule, waits_from_slots
@@ -130,6 +136,72 @@ class FixReport:
 
 # --- incremental conditional-expectation table for one level ----------------
 
+class _CrossingIndex:
+    """The crossings of shared edges, and every slot they can reach: what no level changes.
+
+    Pinning a level only narrows what is still random, so which crossings
+    share an edge, and every slot each could reach under any draws, are
+    known before level 0 is fixed. `run_pipeline` builds one index and
+    hands it to every level's workspace, relax attempts and the greedy
+    finalize included.
+
+    `edges[r]` is row r's edge, in ascending edge id order. Item i, a
+    (packet, position) crossing of a shared edge, is `rows[i]` and `pos[i]`
+    (position index p, for edge position p + 1); items go in packet order
+    and, within a packet, in position order. `shared[k]` masks packet k's
+    real positions that are items, and `private[k]` lists its other
+    positions, dummy ones up to `length` included.
+
+    Row r spans slots `lo[r]` .. `lo[r] + widths[r] - 1`, the ladder-wide
+    reach of its items: each position's offset plus the least and the
+    largest delay of the whole ladder, taken over the distinct (row,
+    position) pairs. At level 0 that is exactly the reach under any draw;
+    a deeper level reaches a subset, so its rows only hold more cells that
+    stay 0. `by_row`, the items per row, is built on first read.
+    """
+
+    def __init__(self, padded: PaddedInstance, tree: Tree, columns: PositionColumns):
+        self.edges = sorted(e for e, load in padded.stats.edge_loads.items() if load > 1)
+        row_of = {e: r for r, e in enumerate(self.edges)}
+        paths = padded.base.paths
+        positions = range(padded.length)
+        self.shared = [list(map(row_of.__contains__, path)) for path in paths]
+        # positions past the real path are its private dummy edges
+        self.private = [
+            list(chain(compress(positions, map(not_, mask)), positions[len(mask):]))
+            for mask in self.shared
+        ]
+        self.rows = list(chain.from_iterable(
+            map(row_of.__getitem__, compress(path, mask)) for path, mask in zip(paths, self.shared)
+        ))
+        self.pos = list(chain.from_iterable(compress(positions, mask) for mask in self.shared))
+        # a level delays by its table, or by its draw 1 .. budget where it has none
+        least = most = columns.offsets
+        for lv, table in zip(tree.ladder.levels, columns.tables):
+            if table is None:
+                least = [t + 1 for t in least]
+                most = [t + lv.wait_budget for t in most]
+            else:
+                least = list(map(add, least, map(min, table)))
+                most = list(map(add, most, map(max, table)))
+        lo = [inf] * len(self.edges)
+        hi = [-inf] * len(self.edges)
+        for r, p in set(zip(self.rows, self.pos)):
+            if least[p] < lo[r]:
+                lo[r] = least[p]
+            if most[p] > hi[r]:
+                hi[r] = most[p]
+        self.lo = lo
+        self.widths = [b - a + 1 for a, b in zip(lo, hi)]
+
+    @cached_property
+    def by_row(self) -> list[list[int]]:
+        by_row: list[list[int]] = [[] for _ in self.edges]
+        for i, r in enumerate(self.rows):
+            by_row[r].append(i)
+        return by_row
+
+
 class _LevelWorkspace:
     """Y(edge, slot) as a function of this level's draws, updated in place.
 
@@ -137,28 +209,27 @@ class _LevelWorkspace:
     product of the budgets of this level and of every deeper level.
 
     Y is a list of slot rows, one per edge that two or more padded paths
-    use, in ascending edge id order: `edges[r]` is row r's edge and `lo[r]`
-    its first slot, so cell (edges[r], lo[r] + i) is `y[r][i]`. A row covers
-    every slot its items can reach under any draw.
+    use, laid out by a `_CrossingIndex` (built here unless one is given):
+    `edges[r]` is row r's edge and `lo[r]` its first slot, so cell
+    (edges[r], lo[r] + i) is `y[r][i]`. A row spans the ladder-wide reach
+    of its items, so every level's rows have the same `lo` and length.
 
     Item i, a (packet, position) crossing of a shared edge, is four flat
-    ints: `rows[i]`, `bases[i]` (its slot before this level's delay,
-    relative to its row's `lo`), `pos[i]` (position index p, for edge
-    position p + 1) and `var[i]` (packet * n_blocks + block, the variable
-    whose draw moves it). What is still random is a function of the
-    position alone, so it is held once per position: the delay per draw,
-    `delays[p]`; the law of the deeper open levels, `tails[p]`, as
-    (offset, count) pairs; that law at weight `budget`, `weighted[p]`; and
-    its offsets as a set, `offsets[p]`. A packet's fixed draws only shift
-    `bases`, computed a column at a time by `DelayAssignment.fixed_slots`.
+    ints: `rows[i]` and `pos[i]` from the index, `bases[i]` (its slot before
+    this level's delay, relative to its row's `lo`) and `var[i]` (packet *
+    n_blocks + block, the variable whose draw moves it). What is still
+    random is a function of the position alone, so it is held once per
+    position: the delay per draw, `delays[p]`; the law of the deeper open
+    levels, `tails[p]`, as (offset, count) pairs; that law at weight
+    `budget`, `weighted[p]`; and its offsets as a set, `offsets[p]`. A
+    packet's fixed draws only shift `bases`, computed a column at a time by
+    `DelayAssignment.fixed_slots`.
 
     Items go in packet order and, within a packet, in position order, and a
     block index never falls as the position grows, so a variable's items
-    are contiguous: `by_var[v]` is a range, found by bisection. `by_row`,
-    the items per row, is needed only to find a bad cell's dependents; it
-    is built on the first call of `dependents`, as one list append per
-    item, and an item is a dependent when the cell's offset from its slot
-    is in `offsets[p]`.
+    are contiguous: `by_var[v]` is a range, found by bisection. A bad cell's
+    dependents are found through the index's `by_row`: an item is one when
+    the cell's offset from its slot is in `offsets[p]`.
 
     Y has three writers. `fill` adds every item at its draw into a zero Y.
     `move` redraws one variable: one pass over its items takes each one's
@@ -183,15 +254,22 @@ class _LevelWorkspace:
     needs no resample scans Y once.
     """
 
-    def __init__(self, padded: PaddedInstance, tree: Tree, assignment: DelayAssignment, level: int):
+    def __init__(
+        self,
+        padded: PaddedInstance,
+        tree: Tree,
+        assignment: DelayAssignment,
+        level: int,
+        index: _CrossingIndex | None = None,
+    ):
+        columns = assignment.columns
+        if index is None:
+            index = _CrossingIndex(padded, tree, columns)
+        self.index = index
+        self.edges, self.lo, self.rows, self.pos = index.edges, index.lo, index.rows, index.pos
         self.budget = tree.ladder.levels[level].wait_budget
         self.scale = prod(lv.wait_budget for lv in tree.ladder.levels[level:])
         self.n_blocks = n_blocks = tree.n_blocks(level)
-        # rows go in ascending edge id order, the order of (edge, slot) cells
-        self.edges = sorted(e for e, load in padded.stats.edge_loads.items() if load > 1)
-        row_of = {e: r for r, e in enumerate(self.edges)}
-        columns = assignment.columns
-        positions = range(padded.length)
         # what is still random at a position depends only on its delay
         # tables for this level and the deeper ones, and few positions
         # differ in those
@@ -199,54 +277,38 @@ class _LevelWorkspace:
         laws: dict[tuple, tuple] = {}
         per_position = []
         deeper = (repeat(None) if t is None else t for t in columns.tables[level:])
-        for p, key in zip(positions, zip(*deeper)):
+        for p, key in zip(range(padded.length), zip(*deeper)):
             law = laws.get(key)
             if law is None:
-                delays = identity if key[0] is None else key[0]
                 tail = residual_law(tree, level + 1, p + 1)
-                first, last = min(delays) + tail[0][0], max(delays) + tail[-1][0]
-                weighted = [(dt, self.budget * count) for dt, count in tail]
-                offsets = frozenset(dt for dt, _ in tail)
-                law = laws[key] = (delays, tail, weighted, offsets, first, last,
-                                   max(count for _, count in tail))
+                law = laws[key] = (
+                    identity if key[0] is None else key[0],
+                    tail,
+                    [(dt, self.budget * count) for dt, count in tail],
+                    frozenset(dt for dt, _ in tail),
+                    max(count for _, count in tail),
+                )
             per_position.append(law)
-        self.delays, self.tails, self.weighted, self.offsets, first, last, peak = (
+        self.delays, self.tails, self.weighted, self.offsets, peak = (
             list(c) for c in zip(*per_position)
         )
         block_of = columns.blocks[level]
-        rows: list[int] = []
         bases: list[int] = []
-        pos: list[int] = []
         var: list[int] = []
         self.solo = solo = [0] * (padded.base.n_packets * n_blocks)
-        for packet, path in enumerate(padded.base.paths):
-            slots = assignment.fixed_slots(packet, level)
-            shared = list(map(row_of.__contains__, path))
-            vars_at = map((packet * n_blocks).__add__, block_of)
-            rows.extend(map(row_of.__getitem__, compress(path, shared)))
-            bases.extend(compress(slots, shared))
-            pos.extend(compress(positions, shared))
-            var.extend(compress(vars_at, shared))
-            # positions past the real path are its private dummy edges
-            for p in chain(compress(positions, map(not_, shared)), positions[len(path):]):
-                v = packet * n_blocks + block_of[p]
+        for packet, (mask, private) in enumerate(zip(index.shared, index.private)):
+            first = packet * n_blocks
+            bases.extend(compress(assignment.fixed_slots(packet, level), mask))
+            var.extend(compress(map(first.__add__, block_of), mask))
+            for p in private:
+                v = first + block_of[p]
                 if peak[p] > solo[v]:
                     solo[v] = peak[p]
-        lo = [inf] * len(self.edges)
-        hi = [-inf] * len(self.edges)
-        for r, a, b in zip(rows, map(add, bases, map(first.__getitem__, pos)),
-                           map(add, bases, map(last.__getitem__, pos))):
-            if a < lo[r]:
-                lo[r] = a
-            if b > hi[r]:
-                hi[r] = b
-        self.lo = lo
-        self.rows, self.pos, self.var = rows, pos, var
-        self.bases = list(map(sub, bases, map(lo.__getitem__, rows)))
+        self.var = var
+        self.bases = list(map(sub, bases, map(index.lo.__getitem__, index.rows)))
         bounds = [bisect_left(var, v) for v in range(len(solo) + 1)]
         self.by_var = [range(a, b) for a, b in pairwise(bounds)]
-        self.by_row: list[list[int]] | None = None
-        self.y: list[list[int]] = [[0] * (b - a + 1) for a, b in zip(lo, hi)]
+        self.y: list[list[int]] = [[0] * width for width in index.widths]
         self.solo_max = max(solo, default=0)
 
     def fill(self, draws: list[int]) -> None:
@@ -310,14 +372,10 @@ class _LevelWorkspace:
 
     def dependents(self, cell: tuple[int, int], draws: list[int]) -> list[int]:
         """Variables of this level the cell's value currently depends on."""
-        if self.by_row is None:
-            self.by_row = [[] for _ in self.edges]
-            for i, r in enumerate(self.rows):
-                self.by_row[r].append(i)
         row, index = cell
         bases, pos, var, delays, offsets = self.bases, self.pos, self.var, self.delays, self.offsets
         found: set[int] = set()
-        for i in self.by_row[row]:
+        for i in self.index.by_row[row]:
             p, v = pos[i], var[i]
             if index - bases[i] - delays[p][draws[v] - 1] in offsets[p]:
                 found.add(v)
@@ -405,16 +463,18 @@ def fix_level(
     gamma: float,
     config: FixerConfig,
     relax: float,
+    index: _CrossingIndex,
 ) -> LevelFix:
     """Pin one level's draws so all conditional cell loads stay <= gamma + slack.
 
     Commits into the assignment on success; raises FixerError (carrying the
-    best achieved maximum) when the budgets run out.
+    best achieved maximum) when the budgets run out. `index` is the run's
+    `_CrossingIndex`.
     """
     block_len = tree.ladder.levels[level].block_len
     slack = config.slack(block_len, relax)
     target = max(gamma, 1.0) + slack
-    ws = _LevelWorkspace(padded, tree, assignment, level)
+    ws = _LevelWorkspace(padded, tree, assignment, level, index)
     # Y is an integer, so Y > target * scale exactly when Y > limit
     limit = floor(target * ws.scale)
     if config.strategy == "resample":
@@ -449,10 +509,12 @@ def fix_level(
 
 # --- finalization, stretching, pipeline -------------------------------------
 
-def _greedy_finalize(padded: PaddedInstance, tree: Tree, assignment: DelayAssignment) -> None:
+def _greedy_finalize(
+    padded: PaddedInstance, tree: Tree, assignment: DelayAssignment, index: _CrossingIndex | None
+) -> None:
     while not assignment.fully_fixed:
         level = assignment.frontier
-        draws, _ = _greedy_fix(_LevelWorkspace(padded, tree, assignment, level))
+        draws, _ = _greedy_fix(_LevelWorkspace(padded, tree, assignment, level, index))
         assignment.set_level(level, draws)
 
 
@@ -524,17 +586,20 @@ def finalize(
     assignment: DelayAssignment,
     config: FixerConfig,
     report: FixReport,
+    index: _CrossingIndex | None,
 ) -> tuple[Schedule, list[list[int]]]:
     """Fill whatever is still random, build the waits, certify the counting bound.
 
     Returns the pre-stretch schedule, on the real paths, and its
     `realized_loads` ranks. Dummy positions are private and never raise a
     rank, so the real paths, each a prefix of its padded one, give the load.
+    The greedy finalize fixes the open levels on the run's `index`, which
+    `ones` does not read.
     """
     open_levels = tuple(range(assignment.frontier, assignment.n_levels))
     residual = prod(tree.ladder.levels[level].wait_budget for level in open_levels)
     if config.finalize_strategy == "greedy":
-        _greedy_finalize(padded, tree, assignment)
+        _greedy_finalize(padded, tree, assignment, index)
     else:
         assignment.fill_remaining(1)
     budget = tree.ladder.total_wait_budget()
@@ -595,12 +660,16 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
 
     depth = ladder.depth
     last_fixed = depth - 1 if config.variant == "plain" else depth - 2
+    # one index serves every level fixed here and the greedy finalize
+    index = None
+    if last_fixed >= 0 or config.finalize_strategy == "greedy":
+        index = _CrossingIndex(padded, tree, assignment.columns)
     gamma = 1.0
     for level in range(0, last_fixed + 1):
         outcome = None
         for relax in config.relax_ladder:
             try:
-                outcome = fix_level(padded, tree, assignment, level, gamma, config, relax)
+                outcome = fix_level(padded, tree, assignment, level, gamma, config, relax, index)
                 break
             except FixerError as exc:
                 log.info("level %d failed at relax %.1f: %s", level, relax, exc)
@@ -612,7 +681,8 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
         gamma = outcome.gamma_after
     report.gamma_final = gamma
 
-    prestretch, ranks = finalize(padded, tree, assignment, config, report)
+    prestretch, ranks = finalize(padded, tree, assignment, config, report, index)
+    del index  # not held through the replays
     pre_trace = simulate(instance, prestretch, capacity=report.load)
     report.makespan_prestretch = pre_trace.makespan
     if pre_trace.max_load > report.load:
@@ -620,7 +690,11 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
     report.prestretch_max_edge_wait = pre_trace.max_edge_wait
 
     final_schedule = stretch(prestretch, report.load, ranks)
-    final_trace = simulate(instance, final_schedule, capacity=1)
+    # at load 1 `stretch` hands back the pre-stretch schedule, replayed already
+    if final_schedule is prestretch:
+        final_trace = pre_trace
+    else:
+        final_trace = simulate(instance, final_schedule, capacity=1)
     if final_trace.max_load > 1:
         raise FixerError("stretched schedule is not capacity-1 feasible", report)
     report.makespan = final_trace.makespan

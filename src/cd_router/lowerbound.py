@@ -210,7 +210,14 @@ def margin(eps: float) -> MarginResult:
 
 
 def counting_bound(n: int, eps: float) -> float:
-    """log2 upper bound on candidate matrices: phi(eps)*n^2 + 2n*log2(2n)."""
+    """log2 upper bound on candidate matrices: phi(eps)*n^2 + 2n*log2(2n).
+
+    With eps = horizon / path_length - 1, it bounds log2 of `count_candidates`
+    on the checked grid n = 3..6, slack 0..10. It does not hold for n <= 2:
+    the smallest exceptions known are n = 1 at horizon 7 (10 candidates,
+    log2 3.32 against 3.21) and n = 2 at horizon 15 (148,698 candidates,
+    log2 17.18 against 16.54).
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     return phi(eps) * n * n + 2.0 * n * math.log2(2.0 * n)

@@ -53,7 +53,7 @@ class Schedule:
                 raise ScheduleError(
                     f"packet {i}: {len(w)} waits for a path of {len(p)} edges"
                 )
-            if any(x < 0 for x in w):
+            if min(w) < 0:  # never empty: a path of m edges has m + 1 waits
                 raise ScheduleError(f"packet {i}: negative wait")
 
 

@@ -23,7 +23,14 @@ from cd_router.fixer import (
     stretch,
     unpad_schedule,
 )
-from cd_router.instance import generate_random_instance, pad, shared_path_instance, stats
+from cd_router.instance import (
+    Edge,
+    Instance,
+    generate_random_instance,
+    pad,
+    shared_path_instance,
+    stats,
+)
 from cd_router.schedule import Schedule, encode
 from cd_router.simulator import simulate
 
@@ -98,6 +105,15 @@ def test_workspace_rows_match_a_table_rebuilt_from_the_draws(name, kind):
                 # one row per edge that two or more padded paths use, in edge id order
                 assert len(ws.y) == len(shared)
                 assert ws.edges == shared
+                # each row spans the ladder-wide reach, the same at every level
+                if level == 0:
+                    reach = (ws.lo, list(map(len, ws.y)))
+                    # and no wider than level 0 reaches under some draw
+                    blurred = _LevelWorkspace(padded, tree, assignment, level)
+                    for var in range(len(blurred.by_var)):
+                        blurred.add_blur(var, +1)
+                    assert all(row[0] and row[-1] for row in blurred.y)
+                assert (ws.lo, list(map(len, ws.y))) == reach, level
                 slack = config.slack(ladder.levels[level].block_len, 1.0)
                 limit = floor((1.0 + slack) * ws.scale)
                 if strategy == "resample":
@@ -263,6 +279,53 @@ def test_pipeline_ranks_the_crossings_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _count_replays(monkeypatch) -> list:
+    calls = []
+    replay = fixer_mod.simulate
+    monkeypatch.setattr(fixer_mod, "simulate", lambda *a, **k: calls.append(a[1]) or replay(*a, **k))
+    return calls
+
+
+def _disjoint_instance(n_packets: int, length: int) -> Instance:
+    """Each packet on a path of its own."""
+    nodes = {f"p{k}n{i}" for k in range(n_packets) for i in range(length + 1)}
+    edges = [Edge(f"p{k}e{i}", f"p{k}n{i}", f"p{k}n{i + 1}") for k in range(n_packets) for i in range(length)]
+    paths = [[f"p{k}e{i}" for i in range(length)] for k in range(n_packets)]
+    return Instance(nodes=nodes, edges=edges, paths=paths)
+
+
+@pytest.mark.parametrize("inst, kind", [
+    (shared_path_instance(1, 64), "buffered"),
+    (_disjoint_instance(3, 40), "plain"),
+])
+def test_a_load_1_run_replays_once(monkeypatch, inst, kind):
+    # at load 1 stretch hands back the pre-stretch schedule, whose replay is
+    # then the capacity-1 check's
+    calls = _count_replays(monkeypatch)
+    result = run_pipeline(inst, FixerConfig(variant=kind, seed=0))
+    assert result.report.load == 1
+    assert result.schedule is result.prestretch
+    assert calls == [result.prestretch]
+    assert result.report.makespan == result.report.makespan_prestretch
+
+
+def test_a_stretched_run_replays_twice(monkeypatch):
+    calls = _count_replays(monkeypatch)
+    result = run_pipeline(shared_path_instance(8, 32), FixerConfig(seed=0))
+    assert result.report.load == 2
+    assert calls == [result.prestretch, result.schedule]
+
+
+def test_the_capacity_1_check_reads_the_reused_replay(monkeypatch):
+    # an unstretched load-2 schedule must still fail the final check
+    monkeypatch.setattr(fixer_mod, "stretch", lambda schedule, load, ranks: schedule)
+    calls = _count_replays(monkeypatch)
+    with pytest.raises(FixerError, match="capacity-1") as caught:
+        run_pipeline(shared_path_instance(8, 32), FixerConfig(seed=0))
+    assert caught.value.report.load == 2
+    assert len(calls) == 1
+
+
 # --- pipeline ----------------------------------------------------------------
 
 def test_pipeline_is_deterministic():
@@ -393,6 +456,51 @@ def test_pipeline_builds_the_position_columns_once(monkeypatch):
         result = run_pipeline(shared_path_instance(8, 300), FixerConfig(variant=kind, delta=2))
         assert result.report.levels
         assert sorted(calls) == list(range(1, result.padded.length + 1))
+
+
+@pytest.mark.parametrize("inst, config, check", [
+    # plain at depth 2 fixes two levels
+    (shared_path_instance(8, 32), FixerConfig(delta=2, seed=0),
+     lambda rep: [lf.level for lf in rep.levels] == [0, 1]),
+    # one resample and one restart fail level 0 at relax 1
+    (shared_path_instance(30, 32), FixerConfig(resample_budget=1, restart_budget=1, seed=0),
+     lambda rep: rep.relax_max > 1),
+    # the greedy sweep fixes two levels and finalizes the third
+    (shared_path_instance(8, 32), FixerConfig(delta=2, strategy="greedy", finalize_strategy="greedy"),
+     lambda rep: len(rep.levels) == 2 and rep.residual_levels == (2,)),
+])
+def test_pipeline_indexes_the_crossings_once(monkeypatch, inst, config, check):
+    builds = []
+
+    class Counted(fixer_mod._CrossingIndex):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(fixer_mod, "_CrossingIndex", Counted)
+    workspaces = []
+    workspace = fixer_mod._LevelWorkspace
+    monkeypatch.setattr(fixer_mod, "_LevelWorkspace", lambda *a: workspaces.append(a) or workspace(*a))
+    result = run_pipeline(inst, config)
+    assert check(result.report)
+    assert len(builds) == 1
+    assert len(workspaces) > 1
+    assert all(isinstance(a[4], Counted) for a in workspaces)
+    # a workspace that builds its own index fixes the same draws
+    builds.clear()
+    monkeypatch.setattr(fixer_mod, "_LevelWorkspace", lambda *a: workspace(*a[:4]))
+    alone = run_pipeline(inst, config)
+    assert len(builds) == 1 + len(workspaces)
+    assert (alone.schedule, alone.report) == (result.schedule, result.report)
+
+
+def test_pipeline_builds_no_index_when_nothing_is_fixed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built an index that no level reads")
+
+    monkeypatch.setattr(fixer_mod, "_CrossingIndex", refuse)
+    result = run_pipeline(shared_path_instance(4, 16))  # depth 0
+    assert result.report.levels == [] and result.report.load == 4
 
 
 @pytest.mark.parametrize("kind", ["plain", "buffered"])

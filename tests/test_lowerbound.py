@@ -194,6 +194,30 @@ def test_margin_separates_small_eps():
     assert lb.margin(0.0).holds  # degenerate: phi(0) = 0 wins trivially
 
 
+def test_counting_bound_holds_on_the_grid_it_states():
+    for n in range(3, 7):
+        gadget = lb.generate(n, seed=0)
+        for slack in range(11):
+            horizon = gadget.path_length + slack
+            count = lb.count_candidates(gadget, horizon=horizon)
+            bound = lb.counting_bound(n, horizon / gadget.path_length - 1.0)
+            assert count == 0 or math.log2(count) <= bound, (n, slack)
+
+
+@pytest.mark.parametrize("n, horizon, count", [(1, 7, 10), (2, 15, 148_698)])
+def test_counting_bound_fails_first_at_the_known_exceptions(n, horizon, count):
+    # the smallest horizons at which the count exceeds the bound for n <= 2
+    gadget = lb.generate(n, seed=0)
+
+    def exceeds(h):
+        c = lb.count_candidates(gadget, horizon=h)
+        return c > 0 and math.log2(c) > lb.counting_bound(n, h / gadget.path_length - 1.0)
+
+    assert lb.count_candidates(gadget, horizon=horizon) == count
+    assert exceeds(horizon)
+    assert not any(exceeds(h) for h in range(gadget.path_length, horizon))
+
+
 def test_counting_bound_frozen_values():
     assert lb.counting_bound(10, 0.0) == pytest.approx(20 * math.log2(20))
     assert lb.counting_bound(4, 0.25) == pytest.approx(lb.phi(0.25) * 16 + 8 * math.log2(8))

@@ -172,6 +172,16 @@ def test_simulate_rejects_shape_mismatch(fig1):
         simulate(fig1, Schedule(waits=[[0, 0, 0], [0] * 5, [0] * 4]))
 
 
+def test_simulate_names_the_first_packet_with_a_negative_wait():
+    inst = shared_path_instance(4, 3)
+    waits = [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 3]]
+    with pytest.raises(ScheduleError, match=r"^packet 2: negative wait$"):
+        simulate(inst, Schedule(waits=waits))
+    waits[3][0] = -5  # a later one is not named
+    with pytest.raises(ScheduleError, match=r"^packet 2: negative wait$"):
+        simulate(inst, Schedule(waits=waits))
+
+
 def test_check_bounds():
     inst = shared_path_instance(1, 4)
     sched = Schedule(waits=[[0, 1, 0, 0, 0]])

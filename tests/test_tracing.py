@@ -1,5 +1,6 @@
 """The benchmark's tracer patches program names from outside; they must all exist."""
 import importlib.util
+import inspect
 from pathlib import Path
 
 from cd_router import fixer
@@ -50,3 +51,11 @@ def test_traced_pipeline_counts_the_dummy_edges_it_does_not_build():
     assert tracer.counts["instance.pad.dummy_edges"] == dummies
     # the count hook built the explicit chain, outside the pad span
     assert "_chain" in vars(result.padded)
+
+
+def test_fix_level_keeps_the_positions_the_count_hook_reads():
+    # `_count_fix_level` reads the instance at args[0] and the config at
+    # args[5]; a drifted signature would fail only under `--trace 1`
+    params = list(inspect.signature(fixer.fix_level).parameters)
+    assert params[0] == "padded"
+    assert params[5] == "config"
