@@ -28,7 +28,7 @@ from .instance import (
     stats,
     validate,
 )
-from .oracle import OracleCapacityError
+from .oracle import OracleCapacityError, optimal_makespan
 from .simulator import (
     CheckRequirements,
     arrivals_csv_rows,
@@ -188,7 +188,7 @@ def cmd_lowerbound_gen(args: argparse.Namespace) -> int:
 
 def cmd_lowerbound_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    opt = lb_mod.solve(instance, horizon=args.horizon)
+    opt = optimal_makespan(instance, horizon=args.horizon)
     s = stats(instance)
     print(f"optimal_makespan={opt} C={s.congestion} D={s.dilation}")
     return EXIT_OK

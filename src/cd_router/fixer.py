@@ -42,10 +42,11 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, compress, pairwise, repeat
-from math import floor, inf, isfinite, prod
+from math import floor, inf, prod
 from operator import add, not_, sub
+from typing import ClassVar
 
-from .delay_model import AssignmentError, DelayAssignment, PositionColumns, Tree, residual_law
+from .delay_model import AssignmentError, DelayAssignment, Tree, residual_law
 from .dissection import build_ladder, dissect_plain, dissect_shifted
 from .instance import Instance, PaddedInstance, pad, stats  # noqa: F401  (perfbench/tracing.py patches fixer.stats)
 from .schedule import Schedule, waits_from_slots
@@ -66,19 +67,15 @@ class FixerConfig:
     delta: int = 4
     strategy: str = "resample"  # "resample" | "greedy"
     finalize_strategy: str = "ones"  # "ones" | "greedy"
-    resample_budget: int = 10_000
-    restart_budget: int = 3
-    relax_ladder: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
-    slack_exponent: float | None = None  # default 1/32 plain, 1/64 buffered
     seed: int | str = 0
-
-    def exponent(self) -> float:
-        if self.slack_exponent is not None:
-            return self.slack_exponent
-        return 1.0 / 32.0 if self.variant == "plain" else 1.0 / 64.0
+    # the resampling loop's bounds: redraws per restart and restarts per
+    # relax factor; the relax factors scale the slack, tried in this order
+    resample_budget: ClassVar[int] = 10_000
+    restart_budget: ClassVar[int] = 3
+    relax_ladder: ClassVar[tuple[float, ...]] = (1.0, 2.0, 4.0, 8.0)
 
     def slack(self, block_len: int, relax: float) -> float:
-        return relax * block_len ** (-self.exponent())
+        return relax * block_len ** (-1 / 32 if self.variant == "plain" else -1 / 64)
 
 
 def _validated(config: FixerConfig) -> None:
@@ -90,13 +87,6 @@ def _validated(config: FixerConfig) -> None:
         raise ValueError(f"unknown finalize strategy {config.finalize_strategy!r}")
     if config.delta < 2:
         raise ValueError(f"delta must be at least 2, got {config.delta}")
-    if config.resample_budget < 1 or config.restart_budget < 1:
-        raise ValueError("budgets must be at least 1")
-    if not config.relax_ladder or not all(isfinite(r) and r >= 1 for r in config.relax_ladder):
-        raise ValueError(f"relax factors must be finite and at least 1, got {config.relax_ladder}")
-    exponent = config.slack_exponent
-    if exponent is not None and not (isfinite(exponent) and exponent >= 0):
-        raise ValueError(f"slack_exponent must be finite and at least 0, got {exponent}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,7 @@ class _CrossingIndex:
     (position index p, for edge position p + 1); items go in packet order
     and, within a packet, in position order. `shared[k]` masks packet k's
     real positions that are items, and `private[k]` lists its other
-    positions, dummy ones up to `length` included.
+    positions, dummy ones up to the padded `length` included.
 
     Row r spans slots `lo[r]` .. `lo[r] + widths[r] - 1`, the ladder-wide
     reach of its items: each position's offset plus the least and the
@@ -160,7 +150,9 @@ class _CrossingIndex:
     stay 0. `by_row`, the items per row, is built on first read.
     """
 
-    def __init__(self, padded: PaddedInstance, tree: Tree, columns: PositionColumns):
+    def __init__(self, padded: PaddedInstance, assignment: DelayAssignment):
+        tree, columns = assignment.tree, assignment.columns
+        self.length = padded.length
         self.edges = sorted(e for e, load in padded.stats.edge_loads.items() if load > 1)
         row_of = {e: r for r, e in enumerate(self.edges)}
         paths = padded.base.paths
@@ -209,7 +201,7 @@ class _LevelWorkspace:
     product of the budgets of this level and of every deeper level.
 
     Y is a list of slot rows, one per edge that two or more padded paths
-    use, laid out by a `_CrossingIndex` (built here unless one is given):
+    use, laid out by the run's `_CrossingIndex`:
     `edges[r]` is row r's edge and `lo[r]` its first slot, so cell
     (edges[r], lo[r] + i) is `y[r][i]`. A row spans the ladder-wide reach
     of its items, so every level's rows have the same `lo` and length.
@@ -245,7 +237,7 @@ class _LevelWorkspace:
     is counted from the path's length, and no dummy edge is built. Its
     largest cell is `budget` times the largest count of its tail law under
     every draw; `solo[v]` keeps the largest such count per variable, and
-    `max_y` and the greedy probes take it into their maximum.
+    `max_y` and `peak` take it into their maximum.
 
     The first bad cell is in the first row whose maximum exceeds the limit.
     The built-in `max` scans a row far faster than a heap or per-row maxima
@@ -254,17 +246,8 @@ class _LevelWorkspace:
     needs no resample scans Y once.
     """
 
-    def __init__(
-        self,
-        padded: PaddedInstance,
-        tree: Tree,
-        assignment: DelayAssignment,
-        level: int,
-        index: _CrossingIndex | None = None,
-    ):
-        columns = assignment.columns
-        if index is None:
-            index = _CrossingIndex(padded, tree, columns)
+    def __init__(self, index: _CrossingIndex, assignment: DelayAssignment, level: int):
+        tree, columns = assignment.tree, assignment.columns
         self.index = index
         self.edges, self.lo, self.rows, self.pos = index.edges, index.lo, index.rows, index.pos
         self.budget = tree.ladder.levels[level].wait_budget
@@ -277,7 +260,7 @@ class _LevelWorkspace:
         laws: dict[tuple, tuple] = {}
         per_position = []
         deeper = (repeat(None) if t is None else t for t in columns.tables[level:])
-        for p, key in zip(range(padded.length), zip(*deeper)):
+        for p, key in zip(range(index.length), zip(*deeper)):
             law = laws.get(key)
             if law is None:
                 tail = residual_law(tree, level + 1, p + 1)
@@ -295,7 +278,7 @@ class _LevelWorkspace:
         block_of = columns.blocks[level]
         bases: list[int] = []
         var: list[int] = []
-        self.solo = solo = [0] * (padded.base.n_packets * n_blocks)
+        self.solo = solo = [0] * (len(index.shared) * n_blocks)
         for packet, (mask, private) in enumerate(zip(index.shared, index.private)):
             first = packet * n_blocks
             bases.extend(compress(assignment.fixed_slots(packet, level), mask))
@@ -351,6 +334,21 @@ class _LevelWorkspace:
         """The variable still random: spread its items over its law."""
         for draw in range(1, self.budget + 1):
             self.spread(var, draw, sign)
+
+    def peak(self, var: int, draw: int) -> int:
+        """Max Y over the variable's cells, its unshared ones included, were it added at `draw`.
+
+        Y is read as it is, plus each item's weighted law: a packet crosses
+        an edge once, so no two items of one variable share a cell.
+        """
+        y, rows, bases, pos, delays, weighted = self.y, self.rows, self.bases, self.pos, self.delays, self.weighted
+        peak = self.budget * self.solo[var]
+        for i in self.by_var[var]:
+            p = pos[i]
+            row = y[rows[i]]
+            slot0 = bases[i] + delays[p][draw - 1]
+            peak = max(peak, max(row[slot0 + dt] + value for dt, value in weighted[p]))
+        return peak
 
     def max_y(self) -> int:
         return max(self.budget * self.solo_max, max(map(max, self.y), default=0))
@@ -429,29 +427,15 @@ def _greedy_fix(ws: _LevelWorkspace) -> tuple[list[list[int]], int]:
 
     Takes a freshly built workspace.
     """
-    y, spread, budget = ws.y, ws.spread, ws.budget
-    rows, bases, pos, delays, tails = ws.rows, ws.bases, ws.pos, ws.delays, ws.tails
-    for var in range(len(ws.by_var)):
+    n_vars = len(ws.by_var)
+    for var in range(n_vars):
         ws.add_blur(var, +1)
-    draws = [1] * len(ws.by_var)
-    for var, items in enumerate(ws.by_var):
+    draws = [1] * n_vars
+    for var in range(n_vars):
         ws.add_blur(var, -1)
-        # the variable's unshared edges add the same maximum under every draw
-        solo = budget * ws.solo[var]
-        probes = []
-        for draw in range(1, budget + 1):
-            spread(var, draw, budget)
-            peak = solo
-            for i in items:
-                p = pos[i]
-                row = y[rows[i]]
-                slot0 = bases[i] + delays[p][draw - 1]
-                peak = max(peak, max(row[slot0 + dt] for dt, _ in tails[p]))
-            spread(var, draw, -budget)
-            probes.append((peak, draw))
-        best = min(probes)[1]  # the first draw with the least maximum
-        draws[var] = best
-        spread(var, best, budget)
+        # the first draw with the least maximum
+        draws[var] = best = min(range(1, ws.budget + 1), key=lambda draw: ws.peak(var, draw))
+        ws.spread(var, best, ws.budget)
     return ws.per_packet(draws), ws.max_y()
 
 
@@ -474,7 +458,7 @@ def fix_level(
     block_len = tree.ladder.levels[level].block_len
     slack = config.slack(block_len, relax)
     target = max(gamma, 1.0) + slack
-    ws = _LevelWorkspace(padded, tree, assignment, level, index)
+    ws = _LevelWorkspace(index, assignment, level)
     # Y is an integer, so Y > target * scale exactly when Y > limit
     limit = floor(target * ws.scale)
     if config.strategy == "resample":
@@ -509,12 +493,10 @@ def fix_level(
 
 # --- finalization, stretching, pipeline -------------------------------------
 
-def _greedy_finalize(
-    padded: PaddedInstance, tree: Tree, assignment: DelayAssignment, index: _CrossingIndex | None
-) -> None:
+def _greedy_finalize(assignment: DelayAssignment, index: _CrossingIndex) -> None:
     while not assignment.fully_fixed:
         level = assignment.frontier
-        draws, _ = _greedy_fix(_LevelWorkspace(padded, tree, assignment, level, index))
+        draws, _ = _greedy_fix(_LevelWorkspace(index, assignment, level))
         assignment.set_level(level, draws)
 
 
@@ -599,7 +581,7 @@ def finalize(
     open_levels = tuple(range(assignment.frontier, assignment.n_levels))
     residual = prod(tree.ladder.levels[level].wait_budget for level in open_levels)
     if config.finalize_strategy == "greedy":
-        _greedy_finalize(padded, tree, assignment, index)
+        _greedy_finalize(assignment, index)
     else:
         assignment.fill_remaining(1)
     budget = tree.ladder.total_wait_budget()
@@ -663,7 +645,7 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
     # one index serves every level fixed here and the greedy finalize
     index = None
     if last_fixed >= 0 or config.finalize_strategy == "greedy":
-        index = _CrossingIndex(padded, tree, assignment.columns)
+        index = _CrossingIndex(padded, assignment)
     gamma = 1.0
     for level in range(0, last_fixed + 1):
         outcome = None

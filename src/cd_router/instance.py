@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -58,12 +59,10 @@ class InstanceStats:
 def validate(instance: Instance) -> ValidationReport:
     """Check structural sanity; returns every violation, not just the first."""
     problems: list[str] = []
-    seen_edge_ids: set[str] = set()
     emap: dict[str, Edge] = {}
     for e in instance.edges:
-        if e.id in seen_edge_ids:
+        if e.id in emap:
             problems.append(f"edge {e.id}: duplicate edge id")
-        seen_edge_ids.add(e.id)
         emap[e.id] = e
         for endpoint in (e.tail, e.head):
             if endpoint not in instance.nodes:
@@ -97,10 +96,7 @@ def stats(instance: Instance) -> InstanceStats:
     report = validate(instance)
     if not report.ok:
         raise InvalidInstanceError("; ".join(report.violations))
-    loads: dict[str, int] = {}
-    for path in instance.paths:
-        for eid in path:
-            loads[eid] = loads.get(eid, 0) + 1
+    loads = Counter(chain.from_iterable(instance.paths))
     return InstanceStats(
         congestion=max(loads.values()),
         dilation=max(len(p) for p in instance.paths),

@@ -221,8 +221,3 @@ def counting_bound(n: int, eps: float) -> float:
     if n < 1:
         raise ValueError("n must be at least 1")
     return phi(eps) * n * n + 2.0 * n * math.log2(2.0 * n)
-
-
-def solve(instance: Instance, horizon: int | None = None) -> int:
-    """Exact optimal makespan for small gadgets, via the search oracle."""
-    return oracle.optimal_makespan(instance, horizon=horizon)

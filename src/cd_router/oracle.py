@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .delay_model import DelayAssignment, Tree
-from .instance import Instance, InvalidInstanceError, PaddedInstance, stats, validate
+from .instance import Instance, PaddedInstance, stats
 from .schedule import Schedule
 
 
@@ -32,10 +32,7 @@ def optimal_makespan(
     reached again no earlier than before is pruned, as is any branch whose
     remaining path or per-edge demand cannot beat the incumbent.
     """
-    report = validate(instance)
-    if not report.ok:
-        raise InvalidInstanceError("; ".join(report.violations))
-    s = stats(instance)
+    s = stats(instance)  # raises on invalid
     if horizon is None:
         horizon = s.congestion + s.dilation + s.congestion * s.dilation
     space = horizon

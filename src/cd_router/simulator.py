@@ -174,13 +174,13 @@ def check(trace: SimulationTrace, requirements: CheckRequirements | None = None)
     results: list[CheckResult] = []
 
     cap = req.capacity if req.capacity is not None else trace.capacity
-    offenders = sorted((et for et, v in trace.loads.items() if v > cap))
-    if offenders:
-        edge, slot = offenders[0]
-        detail = f"edge {edge} carries {trace.loads[offenders[0]]} packets at slot {slot}"
+    cell = min((et for et, v in trace.loads.items() if v > cap), default=None)
+    if cell is not None:
+        edge, slot = cell
+        detail = f"edge {edge} carries {trace.loads[cell]} packets at slot {slot}"
     else:
         detail = f"max load {trace.max_load} <= {cap}"
-    results.append(CheckResult("load", not offenders, detail))
+    results.append(CheckResult("load", cell is None, detail))
 
     if req.makespan_bound is not None:
         ok = trace.makespan <= req.makespan_bound
@@ -193,15 +193,13 @@ def check(trace: SimulationTrace, requirements: CheckRequirements | None = None)
             CheckResult("buffer", worst <= req.buffer_bound, f"max occupancy {worst}")
         )
     if req.edge_wait_bound is not None:
-        bad = sorted(
-            (ie for ie, v in trace.edge_waits.items() if v > req.edge_wait_bound)
-        )
-        if bad:
-            packet, edge = bad[0]
-            detail = f"packet {packet} waits {trace.edge_waits[bad[0]]} slots before edge {edge}"
+        bad = min((ie for ie, v in trace.edge_waits.items() if v > req.edge_wait_bound), default=None)
+        if bad is not None:
+            packet, edge = bad
+            detail = f"packet {packet} waits {trace.edge_waits[bad]} slots before edge {edge}"
         else:
             detail = f"max per-edge wait {trace.max_edge_wait} <= {req.edge_wait_bound}"
-        results.append(CheckResult("edge_wait", not bad, detail))
+        results.append(CheckResult("edge_wait", bad is None, detail))
 
     return CheckReport(results=tuple(results))
 

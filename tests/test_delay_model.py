@@ -54,6 +54,23 @@ def test_crossing_time_requires_full_assignment():
         crossing_time(tree, a, 0, 1)
 
 
+def test_set_level_rejects_a_bad_matrix():
+    tree = plain_16_2()  # level 0 has one block of budget 16, level 1 four of budget 2
+    a = DelayAssignment(tree, 2)
+    with pytest.raises(AssignmentError, match=r"^level 1 set out of order \(frontier 0\)$"):
+        a.set_level(1, [[1] * 4, [1] * 4])
+    with pytest.raises(AssignmentError, match="^value matrix has wrong packet count$"):
+        a.set_level(0, [[1]])
+    with pytest.raises(AssignmentError, match="^packet 1: wrong block count at level 0$"):
+        a.set_level(0, [[1], [1, 1]])
+    for value in (0, 17):
+        with pytest.raises(AssignmentError, match=rf"^value {value} outside \[1, 16\] at level 0$"):
+            a.set_level(0, [[1], [value]])
+    assert a.frontier == 0
+    a.set_level(0, [[1], [16]])
+    assert (a.frontier, a.values[1][0]) == (1, [16])
+
+
 def test_crossing_times_strictly_increase_along_path():
     tree = plain_16_2()
     rng = random.Random(5)

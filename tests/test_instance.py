@@ -51,6 +51,15 @@ def test_duplicate_edge_in_path_flagged():
     assert any("repeated" in v for v in report.violations)
 
 
+def test_duplicate_edge_id_and_unknown_node_flagged():
+    inst = Instance(
+        nodes={"a", "b"},
+        edges=[Edge("e1", "a", "b"), Edge("e1", "b", "a"), Edge("e2", "b", "z")],
+        paths=[["e1"]],
+    )
+    assert validate(inst).violations == ("edge e1: duplicate edge id", "edge e2: unknown node z")
+
+
 def test_disconnected_path_flagged():
     inst = Instance(
         nodes={"a", "b", "c", "d"},

@@ -6,7 +6,7 @@ import pytest
 
 from cd_router import lowerbound as lb
 from cd_router.instance import InvalidInstanceError, encode, shared_path_instance, stats
-from cd_router.oracle import OracleCapacityError
+from cd_router.oracle import OracleCapacityError, optimal_makespan
 from cd_router.simulator import simulate
 
 from conftest import fixture_text
@@ -86,7 +86,7 @@ def test_feasible_matrix_on_the_fixture(gadget2):
     trace = simulate(gadget2.instance, schedule, capacity=1)
     assert trace.max_load == 1
     assert trace.makespan == 8
-    assert lb.solve(gadget2.instance) == 8  # so that matrix is optimal
+    assert optimal_makespan(gadget2.instance) == 8  # so that matrix is optimal
 
 
 def test_arrivals_follow_row_sums(gadget2):

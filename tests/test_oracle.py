@@ -9,9 +9,11 @@ import random
 
 import pytest
 
+from cd_router import instance as instance_mod
+from cd_router import oracle as oracle_mod
 from cd_router.delay_model import DelayAssignment, crossing_distribution, crossing_time, expected_load
 from cd_router.dissection import build_ladder, dissect_plain, dissect_shifted
-from cd_router.fixer import _LevelWorkspace
+from cd_router.fixer import _CrossingIndex, _LevelWorkspace
 from cd_router.instance import (
     Edge,
     Instance,
@@ -96,6 +98,20 @@ def test_oracle_rejects_invalid_instances():
         optimal_makespan(bad)
 
 
+def test_oracle_validates_once(monkeypatch):
+    calls = []
+    validate = instance_mod.validate
+
+    def counted(inst):
+        calls.append(inst)
+        return validate(inst)
+
+    monkeypatch.setattr(instance_mod, "validate", counted)
+    monkeypatch.setattr(oracle_mod, "validate", counted, raising=False)  # a name of its own, if any
+    assert optimal_makespan(shared_path_instance(2, 3)) == 4
+    assert len(calls) == 1
+
+
 # --- exhaustive expectation --------------------------------------------------
 
 def test_single_level_draws_spread_uniformly():
@@ -133,12 +149,12 @@ def assert_closed_form_matches_exhaustive(padded, tree, assignment):
     # integer units of 1/scale: blurred over the frontier level while it is
     # open, else pinned to the last level's draws
     if not assignment.fully_fixed:
-        ws = _LevelWorkspace(padded, tree, assignment, assignment.frontier)
+        ws = _LevelWorkspace(_CrossingIndex(padded, assignment), assignment, assignment.frontier)
         for var in range(len(ws.by_var)):
             ws.add_blur(var, +1)
     else:
         last = assignment.n_levels - 1
-        ws = _LevelWorkspace(padded, tree, assignment, last)
+        ws = _LevelWorkspace(_CrossingIndex(padded, assignment), assignment, last)
         for var in range(len(ws.by_var)):
             packet, block = divmod(var, ws.n_blocks)
             ws.spread(var, assignment.value(packet, last, block), ws.budget)

@@ -196,6 +196,22 @@ def test_check_bounds():
     assert not waity.ok
 
 
+def test_check_names_the_least_offending_cell_and_wait():
+    # the first offender in replay order is neither the least cell nor the least wait
+    inst = shared_path_instance(3, 4)
+    trace = simulate(inst, Schedule(waits=[[1, 0, 2, 3, 0], [0, 1, 0, 0, 0], [0] * 5]))
+    assert [key for key, v in trace.loads.items() if v > 1] == [("e1", 3), ("e0", 1)]
+    (load,) = check(trace, CheckRequirements(capacity=1)).results
+    assert (load.passed, load.detail) == (False, "edge e0 carries 2 packets at slot 1")
+    inst = shared_path_instance(1, 12)
+    waits = [0] * 13
+    waits[2], waits[10] = 2, 3
+    trace = simulate(inst, Schedule(waits=[waits]))
+    assert list(trace.edge_waits) == [(0, "e2"), (0, "e10")]
+    _, wait = check(trace, CheckRequirements(edge_wait_bound=1)).results
+    assert (wait.passed, wait.detail) == (False, "packet 0 waits 3 slots before edge e10")
+
+
 def test_csv_rows_and_summary(fig1):
     trace = simulate(fig1, zero_wait(fig1))
     rows = loads_csv_rows(trace)
