@@ -63,13 +63,15 @@ class DelayAssignment:
         budget = self.tree.ladder.levels[level].wait_budget
         if len(per_packet) != self.n_packets:
             raise AssignmentError("value matrix has wrong packet count")
+        # the whole matrix is checked before any row is written
         for packet, row in enumerate(per_packet):
             if len(row) != self.tree.n_blocks(level):
                 raise AssignmentError(f"packet {packet}: wrong block count at level {level}")
             for v in row:
                 if not 1 <= v <= budget:
                     raise AssignmentError(f"value {v} outside [1, {budget}] at level {level}")
-            self.values[packet][level] = list(row)
+        for values, row in zip(self.values, per_packet):
+            values[level] = list(row)
         self.frontier = level + 1
 
     def fill_remaining(self, value: int = 1) -> None:

@@ -38,15 +38,13 @@ class LevelLadder:
         """Index of the last level (number of sublevels)."""
         return len(self.levels) - 1
 
-    def sublevel_budget_sum(self) -> int:
-        """Sum over sublevels of (#blocks * budget); bounded by 2 * length."""
-        return sum(
-            (self.length // lv.block_len) * lv.wait_budget for lv in self.levels[1:]
-        )
-
     def total_wait_budget(self) -> int:
-        """Waiting issued to one packet by a full plain assignment (any values)."""
-        return self.levels[0].wait_budget + self.sublevel_budget_sum()
+        """Waiting issued to one packet by a full plain assignment (any values).
+
+        Each level issues (#blocks * budget); level 0 issues `length`, and the
+        sublevels together at most 2 * length.
+        """
+        return sum((self.length // lv.block_len) * lv.wait_budget for lv in self.levels)
 
 
 def build_ladder(length: int, delta: int) -> LevelLadder:

@@ -211,10 +211,12 @@ class _LevelWorkspace:
     this level's delay, relative to its row's `lo`) and `var[i]` (packet *
     n_blocks + block, the variable whose draw moves it). What is still
     random is a function of the position alone, so it is held once per
-    position: the delay per draw, `delays[p]`; the law of the deeper open
-    levels, `tails[p]`, as (offset, count) pairs; that law at weight
-    `budget`, `weighted[p]`; and its offsets as a set, `offsets[p]`. A
-    packet's fixed draws only shift `bases`, computed a column at a time by
+    position, and computed once per distinct law: the delay per draw,
+    `delays[p]`; the law of the deeper open levels at weight `budget`,
+    `weighted[p]`, as (offset, value) pairs; its offsets as a set,
+    `offsets[p]`; and, on first read, which only the greedy sweep makes,
+    the law of this level and the deeper ones, `blurs[p]`. A packet's fixed
+    draws only shift `bases`, computed a column at a time by
     `DelayAssignment.fixed_slots`.
 
     Items go in packet order and, within a packet, in position order, and a
@@ -223,12 +225,14 @@ class _LevelWorkspace:
     dependents are found through the index's `by_row`: an item is one when
     the cell's offset from its slot is in `offsets[p]`.
 
-    Y has three writers. `fill` adds every item at its draw into a zero Y.
+    Y has four writers. `fill` adds every item at its draw into a zero Y.
     `move` redraws one variable: one pass over its items takes each one's
     weighted law off at the old slot and puts it on at the new one, and the
-    resampling loop skips it when the redraw repeats the old draw. `spread`
-    adds one variable's items at any weight; the greedy sweep and
-    `add_blur` use it.
+    resampling loop skips it when the redraw repeats the old draw. The
+    greedy sweep uses the other two, each one pass over a variable's items
+    that adds them (sign +1) or takes them off (-1): `add_blur` writes each
+    item's blur at its base slot, while the variable is open, and `spread`
+    writes its weighted law at one draw, once the variable is fixed.
 
     An edge that one packet uses holds a single item at weight `budget`, so
     none of its cells exceeds `scale`; the limit `floor(target * scale)` has
@@ -241,14 +245,14 @@ class _LevelWorkspace:
 
     The first bad cell is in the first row whose maximum exceeds the limit.
     The built-in `max` scans a row far faster than a heap or per-row maxima
-    could be kept up to date on every spread, so neither is kept; when no
+    could be kept up to date on every write, so neither is kept; when no
     row is bad, the row maxima read on the way are max Y, so a level that
     needs no resample scans Y once.
     """
 
     def __init__(self, index: _CrossingIndex, assignment: DelayAssignment, level: int):
         tree, columns = assignment.tree, assignment.columns
-        self.index = index
+        self.index, self.tree, self.level = index, tree, level
         self.edges, self.lo, self.rows, self.pos = index.edges, index.lo, index.rows, index.pos
         self.budget = tree.ladder.levels[level].wait_budget
         self.scale = prod(lv.wait_budget for lv in tree.ladder.levels[level:])
@@ -265,14 +269,14 @@ class _LevelWorkspace:
             if law is None:
                 tail = residual_law(tree, level + 1, p + 1)
                 law = laws[key] = (
+                    p,  # the first position with this law, where `blurs` computes it
                     identity if key[0] is None else key[0],
-                    tail,
                     [(dt, self.budget * count) for dt, count in tail],
                     frozenset(dt for dt, _ in tail),
                     max(count for _, count in tail),
                 )
             per_position.append(law)
-        self.delays, self.tails, self.weighted, self.offsets, peak = (
+        self.alike, self.delays, self.weighted, self.offsets, peak = (
             list(c) for c in zip(*per_position)
         )
         block_of = columns.blocks[level]
@@ -303,15 +307,16 @@ class _LevelWorkspace:
             for dt, value in weighted[p]:
                 row[slot0 + dt] += value
 
-    def spread(self, var: int, draw: int, weight: int) -> None:
-        """Add `weight` times the law of the variable's items, given this level's `draw`, into Y."""
-        y, rows, bases, pos, delays, tails = self.y, self.rows, self.bases, self.pos, self.delays, self.tails
-        for i in self.by_var[var]:
-            p = pos[i]
-            row = y[rows[i]]
-            slot0 = bases[i] + delays[p][draw - 1]
-            for dt, count in tails[p]:
-                row[slot0 + dt] += weight * count
+    def spread(self, var: int, draw: int, sign: int) -> None:
+        """Add (`sign` +1) or take off (-1) the variable's items' laws, at weight `budget`, at `draw`."""
+        y, delays, weighted = self.y, self.delays, self.weighted
+        items = self.by_var[var]
+        a, b = items.start, items.stop
+        for r, base, p in zip(self.rows[a:b], self.bases[a:b], self.pos[a:b]):
+            row = y[r]
+            slot0 = base + delays[p][draw - 1]
+            for dt, value in weighted[p]:
+                row[slot0 + dt] += sign * value
 
     def move(self, var: int, old: int, new: int) -> None:
         """Redraw one variable: move its items' laws, at weight `budget`, from draw `old` to `new`."""
@@ -330,10 +335,21 @@ class _LevelWorkspace:
         for row in self.y:
             row[:] = [0] * len(row)
 
+    @cached_property
+    def blurs(self) -> list[list[tuple[int, int]]]:
+        """Per position, the `residual_law` of this level and the deeper ones, once per distinct law."""
+        laws = {p: residual_law(self.tree, self.level, p + 1) for p in set(self.alike)}
+        return [laws[p] for p in self.alike]
+
     def add_blur(self, var: int, sign: int) -> None:
-        """The variable still random: spread its items over its law."""
-        for draw in range(1, self.budget + 1):
-            self.spread(var, draw, sign)
+        """Add (`sign` +1) or take off (-1) the variable's items while it is open, each at its blur."""
+        y, blurs = self.y, self.blurs
+        items = self.by_var[var]
+        a, b = items.start, items.stop
+        for r, base, p in zip(self.rows[a:b], self.bases[a:b], self.pos[a:b]):
+            row = y[r]
+            for dt, count in blurs[p]:
+                row[base + dt] += sign * count
 
     def peak(self, var: int, draw: int) -> int:
         """Max Y over the variable's cells, its unshared ones included, were it added at `draw`.
@@ -435,7 +451,7 @@ def _greedy_fix(ws: _LevelWorkspace) -> tuple[list[list[int]], int]:
         ws.add_blur(var, -1)
         # the first draw with the least maximum
         draws[var] = best = min(range(1, ws.budget + 1), key=lambda draw: ws.peak(var, draw))
-        ws.spread(var, best, ws.budget)
+        ws.spread(var, best, +1)
     return ws.per_packet(draws), ws.max_y()
 
 
@@ -492,13 +508,6 @@ def fix_level(
 
 
 # --- finalization, stretching, pipeline -------------------------------------
-
-def _greedy_finalize(assignment: DelayAssignment, index: _CrossingIndex) -> None:
-    while not assignment.fully_fixed:
-        level = assignment.frontier
-        draws, _ = _greedy_fix(_LevelWorkspace(index, assignment, level))
-        assignment.set_level(level, draws)
-
 
 def _parking(tree: Tree, values: list[list[int]]) -> int:
     """What a packet's last blocks leave of their budgets, parked at its sink (plain only)."""
@@ -581,7 +590,10 @@ def finalize(
     open_levels = tuple(range(assignment.frontier, assignment.n_levels))
     residual = prod(tree.ladder.levels[level].wait_budget for level in open_levels)
     if config.finalize_strategy == "greedy":
-        _greedy_finalize(assignment, index)
+        while not assignment.fully_fixed:
+            level = assignment.frontier
+            draws, _ = _greedy_fix(_LevelWorkspace(index, assignment, level))
+            assignment.set_level(level, draws)
     else:
         assignment.fill_remaining(1)
     budget = tree.ladder.total_wait_budget()

@@ -52,7 +52,6 @@ class InstanceStats:
     congestion: int
     dilation: int
     n_packets: int
-    n_edges: int
     edge_loads: dict[str, int] = field(compare=False, default_factory=dict)
 
 
@@ -101,7 +100,6 @@ def stats(instance: Instance) -> InstanceStats:
         congestion=max(loads.values()),
         dilation=max(len(p) for p in instance.paths),
         n_packets=len(instance.paths),
-        n_edges=len(instance.edges),
         edge_loads=loads,
     )
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import oracle
-from .instance import Edge, Instance, InvalidInstanceError, decode, encode, validate
+from .instance import Edge, Instance, InvalidInstanceError, decode, encode, stats
 from .schedule import Schedule
 
 # Per-cell collision probability decays like (15/16)^(n^2/128); this is the
@@ -67,9 +67,7 @@ def generate(n: int, seed: int | str = 0) -> LowerBoundInstance:
         paths.append(path)
 
     instance = Instance(nodes=nodes, edges=edges, paths=paths)
-    report = validate(instance)
-    if not report.ok:
-        raise InvalidInstanceError("; ".join(report.violations))
+    stats(instance)  # raises InvalidInstanceError on a broken gadget
     return LowerBoundInstance(n=n, permutations=tuple(permutations), instance=instance)
 
 
@@ -83,8 +81,15 @@ def deserialize(text: str) -> LowerBoundInstance:
     perms = doc.get("permutations")
     if not isinstance(perms, list) or not perms:
         raise InvalidInstanceError("missing permutations sidecar")
-    permutations = tuple(tuple(int(x) for x in p) for p in perms)
-    return LowerBoundInstance(n=len(permutations), permutations=permutations, instance=instance)
+    n = len(instance.paths)
+    if len(perms) != n:
+        raise InvalidInstanceError(f"permutations: {len(perms)} rows for {n} paths")
+    # taken as they are: "12", 2.7 and true are no permutation entries
+    for i, p in enumerate(perms):
+        if type(p) is not list or any(type(x) is not int for x in p) or sorted(p) != list(range(1, n + 1)):
+            raise InvalidInstanceError(f"permutations: row {i} is not a permutation of 1..{n}: {p!r}")
+    permutations = tuple(map(tuple, perms))
+    return LowerBoundInstance(n=n, permutations=permutations, instance=instance)
 
 
 # --- routing matrices -------------------------------------------------------

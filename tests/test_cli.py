@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import cd_router
+from cd_router import cli
 from cd_router import instance as instance_mod
 from cd_router.cli import EXIT_CAPACITY, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from cd_router.fixer import FixerError
 from cd_router.instance import encode, shared_path_instance
 
 from conftest import FIXTURES, fixture_text
@@ -100,6 +102,27 @@ def test_simulate_flags_the_zero_wait_collision(tmp_path, capsys):
     assert "load: FAIL" in out
     assert "e4" in out
     assert out.strip().endswith("FAIL")
+
+
+def test_schedule_refuses_an_invalid_instance(tmp_path, capsys):
+    doc = json.loads(fixture_text("fig1.json"))
+    doc["paths"][1][-1] = "e6"  # repeat an edge within the path
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["schedule", str(path)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines and all(line.startswith("invalid: ") for line in lines)
+    assert "repeated" in captured.err
+
+
+def test_simulate_cannot_read_the_schedule(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert main(["simulate", FIG1, str(missing)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot read {missing}: ")
 
 
 def test_simulate_rejects_malformed_schedules(tmp_path, capsys):
@@ -236,6 +259,27 @@ def test_bench_parallel_jobs_match_serial(tmp_path):
             return [row[:-1] for row in csv.reader(fh)]
 
     assert stable(serial) == stable(parallel)
+
+
+def test_bench_reports_a_failed_job_and_keeps_the_other_rows(tmp_path, monkeypatch, capsys):
+    run = cli.run_pipeline
+
+    def failing(instance, config):
+        if (config.seed, config.variant) == ("0/bench1", "buffered"):
+            raise FixerError("level 0: all relax factors exhausted")
+        return run(instance, config)
+
+    monkeypatch.setattr(cli, "run_pipeline", failing)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--count", "2", "--jobs", "1", "--out", str(out)]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.err == "job 1 (buffered): level 0: all relax factors exhausted\n"
+    assert captured.out == f"wrote 3 rows to {out}\n"
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [(r[0], r[2]) for r in rows[1:]] == [
+        ("random-0", "plain"), ("random-0", "buffered"), ("random-1", "plain"),
+    ]
 
 
 def test_bench_unknown_suite(tmp_path, capsys):

@@ -71,6 +71,15 @@ def test_set_level_rejects_a_bad_matrix():
     assert (a.frontier, a.values[1][0]) == (1, [16])
 
 
+def test_a_rejected_matrix_writes_no_row():
+    # packet 0's row is valid; packet 1's value is out of range
+    a = DelayAssignment(plain_16_2(), 2)
+    with pytest.raises(AssignmentError, match=r"^value 17 outside \[1, 16\] at level 0$"):
+        a.set_level(0, [[3], [17]])
+    assert a.value(0, 0, 0) is None
+    assert a.frontier == 0
+
+
 def test_crossing_times_strictly_increase_along_path():
     tree = plain_16_2()
     rng = random.Random(5)

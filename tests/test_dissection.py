@@ -63,7 +63,6 @@ def test_budget_sums_and_horizon():
         sub = sum(
             (length // lv.block_len) * lv.wait_budget for lv in ladder.levels[1:]
         )
-        assert ladder.sublevel_budget_sum() == sub
         assert sub <= 2 * length
         total = ladder.levels[0].wait_budget + sub
         assert ladder.total_wait_budget() == total

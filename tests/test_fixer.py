@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import random
+import sys
 from collections import Counter
 from math import floor
 
@@ -215,13 +216,69 @@ def test_dependents_are_the_variables_whose_removal_changes_the_cell(name, kind)
         expected = {cell: [] for cell in cells}
         for var in range(len(ws.by_var)):
             ws.y = [row[:] for row in y]
-            ws.spread(var, draws[var], -ws.budget)
+            ws.spread(var, draws[var], -1)
             for r, i in cells:
                 if ws.y[r][i] != y[r][i]:
                     expected[r, i].append(var)
         ws.y = y
         for cell in cells:
             assert ws.dependents(cell, draws) == expected[cell], cell
+
+
+def _per_draw_blur(ws: _LevelWorkspace, variables) -> list[list[int]]:
+    """Y with the variables open, by the definition: each draw adds the deeper law at weight 1."""
+    y = [[0] * len(row) for row in ws.y]
+    for var in variables:
+        for draw in range(1, ws.budget + 1):
+            for i in ws.by_var[var]:
+                p = ws.pos[i]
+                slot0 = ws.bases[i] + ws.delays[p][draw - 1]
+                for dt, count in delay_model.residual_law(ws.tree, ws.level + 1, p + 1):
+                    y[ws.rows[i]][slot0 + dt] += count
+    return y
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])  # buffered sublevels bring duty tables
+@pytest.mark.parametrize("name", ["shared-30x32", "accept2/3", "accept2/8"])
+def test_blur_equals_a_spread_over_every_draw(name, kind):
+    rng = random.Random(f"blur/{name}/{kind}")
+    levels = []
+    for args in _level_workspace_args(name, kind, rng):
+        ws = _LevelWorkspace(*args)
+        levels.append(ws.level)
+        n_vars = len(ws.by_var)
+        for var in range(n_vars):
+            ws.add_blur(var, +1)
+        assert ws.y == _per_draw_blur(ws, range(n_vars)), ws.level
+        off = set(rng.sample(range(n_vars), rng.randint(1, n_vars)))
+        for var in off:
+            ws.add_blur(var, -1)
+        assert ws.y == _per_draw_blur(ws, [v for v in range(n_vars) if v not in off]), ws.level
+    assert levels == list(range(len(levels))) and len(levels) >= 2
+
+
+@pytest.mark.parametrize("strategies, blurred", [
+    (("resample", "ones"), False),
+    (("greedy", "ones"), True),
+    (("resample", "greedy"), True),
+])
+def test_only_a_greedy_sweep_computes_a_blur(monkeypatch, strategies, blurred):
+    # a workspace reads the deeper law for every level; its own level's
+    # residual law, the blur, only for the greedy sweep
+    calls = []
+    law = fixer_mod.residual_law
+
+    def spy(tree, from_level, pos):
+        calls.append(from_level - sys._getframe(1).f_locals["self"].level)
+        return law(tree, from_level, pos)
+
+    monkeypatch.setattr(fixer_mod, "residual_law", spy)
+    strategy, finalize = strategies
+    # a ladder of three levels, of which a buffered run fixes level 0
+    config = FixerConfig(variant="buffered", delta=2, strategy=strategy, finalize_strategy=finalize)
+    run_pipeline(shared_path_instance(8, 32), config)
+    assert 1 in calls
+    assert set(calls) == ({0, 1} if blurred else {1})
 
 
 # --- stretching --------------------------------------------------------------
@@ -338,6 +395,30 @@ def test_the_capacity_1_check_reads_the_reused_replay(monkeypatch):
         run_pipeline(shared_path_instance(8, 32), FixerConfig(seed=0))
     assert caught.value.report.load == 2
     assert len(calls) == 1
+
+
+def _misranked(monkeypatch, shift):
+    """Make `realized_loads` report every rank as `shift(rank)`."""
+    rank = fixer_mod.realized_loads
+    monkeypatch.setattr(
+        fixer_mod, "realized_loads",
+        lambda inst, sched: [[shift(r) for r in ranks] for ranks in rank(inst, sched)],
+    )
+
+
+def test_pipeline_refuses_a_load_above_the_counting_bound(monkeypatch):
+    _misranked(monkeypatch, lambda r: r + 10)
+    with pytest.raises(FixerError, match="counting bound violated: load 12 > ") as caught:
+        run_pipeline(shared_path_instance(8, 32), FixerConfig(seed=0))
+    assert caught.value.report.load == 12 > caught.value.report.counting_cap
+
+
+def test_pipeline_refuses_a_replay_above_the_certified_load(monkeypatch):
+    # the true load is 2; ranks of 0 certify 1, and the replay finds 2
+    _misranked(monkeypatch, lambda r: 0)
+    with pytest.raises(FixerError, match="pre-stretch load exceeds the certified bound") as caught:
+        run_pipeline(shared_path_instance(8, 32), FixerConfig(seed=0))
+    assert caught.value.report.load == 1
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -603,6 +684,15 @@ def test_report_dict_is_json_ready():
 
 
 # --- building waits from assignments -----------------------------------------
+
+def test_schedule_from_assignment_needs_every_level_fixed():
+    padded = pad(shared_path_instance(2, 16))
+    tree = dissect_plain(build_ladder(padded.length, 2))
+    assignment = DelayAssignment(tree, 2)
+    assignment.set_level(0, [[5], [11]])
+    with pytest.raises(delay_model.AssignmentError, match="assignment incomplete"):
+        schedule_from_assignment(padded, tree, assignment)
+
 
 def test_schedule_matches_crossing_times():
     padded = pad(shared_path_instance(2, 16))

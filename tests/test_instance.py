@@ -228,6 +228,12 @@ def test_decode_rejects_ids_that_are_not_strings(edit):
         decode(json.dumps(doc))
 
 
+def test_decode_rejects_an_edge_that_is_not_an_object():
+    doc = {"nodes": ["a", "b"], "edges": [["e", "a", "b"]], "paths": [["e"]]}
+    with pytest.raises(InvalidInstanceError, match="^malformed instance document: "):
+        decode(json.dumps(doc))
+
+
 def test_random_instances_valid_and_deterministic():
     a = generate_random_instance("seed-x")
     b = generate_random_instance("seed-x")

@@ -1,4 +1,5 @@
 """Hard-instance gadget: generation, routing matrices, and the counting side."""
+import json
 import math
 from itertools import permutations as all_permutations
 
@@ -55,6 +56,30 @@ def test_serialization_round_trip(gadget2):
 def test_deserialize_needs_the_permutation_sidecar():
     with pytest.raises(InvalidInstanceError, match="permutations"):
         lb.deserialize(encode(shared_path_instance(2, 3)))
+
+
+def test_deserialize_round_trips_a_generated_gadget():
+    gadget = lb.generate(4, seed=7)
+    again = lb.deserialize(lb.serialize(gadget))
+    assert again == gadget
+
+
+@pytest.mark.parametrize("perms, match", [
+    (["21", "12"], "row 0 is not a permutation"),  # strings, not arrays
+    ([[1, 2.7], [2, 1]], "row 0 is not a permutation"),
+    ([[2.0, 1], [1, 2]], "row 0 is not a permutation"),
+    ([[1, 2], [True, 2]], "row 1 is not a permutation"),
+    ([[1, 1], [2, 1]], "row 0 is not a permutation of 1..2"),
+    ([[1, 2], [2, 3]], "row 1 is not a permutation of 1..2"),
+    ([[1, 2]], "1 rows for 2 paths"),
+    ([[1, 2], [2, 1], [1, 2]], "3 rows for 2 paths"),
+    ([[1], [1]], "row 0 is not a permutation of 1..2"),
+])
+def test_deserialize_rejects_a_bad_permutation_sidecar(perms, match):
+    doc = json.loads(lb.serialize(lb.generate(2)))
+    doc["permutations"] = perms
+    with pytest.raises(InvalidInstanceError, match=match):
+        lb.deserialize(json.dumps(doc))
 
 
 def test_permutations_are_uniform():

@@ -157,7 +157,7 @@ def assert_closed_form_matches_exhaustive(padded, tree, assignment):
         ws = _LevelWorkspace(_CrossingIndex(padded, assignment), assignment, last)
         for var in range(len(ws.by_var)):
             packet, block = divmod(var, ws.n_blocks)
-            ws.spread(var, assignment.value(packet, last, block), ws.budget)
+            ws.spread(var, assignment.value(packet, last, block), +1)
     # Y keeps a row only for an edge that two or more packets use; map every
     # row cell back to its (edge, slot)
     rows = {
