@@ -25,7 +25,7 @@ from .instance import (
     InvalidInstanceError,
     decode,
     generate_random_instance,
-    stats,
+    measure,
     validate,
 )
 from .oracle import OracleCapacityError, optimal_makespan
@@ -113,7 +113,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for violation in report.violations:
             print(f"invalid: {violation}")
         return EXIT_FAILURE
-    s = stats(instance)
+    s = measure(instance)
     print(f"C={s.congestion} D={s.dilation} ok")
     return EXIT_OK
 
@@ -188,8 +188,8 @@ def cmd_lowerbound_gen(args: argparse.Namespace) -> int:
 
 def cmd_lowerbound_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    opt = optimal_makespan(instance, horizon=args.horizon)
-    s = stats(instance)
+    opt = optimal_makespan(instance, horizon=args.horizon)  # validates
+    s = measure(instance)
     print(f"optimal_makespan={opt} C={s.congestion} D={s.dilation}")
     return EXIT_OK
 

@@ -20,7 +20,7 @@ floats.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
+from collections.abc import Sequence
 from operator import add, getitem
 from typing import NamedTuple
 
@@ -38,7 +38,9 @@ class DelayAssignment:
     """Waiting values per (packet, level, block), fixed level by level.
 
     A level is either fully fixed (every packet, every block) or fully open;
-    `frontier` is the first open level.
+    `frontier` is the first open level. The tree, and the position columns
+    `fixed_slots` reads from it, are shared read-only by every assignment
+    on the same ladder and variant; only `values` belongs to this one.
     """
 
     def __init__(self, tree: Tree, n_packets: int):
@@ -85,22 +87,14 @@ class DelayAssignment:
     def fully_fixed(self) -> bool:
         return self.frontier == self.n_levels
 
-    @cached_property
-    def columns(self) -> PositionColumns:
-        """The tree's position terms as columns, built on first use and shared by every level."""
-        terms = [position_terms(self.tree, pos) for pos in range(1, self.tree.length + 1)]
-        blocks = [list(column) for column in zip(*(t.blocks for t in terms))]
-        tables = [None if column[0] is None else list(column) for column in zip(*(t.tables for t in terms))]
-        return PositionColumns([t.offset for t in terms], blocks, tables)
-
-    def fixed_slots(self, packet: int, levels: int) -> list[int]:
+    def fixed_slots(self, packet: int, levels: int) -> Sequence[int]:
         """The packet's slot at every position, shifted by its draws on the first `levels` levels.
 
         Entry p is `offset + fixed_delay(...)` at position p + 1, summed a
-        level at a time over whole columns. With `levels` 0 it is
-        `columns.offsets` itself.
+        level at a time over the tree's columns. With `levels` 0 it is the
+        shared, read-only `tree.columns.offsets` itself.
         """
-        columns, values = self.columns, self.values[packet]
+        columns, values = self.tree.columns, self.values[packet]
         slots = columns.offsets
         for level in range(levels):
             delays = map(values[level].__getitem__, columns.blocks[level])
@@ -160,11 +154,23 @@ class PositionTerms(NamedTuple):
 
 
 class PositionColumns(NamedTuple):
-    """Position terms as columns: entry p describes edge position p + 1."""
+    """Position terms as columns: entry p describes edge position p + 1.
 
-    offsets: list[int]
-    blocks: list[list[int]]  # per level: the containing block
-    tables: list[list[tuple[int, ...]] | None]  # per level: delay per draw; None where it is the draw
+    A tree's columns (`tree.columns`) are built once, on first read, and
+    shared by every run on that tree, so every column is a tuple.
+    """
+
+    offsets: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...]  # per level: the containing block
+    tables: tuple[tuple[tuple[int, ...], ...] | None, ...]  # per level: delay per draw; None where it is the draw
+
+
+def position_columns(tree: Tree) -> PositionColumns:
+    """`position_terms` at every position of the tree, as columns."""
+    terms = [position_terms(tree, pos) for pos in range(1, tree.length + 1)]
+    blocks = tuple(zip(*(t.blocks for t in terms)))
+    tables = tuple(None if column[0] is None else column for column in zip(*(t.tables for t in terms)))
+    return PositionColumns(tuple(t.offset for t in terms), blocks, tables)
 
 
 def position_terms(tree: Tree, pos: int) -> PositionTerms:

@@ -11,10 +11,21 @@ sublevel by half its block length (so coarser boundaries sit mid-block one
 level down) and distributes waiting over designated edges: position j with
 odd(j) * 2^q form is handled by level L - q, and positions divisible by 2^L
 stay unassigned.
+
+A tree depends on its ladder (the padded length and delta) and its variant
+alone, so `dissect_plain` and `dissect_shifted` build each tree once per
+process and hand the same object to every run on that ladder. Its position
+columns (`columns`) are computed on first read and kept on the tree. Both
+are shared read-only: the block rows and the columns are tuples.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .delay_model import PositionColumns
 
 
 class LadderError(ValueError):
@@ -80,7 +91,28 @@ class Block:
     assigned: tuple[int, ...] = ()  # shifted tree only; notional, may leave [1, length]
 
 
-class BlockTree:
+class _Dissection:
+    """What both trees share: a row of blocks per level, and the position columns."""
+
+    ladder: LevelLadder
+    length: int
+    _blocks: tuple[tuple[Block, ...], ...]
+
+    def n_blocks(self, level: int) -> int:
+        return len(self._blocks[level])
+
+    def blocks(self, level: int) -> tuple[Block, ...]:
+        return self._blocks[level]
+
+    @cached_property
+    def columns(self) -> PositionColumns:
+        """Every position's terms as columns (`delay_model.position_columns`), built on first read."""
+        from .delay_model import position_columns  # delay_model imports this module
+
+        return position_columns(self)
+
+
+class BlockTree(_Dissection):
     """Aligned dissection: every level partitions positions 1..length."""
 
     kind = "plain"
@@ -88,24 +120,21 @@ class BlockTree:
     def __init__(self, ladder: LevelLadder):
         self.ladder = ladder
         self.length = ladder.length
-        self._blocks: list[list[Block]] = []
-        for level, lv in enumerate(ladder.levels):
-            row = [
+        self._blocks = tuple(
+            tuple(
                 Block(level, b, b * lv.block_len + 1, (b + 1) * lv.block_len)
                 for b in range(self.length // lv.block_len)
-            ]
-            self._blocks.append(row)
-
-    def n_blocks(self, level: int) -> int:
-        return len(self._blocks[level])
-
-    def blocks(self, level: int) -> list[Block]:
-        return self._blocks[level]
+            )
+            for level, lv in enumerate(ladder.levels)
+        )
 
     def block_index(self, level: int, pos: int) -> int:
         return (pos - 1) // self.ladder.levels[level].block_len
 
 
+# Each variant keeps the trees of its 16 latest ladders, enough for every
+# padded length up to 2^15 at one delta.
+@lru_cache(maxsize=16)
 def dissect_plain(ladder: LevelLadder) -> BlockTree:
     tree = BlockTree(ladder)
     # laminar sanity: each level partitions the path and nests in the one above
@@ -114,7 +143,7 @@ def dissect_plain(ladder: LevelLadder) -> BlockTree:
     return tree
 
 
-class ShiftedBlockTree:
+class ShiftedBlockTree(_Dissection):
     """Shifted dissection with per-edge waiting duty.
 
     Sublevel blocks are offset by half their length, so each block's middle
@@ -130,7 +159,7 @@ class ShiftedBlockTree:
         self.ladder = ladder
         self.length = ladder.length
         self.depth = ladder.depth
-        self._blocks: list[list[Block]] = [[Block(0, 0, 1, self.length)]]
+        rows = [(Block(0, 0, 1, self.length),)]
         for level in range(1, len(ladder.levels)):
             lv = ladder.levels[level]
             half = lv.block_len // 2
@@ -139,7 +168,8 @@ class ShiftedBlockTree:
                 start = b * lv.block_len - half + 1
                 end = b * lv.block_len + half
                 row.append(Block(level, b, start, end, self._assigned(level, start, end)))
-            self._blocks.append(row)
+            rows.append(tuple(row))
+        self._blocks = tuple(rows)
         self._check_budget_coverage()
 
     def _assigned(self, level: int, start: int, end: int) -> tuple[int, ...]:
@@ -159,12 +189,6 @@ class ShiftedBlockTree:
                         f"{len(block.assigned)} duty edges < budget {budget}"
                     )
 
-    def n_blocks(self, level: int) -> int:
-        return len(self._blocks[level])
-
-    def blocks(self, level: int) -> list[Block]:
-        return self._blocks[level]
-
     def block_index(self, level: int, pos: int) -> int:
         if level == 0:
             return 0
@@ -172,5 +196,6 @@ class ShiftedBlockTree:
         return (pos - 1 + d // 2) // d
 
 
+@lru_cache(maxsize=16)
 def dissect_shifted(ladder: LevelLadder) -> ShiftedBlockTree:
     return ShiftedBlockTree(ladder)

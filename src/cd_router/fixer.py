@@ -22,11 +22,13 @@ each crossing from them when it expands every slot into c slots, which
 yields a capacity-1 schedule.
 
 What is still random about a crossing depends on its position alone. The
-dissection's terms are per-position columns, built once per run by the
-`DelayAssignment`, and a packet's fixed draws become its slot at every
-position in one column-wise pass (`DelayAssignment.fixed_slots`), which
-every level workspace and the final waits use; no (packet, position) pair
-gets an object or a call of its own.
+dissection and its per-position columns depend on the ladder and the
+variant alone, so each is built once per process, on the first run that
+asks for it, and shared read-only by every later one (`dissect_plain`,
+`dissect_shifted`, `tree.columns`). A packet's fixed draws become its slot
+at every position in one column-wise pass (`DelayAssignment.fixed_slots`),
+which every level workspace and the final waits use; no (packet, position)
+pair gets an object or a call of its own.
 
 The crossings that share an edge, and every slot they could reach at any
 level, are indexed once per run (`_CrossingIndex`) and read by every
@@ -151,7 +153,7 @@ class _CrossingIndex:
     """
 
     def __init__(self, padded: PaddedInstance, assignment: DelayAssignment):
-        tree, columns = assignment.tree, assignment.columns
+        tree, columns = assignment.tree, assignment.tree.columns
         self.length = padded.length
         self.edges = sorted(e for e, load in padded.stats.edge_loads.items() if load > 1)
         row_of = {e: r for r, e in enumerate(self.edges)}
@@ -251,7 +253,7 @@ class _LevelWorkspace:
     """
 
     def __init__(self, index: _CrossingIndex, assignment: DelayAssignment, level: int):
-        tree, columns = assignment.tree, assignment.columns
+        tree, columns = assignment.tree, assignment.tree.columns
         self.index, self.tree, self.level = index, tree, level
         self.edges, self.lo, self.rows, self.pos = index.edges, index.lo, index.rows, index.pos
         self.budget = tree.ladder.levels[level].wait_budget

@@ -92,9 +92,15 @@ def validate(instance: Instance) -> ValidationReport:
 
 
 def stats(instance: Instance) -> InstanceStats:
+    """Validate, then `measure`; raises InvalidInstanceError on a violation."""
     report = validate(instance)
     if not report.ok:
         raise InvalidInstanceError("; ".join(report.violations))
+    return measure(instance)
+
+
+def measure(instance: Instance) -> InstanceStats:
+    """Congestion, dilation and edge loads of an instance already validated."""
     loads = Counter(chain.from_iterable(instance.paths))
     return InstanceStats(
         congestion=max(loads.values()),

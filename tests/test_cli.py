@@ -206,6 +206,26 @@ def test_lowerbound_solve_the_fixture(capsys):
     assert capsys.readouterr().out == "optimal_makespan=8 C=2 D=7\n"
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["analyze", FIG1], "C=2 D=4 ok\n"),
+    (["lowerbound", "solve", str(FIXTURES / "lb-n2.json")], "optimal_makespan=8 C=2 D=7\n"),
+])
+def test_a_command_validates_its_instance_once(monkeypatch, capsys, argv, out):
+    calls = []
+    validate = instance_mod.validate
+
+    def counted(inst):
+        calls.append(inst)
+        return validate(inst)
+
+    # `stats` looks the name up in its module, `cmd_analyze` in the one cli imported
+    monkeypatch.setattr(instance_mod, "validate", counted)
+    monkeypatch.setattr(cli, "validate", counted)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == out
+    assert len(calls) == 1
+
+
 def test_lowerbound_margin_exact_lines(capsys):
     assert main(["lowerbound", "margin", "--eps", "0.000032"]) == EXIT_OK
     assert capsys.readouterr().out == "phi=5.24e-4 < 7.27e-4 : separation holds\n"

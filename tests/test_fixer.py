@@ -540,7 +540,13 @@ def test_certified_load_is_the_replayed_load(name, kind):
     assert load == simulate(inst, result.prestretch, capacity=load).max_load
 
 
+def _clear_trees():
+    dissect_plain.cache_clear()
+    dissect_shifted.cache_clear()
+
+
 def test_pipeline_builds_the_position_columns_once(monkeypatch):
+    _clear_trees()
     calls = []
     terms = delay_model.position_terms
     monkeypatch.setattr(delay_model, "position_terms", lambda tree, pos: calls.append(pos) or terms(tree, pos))
@@ -551,6 +557,70 @@ def test_pipeline_builds_the_position_columns_once(monkeypatch):
         result = run_pipeline(shared_path_instance(8, 300), FixerConfig(variant=kind, delta=2))
         assert result.report.levels
         assert sorted(calls) == list(range(1, result.padded.length + 1))
+        # the columns live on the tree, which every run on its ladder shares
+        calls.clear()
+        again = run_pipeline(shared_path_instance(5, 400), FixerConfig(variant=kind, delta=2, seed=1))
+        assert again.padded.length == result.padded.length
+        assert again.tree is result.tree
+        assert calls == []
+
+
+def test_runs_on_one_ladder_share_one_read_only_tree():
+    trees = {}
+    for kind in ("plain", "buffered"):
+        for delta in (2, 4):
+            # both pad to D' = 32
+            first = run_pipeline(shared_path_instance(8, 32), FixerConfig(variant=kind, delta=delta))
+            second = run_pipeline(shared_path_instance(3, 20), FixerConfig(variant=kind, delta=delta, seed=5))
+            assert second.tree is first.tree
+            trees[kind, delta] = first.tree
+    # another delta or variant is another tree
+    assert len({id(tree) for tree in trees.values()}) == len(trees)
+    for tree in trees.values():
+        offsets, blocks, tables = tree.columns
+        assert DelayAssignment(tree, 1).fixed_slots(0, 0) is offsets
+        shared = [offsets, blocks, tables, *blocks, *filter(None, tables)]
+        shared += [tree.blocks(level) for level in range(len(tree.ladder.levels))]
+        for column in shared:
+            assert type(column) is tuple
+            with pytest.raises(TypeError):
+                column[0] = column[0]
+
+
+def _tree_cases():
+    cases = []
+    for i in range(40):
+        inst = generate_random_instance(f"shared-trees/{i}", max_packets=24, max_length=64)
+        strategy, finalize = ("resample", "ones") if i % 4 < 2 else ("greedy", "greedy")
+        config = FixerConfig(
+            variant=("plain", "buffered")[i % 2], delta=2 + i // 4 % 4,
+            strategy=strategy, finalize_strategy=finalize, seed=i,
+        )
+        cases.append((inst, config))
+    return cases
+
+
+def _outputs(inst, config):
+    result = run_pipeline(inst, config)
+    return encode(result.prestretch), encode(result.schedule), json.dumps(result.report.to_dict()), result.tree
+
+
+def test_shared_trees_give_the_outputs_of_fresh_ones_in_any_order():
+    cases = _tree_cases()
+    cold = []
+    for inst, config in cases:
+        _clear_trees()
+        cold.append(_outputs(inst, config)[:3])
+    _clear_trees()
+    warm = [_outputs(inst, config) for inst, config in reversed(cases)][::-1]
+    assert [w[:3] for w in warm] == cold
+    # no run wrote to a tree it shared: each equals one built afresh
+    for tree in {id(w[3]): w[3] for w in warm}.values():
+        fresh = type(tree)(tree.ladder)
+        assert tree.columns == fresh.columns
+        assert [tree.blocks(level) for level in range(len(tree.ladder.levels))] == [
+            fresh.blocks(level) for level in range(len(fresh.ladder.levels))
+        ]
 
 
 # each config comes with the class constants it patches

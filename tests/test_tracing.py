@@ -75,3 +75,18 @@ def test_fix_level_keeps_the_positions_the_count_hook_reads():
     params = list(inspect.signature(fixer.fix_level).parameters)
     assert params[0] == "padded"
     assert params[5] == "config"
+
+
+def test_traced_runs_on_a_shared_tree_still_count_the_ladder():
+    # the tree is cached inside `dissect_*`; `build_ladder` runs, and is
+    # counted, on every run
+    tracing = _load_tracing()
+    inst, config = shared_path_instance(8, 64), fixer.FixerConfig(delta=2, seed=0)
+    warm = fixer.run_pipeline(inst, config)
+    with tracing.Tracer().installed() as tracer:
+        results = [fixer.run_pipeline(inst, config) for _ in range(2)]
+    depth = warm.tree.ladder.depth
+    assert depth > 0
+    assert all(result.tree is warm.tree for result in results)
+    assert tracer.counts["dissection.depth"] == 2 * depth
+    assert "dissection.ladder" in tracer.self_s
