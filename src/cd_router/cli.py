@@ -89,12 +89,11 @@ def _load_instance(path: str) -> Instance:
     return decode(text)
 
 
-def _invalid(instance: Instance) -> bool:
+def _invalid(violations: tuple[str, ...]) -> bool:
     """Print each violation as `invalid: <reason>` on stderr; True when there is one."""
-    report = validate(instance)
-    for violation in report.violations:
+    for violation in violations:
         print(f"invalid: {violation}", file=sys.stderr)
-    return not report.ok
+    return bool(violations)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -120,8 +119,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    if _invalid(instance):
-        return EXIT_FAILURE
     config = FixerConfig(
         variant=args.variant,
         delta=args.delta,
@@ -129,7 +126,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         finalize_strategy=args.finalize,
         seed=args.seed,
     )
-    result = run_pipeline(instance, config)
+    try:
+        result = run_pipeline(instance, config)  # validates once
+    except InvalidInstanceError as exc:
+        _invalid(exc.violations)
+        return EXIT_FAILURE
     _write_or_print(schedule_mod.encode(result.schedule), args.out)
     if args.report is not None:
         Path(args.report).write_text(
@@ -148,7 +149,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    if _invalid(instance):
+    if _invalid(validate(instance).violations):
         return EXIT_FAILURE
     try:
         sched = schedule_mod.decode(Path(args.schedule).read_text())

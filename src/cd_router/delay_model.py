@@ -20,6 +20,7 @@ floats.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Sequence
 from operator import add, getitem
 from typing import NamedTuple
@@ -90,7 +91,7 @@ class DelayAssignment:
     def fixed_slots(self, packet: int, levels: int) -> Sequence[int]:
         """The packet's slot at every position, shifted by its draws on the first `levels` levels.
 
-        Entry p is `offset + fixed_delay(...)` at position p + 1, summed a
+        Entry p is `fixed_slot(tree, values, levels, p + 1)`, summed a
         level at a time over the tree's columns. With `levels` 0 it is the
         shared, read-only `tree.columns.offsets` itself.
         """
@@ -136,26 +137,13 @@ def _contribution(tree: Tree, level: int, pos: int) -> tuple[int, tuple[int, ...
     return idx * lv.wait_budget, duty_count_table(block, lv.wait_budget, pos)
 
 
-def _delay_of(table: tuple[int, ...] | None, draw: int) -> int:
-    return draw if table is None else table[draw - 1]
-
-
-class PositionTerms(NamedTuple):
-    """What the dissection alone decides about one edge position.
-
-    A crossing slot is `offset` plus, per level, the delay that level's draw
-    for block `blocks[level]` adds through `tables[level]`; nothing here
-    depends on the packet.
-    """
-
-    offset: int  # pos plus every level's deterministic offset
-    blocks: tuple[int, ...]  # containing block, per level
-    tables: tuple[tuple[int, ...] | None, ...]  # delay per draw, per level
-
-
 class PositionColumns(NamedTuple):
-    """Position terms as columns: entry p describes edge position p + 1.
+    """What the dissection alone decides about each edge position, as columns.
 
+    Entry p describes edge position p + 1. A crossing slot there is
+    `offsets[p]`, the position plus every level's deterministic offset,
+    plus, per level, the delay that level's draw for block `blocks[level][p]`
+    adds through `tables[level][p]`; nothing here depends on the packet.
     A tree's columns (`tree.columns`) are built once, on first read, and
     shared by every run on that tree, so every column is a tuple.
     """
@@ -166,31 +154,27 @@ class PositionColumns(NamedTuple):
 
 
 def position_columns(tree: Tree) -> PositionColumns:
-    """`position_terms` at every position of the tree, as columns."""
-    terms = [position_terms(tree, pos) for pos in range(1, tree.length + 1)]
-    blocks = tuple(zip(*(t.blocks for t in terms)))
-    tables = tuple(None if column[0] is None else column for column in zip(*(t.tables for t in terms)))
-    return PositionColumns(tuple(t.offset for t in terms), blocks, tables)
-
-
-def position_terms(tree: Tree, pos: int) -> PositionTerms:
-    offset = pos
-    blocks: list[int] = []
-    tables: list[tuple[int, ...] | None] = []
+    """Every position's terms, a level at a time, from `_contribution`."""
+    positions = range(1, tree.length + 1)
+    offsets: Sequence[int] = positions
+    blocks, tables = [], []
     for level in range(len(tree.ladder.levels)):
-        det, table = _contribution(tree, level, pos)
-        offset += det
-        blocks.append(tree.block_index(level, pos))
-        tables.append(table)
-    return PositionTerms(offset, tuple(blocks), tuple(tables))
+        dets, level_tables = zip(*(_contribution(tree, level, pos) for pos in positions))
+        offsets = list(map(add, offsets, dets))
+        blocks.append(tuple(tree.block_index(level, pos) for pos in positions))
+        tables.append(None if level_tables[0] is None else level_tables)
+    return PositionColumns(tuple(offsets), tuple(blocks), tuple(tables))
 
 
-def fixed_delay(terms: PositionTerms, values: list[list[int | None]], levels: int) -> int:
-    """Delay the first `levels` levels add, given one packet's fixed draws."""
-    total = 0
+def fixed_slot(tree: Tree, values: list[list[int | None]], levels: int, pos: int) -> int:
+    """Slot at `pos` shifted by one packet's fixed draws on the first `levels` levels."""
+    columns, p = tree.columns, pos - 1
+    slot = columns.offsets[p]
     for level in range(levels):
-        total += _delay_of(terms.tables[level], values[level][terms.blocks[level]])
-    return total
+        draw = values[level][columns.blocks[level][p]]
+        table = columns.tables[level]
+        slot += draw if table is None else table[p][draw - 1]
+    return slot
 
 
 def residual_law(tree: Tree, from_level: int, pos: int) -> list[tuple[int, int]]:
@@ -202,13 +186,12 @@ def residual_law(tree: Tree, from_level: int, pos: int) -> list[tuple[int, int]]
     delay, so the counts sum to the product of the open budgets. It depends
     on the position only.
     """
+    tables = tree.columns.tables
     law = {0: 1}
     for level in range(from_level, len(tree.ladder.levels)):
-        _, table = _contribution(tree, level, pos)
-        level_law: dict[int, int] = {}
-        for draw in range(1, tree.ladder.levels[level].wait_budget + 1):
-            d = _delay_of(table, draw)
-            level_law[d] = level_law.get(d, 0) + 1
+        table = tables[level]
+        draws = range(1, tree.ladder.levels[level].wait_budget + 1)
+        level_law = Counter(draws if table is None else table[pos - 1])
         new: dict[int, int] = {}
         for t, c in law.items():
             for d, k in level_law.items():
@@ -221,8 +204,7 @@ def crossing_time(tree: Tree, assignment: DelayAssignment, packet: int, pos: int
     """Slot in which `packet` crosses edge position `pos` (fully fixed only)."""
     if not assignment.fully_fixed:
         raise AssignmentError("assignment incomplete: crossing_time needs all levels fixed")
-    terms = position_terms(tree, pos)
-    return terms.offset + fixed_delay(terms, assignment.values[packet], assignment.n_levels)
+    return fixed_slot(tree, assignment.values[packet], assignment.n_levels, pos)
 
 
 def crossing_distribution(
@@ -232,10 +214,9 @@ def crossing_distribution(
 
     The open levels' residual law, shifted by everything already determined.
     """
-    terms = position_terms(tree, pos)
     law = residual_law(tree, assignment.frontier, pos)
     total = sum(c for _, c in law)
-    base = terms.offset + fixed_delay(terms, assignment.values[packet], assignment.frontier)
+    base = fixed_slot(tree, assignment.values[packet], assignment.frontier, pos)
     return {base + t: c / total for t, c in law}
 
 

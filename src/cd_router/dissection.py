@@ -12,11 +12,12 @@ level down) and distributes waiting over designated edges: position j with
 odd(j) * 2^q form is handled by level L - q, and positions divisible by 2^L
 stay unassigned.
 
-A tree depends on its ladder (the padded length and delta) and its variant
-alone, so `dissect_plain` and `dissect_shifted` build each tree once per
-process and hand the same object to every run on that ladder. Its position
-columns (`columns`) are computed on first read and kept on the tree. Both
-are shared read-only: the block rows and the columns are tuples.
+A tree depends on D', its levels and the variant alone: delta only picks
+the levels, and a ladder does not keep it. So `dissect_plain` and
+`dissect_shifted` build each tree once per process and hand the same object
+to every run on that ladder. Its position columns (`columns`) are computed
+on first read and kept on the tree. Both are shared read-only: the block
+rows and the columns are tuples.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ class Level:
 @dataclass(frozen=True)
 class LevelLadder:
     length: int  # common (padded) path length, a power of two
-    delta: int
     levels: tuple[Level, ...]
 
     @property
@@ -79,7 +79,7 @@ def build_ladder(length: int, delta: int) -> LevelLadder:
     levels = [Level(block_len=length, wait_budget=length)]
     for e in exps[1:]:
         levels.append(Level(block_len=1 << e, wait_budget=1 << -(-e // 4)))
-    return LevelLadder(length=length, delta=delta, levels=tuple(levels))
+    return LevelLadder(length=length, levels=tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,6 @@ class ShiftedBlockTree(_Dissection):
     def __init__(self, ladder: LevelLadder):
         self.ladder = ladder
         self.length = ladder.length
-        self.depth = ladder.depth
         rows = [(Block(0, 0, 1, self.length),)]
         for level in range(1, len(ladder.levels)):
             lv = ladder.levels[level]
@@ -173,7 +172,7 @@ class ShiftedBlockTree(_Dissection):
         self._check_budget_coverage()
 
     def _assigned(self, level: int, start: int, end: int) -> tuple[int, ...]:
-        q = self.depth - level
+        q = self.ladder.depth - level
         step = 1 << (q + 1)
         offset = 1 << q
         first = start + (offset - start) % step

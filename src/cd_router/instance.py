@@ -17,7 +17,15 @@ from itertools import chain
 
 
 class InvalidInstanceError(ValueError):
-    """Raised when an operation needs a valid instance and got something else."""
+    """Raised when an operation needs a valid instance and got something else.
+
+    `violations` holds every violation `validate` found, when it was the
+    reason; it is empty for a document that does not decode.
+    """
+
+    def __init__(self, message: str, violations: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.violations = violations
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ def stats(instance: Instance) -> InstanceStats:
     """Validate, then `measure`; raises InvalidInstanceError on a violation."""
     report = validate(instance)
     if not report.ok:
-        raise InvalidInstanceError("; ".join(report.violations))
+        raise InvalidInstanceError("; ".join(report.violations), report.violations)
     return measure(instance)
 
 

@@ -113,7 +113,8 @@ def test_schedule_refuses_an_invalid_instance(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert lines and all(line.startswith("invalid: ") for line in lines)
+    violations = instance_mod.validate(instance_mod.decode(path.read_text())).violations
+    assert lines == [f"invalid: {violation}" for violation in violations]
     assert "repeated" in captured.err
 
 
@@ -209,6 +210,7 @@ def test_lowerbound_solve_the_fixture(capsys):
 @pytest.mark.parametrize("argv, out", [
     (["analyze", FIG1], "C=2 D=4 ok\n"),
     (["lowerbound", "solve", str(FIXTURES / "lb-n2.json")], "optimal_makespan=8 C=2 D=7\n"),
+    (["schedule", FIG1, "--out", os.devnull], ""),
 ])
 def test_a_command_validates_its_instance_once(monkeypatch, capsys, argv, out):
     calls = []

@@ -119,7 +119,7 @@ def duty_levels(tree):
 def test_assigned_level_frozen_example():
     # depth 2, positions 1..8
     tree = dissect_shifted(build_ladder(32, 2))
-    assert tree.depth == 2
+    assert tree.ladder.depth == 2
     owner = duty_levels(tree)
     expected = {1: 2, 3: 2, 5: 2, 7: 2, 2: 1, 6: 1, 4: None, 8: None}
     for pos, level in expected.items():
@@ -132,7 +132,7 @@ def test_assigned_level_counts():
             if length < delta:
                 continue
             tree = dissect_shifted(build_ladder(length, delta))
-            depth = tree.depth
+            depth = tree.ladder.depth
             if depth == 0:
                 continue
             counts = {}

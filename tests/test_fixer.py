@@ -11,6 +11,7 @@ import pytest
 from cd_router import delay_model
 from cd_router import fixer as fixer_mod
 from cd_router import instance as instance_mod
+from cd_router import oracle
 from cd_router.delay_model import DelayAssignment, crossing_time, expected_load
 from cd_router.dissection import build_ladder, dissect_plain, dissect_shifted
 from cd_router.fixer import (
@@ -548,21 +549,40 @@ def _clear_trees():
 def test_pipeline_builds_the_position_columns_once(monkeypatch):
     _clear_trees()
     calls = []
-    terms = delay_model.position_terms
-    monkeypatch.setattr(delay_model, "position_terms", lambda tree, pos: calls.append(pos) or terms(tree, pos))
+    contribution = delay_model._contribution
+
+    def counted(tree, level, pos):
+        calls.append((level, pos))
+        return contribution(tree, level, pos)
+
+    monkeypatch.setattr(delay_model, "_contribution", counted)
     for kind in ("plain", "buffered"):
         calls.clear()
-        # plain fixes three levels and buffered two; every attempt and the
-        # final waits read the same columns
+        # plain fixes three levels and buffered two; every attempt, every
+        # residual law and the final waits read the same columns
         result = run_pipeline(shared_path_instance(8, 300), FixerConfig(variant=kind, delta=2))
         assert result.report.levels
-        assert sorted(calls) == list(range(1, result.padded.length + 1))
+        n_levels, length = len(result.tree.ladder.levels), result.padded.length
+        assert sorted(calls) == [(level, pos) for level in range(n_levels) for pos in range(1, length + 1)]
         # the columns live on the tree, which every run on its ladder shares
         calls.clear()
         again = run_pipeline(shared_path_instance(5, 400), FixerConfig(variant=kind, delta=2, seed=1))
         assert again.padded.length == result.padded.length
         assert again.tree is result.tree
         assert calls == []
+
+
+def test_a_tree_is_keyed_on_its_levels_not_on_delta():
+    # D' = 16 is one level at delta 4 and at delta 5
+    inst = shared_path_instance(8, 16)
+    for kind, dissect in (("plain", dissect_plain), ("buffered", dissect_shifted)):
+        _clear_trees()
+        first = run_pipeline(inst, FixerConfig(variant=kind, delta=4))
+        second = run_pipeline(inst, FixerConfig(variant=kind, delta=5))
+        assert second.tree is first.tree
+        info = dissect.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert (first.report.delta, second.report.delta) == (4, 5)
 
 
 def test_runs_on_one_ladder_share_one_read_only_tree():
@@ -796,7 +816,10 @@ def test_schedule_matches_crossing_times_property():
         randomize_remaining(assignment, random.Random(draws_seed))
         schedule = schedule_from_assignment(padded, tree, assignment)
         for packet in range(padded.padded.n_packets):
-            assert schedule.crossing_slots(packet) == [
+            # `crossing_time` reads the tree's columns, as the schedule does;
+            # the oracle's walker re-derives the slots from the waiting rules
+            walked = oracle._walk_slots(oracle._policy_waits(tree, assignment.values[packet]), padded.length)
+            assert schedule.crossing_slots(packet) == walked == [
                 crossing_time(tree, assignment, packet, pos) for pos in range(1, padded.length + 1)
             ]
 
