@@ -211,7 +211,7 @@ def _bench_one(job: tuple[int, str, str, int]) -> tuple[dict | None, str | None]
     start = time.perf_counter()
     try:
         result = run_pipeline(instance, config)
-    except (FixerError, OracleCapacityError) as exc:
+    except FixerError as exc:
         return None, f"job {index} ({variant}): {exc}"
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     r = result.report
@@ -233,9 +233,6 @@ def _bench_one(job: tuple[int, str, str, int]) -> tuple[dict | None, str | None]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite != "random":
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_USAGE
     jobs = [
         (i, f"{args.seed}/bench{i}", variant, args.delta)
         for i in range(args.count)
@@ -317,7 +314,6 @@ def build_parser() -> _Parser:
     q.set_defaults(func=cmd_lowerbound_margin)
 
     p = sub.add_parser("bench", help="run pipeline benchmarks, emit CSV")
-    p.add_argument("--suite", default="random")
     p.add_argument("--count", type=_int_at_least(1), default=10)
     p.add_argument("--delta", type=_int_at_least(2), default=4)
     p.add_argument("--seed", default="0")

@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
+from math import prod
 from operator import add, getitem
 from typing import NamedTuple
 
@@ -225,13 +226,19 @@ def expected_load(
 ) -> dict[tuple[str, int], float]:
     """Conditional expected number of crossings per (edge, slot).
 
-    Sum of independent per-packet crossing laws; with nothing fixed this
-    never exceeds 1 because padding guarantees congestion <= path length.
+    Sum of independent per-packet crossing laws, each the position's
+    `crossing_distribution`: the open levels' law, computed once per
+    position, shifted by the packet's fixed slot there. With nothing fixed
+    this never exceeds 1 because padding guarantees congestion <= path
+    length.
     """
+    frontier = assignment.frontier
+    laws = [residual_law(tree, frontier, pos) for pos in range(1, tree.length + 1)]
+    total = prod(lv.wait_budget for lv in tree.ladder.levels[frontier:])
     table: dict[tuple[str, int], float] = {}
     for packet, path in enumerate(padded.padded.paths):
-        for pos, edge_id in enumerate(path, start=1):
-            for slot, p in crossing_distribution(tree, assignment, packet, pos).items():
-                key = (edge_id, slot)
-                table[key] = table.get(key, 0.0) + p
+        for edge_id, base, law in zip(path, assignment.fixed_slots(packet, frontier), laws):
+            for t, c in law:
+                key = (edge_id, base + t)
+                table[key] = table.get(key, 0.0) + c / total
     return table

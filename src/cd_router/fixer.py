@@ -1,40 +1,28 @@
 """Turning random waiting into concrete schedules, level by level.
 
 Each level's draws are pinned so that no (edge, slot) cell's conditional
-expected load exceeds the running target plus a per-level slack; a
-constructive resampling loop (redraw exactly the variables a bad cell
-depends on) is the default, with a greedy min-max sweep as the alternative.
-The expected loads are exact integers, held per level by `_LevelWorkspace`,
-whose docstring gives their layout. A resample step costs its cell writes:
-each redrawn variable's items move from the old draw to the new one in one
-pass (`move`), and a redraw that repeats the old draw writes nothing. Whatever
-stays random after the last fixed level is finalized arbitrarily.
+expected load exceeds the running target plus a per-level slack: by a
+resampling loop that redraws exactly the variables a bad cell depends on,
+the default, or by a greedy min-max sweep. The expected loads are exact
+integers, held per level by `_LevelWorkspace`, whose docstring gives their
+layout. Whatever stays random after the last fixed level is finalized
+arbitrarily.
 
-The fully fixed assignment is realized once, at the real positions only:
-`finalize` turns each packet's first m slots, for a path of m edges, into
-waits through `waits_from_slots`, the inverse of `Schedule.crossing_slots`;
-the padded schedule is built on first read (`PipelineResult.padded_schedule`).
-The crossings are ranked once per run: `finalize` calls `realized_loads` (how
-many packets of lower id share each crossing's (edge, slot) cell), certifies
-the integral load c = 1 + the largest rank against the counting bound
-c <= gamma * prod(open budgets), and hands the ranks on; `stretch` places
-each crossing from them when it expands every slot into c slots, which
-yields a capacity-1 schedule.
+`finalize` turns each packet's slots at its real positions into waits
+(`waits_from_slots`, the inverse of `Schedule.crossing_slots`), ranks the
+crossings once (`realized_loads`: how many packets of lower id share each
+crossing's (edge, slot) cell), certifies the integral load c = 1 + the
+largest rank against the counting bound c <= gamma * prod(open budgets),
+and hands the ranks to `stretch`, which expands every slot into c slots to
+give a capacity-1 schedule. At load 1 `stretch` hands back the pre-stretch
+schedule, and its replay is also the capacity-1 check's.
 
-What is still random about a crossing depends on its position alone. The
-dissection and its per-position columns depend on the ladder and the
-variant alone, so each is built once per process, on the first run that
-asks for it, and shared read-only by every later one (`dissect_plain`,
-`dissect_shifted`, `tree.columns`). A packet's fixed draws become its slot
-at every position in one column-wise pass (`DelayAssignment.fixed_slots`),
-which every level workspace and the final waits use; no (packet, position)
-pair gets an object or a call of its own.
-
-The crossings that share an edge, and every slot they could reach at any
-level, are indexed once per run (`_CrossingIndex`) and read by every
-`fix_level` attempt and the greedy finalize, so a level workspace computes
-only what its level changes. At load 1 `stretch` hands back the
-pre-stretch schedule, and its replay is also the capacity-1 check's.
+What is still random about a crossing depends on its position alone: the
+dissection and its per-position columns (`tree.columns`) are shared by every
+run on a ladder and variant, and a packet's fixed draws become its slot at
+every position in one column-wise pass (`DelayAssignment.fixed_slots`). The
+crossings that share an edge, and every slot they could reach at any
+level, are indexed once per run (`_CrossingIndex`).
 """
 from __future__ import annotations
 
@@ -45,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, compress, pairwise, repeat
 from math import floor, inf, prod
-from operator import add, not_, sub
+from operator import add, sub
 from typing import ClassVar
 
 from .delay_model import AssignmentError, DelayAssignment, Tree, residual_law
@@ -141,8 +129,7 @@ class _CrossingIndex:
     (packet, position) crossing of a shared edge, is `rows[i]` and `pos[i]`
     (position index p, for edge position p + 1); items go in packet order
     and, within a packet, in position order. `shared[k]` masks packet k's
-    real positions that are items, and `private[k]` lists its other
-    positions, dummy ones up to the padded `length` included.
+    real positions that are items.
 
     Row r spans slots `lo[r]` .. `lo[r] + widths[r] - 1`, the ladder-wide
     reach of its items: each position's offset plus the least and the
@@ -160,11 +147,6 @@ class _CrossingIndex:
         paths = padded.base.paths
         positions = range(padded.length)
         self.shared = [list(map(row_of.__contains__, path)) for path in paths]
-        # positions past the real path are its private dummy edges
-        self.private = [
-            list(chain(compress(positions, map(not_, mask)), positions[len(mask):]))
-            for mask in self.shared
-        ]
         self.rows = list(chain.from_iterable(
             map(row_of.__getitem__, compress(path, mask)) for path, mask in zip(paths, self.shared)
         ))
@@ -200,50 +182,47 @@ class _LevelWorkspace:
     """Y(edge, slot) as a function of this level's draws, updated in place.
 
     Y is held in exact integers, in units of 1/`scale`, where `scale` is the
-    product of the budgets of this level and of every deeper level.
-
-    Y is a list of slot rows, one per edge that two or more padded paths
-    use, laid out by the run's `_CrossingIndex`:
-    `edges[r]` is row r's edge and `lo[r]` its first slot, so cell
-    (edges[r], lo[r] + i) is `y[r][i]`. A row spans the ladder-wide reach
-    of its items, so every level's rows have the same `lo` and length.
+    product of the budgets of this level and of every deeper level. It is a
+    list of slot rows, one per edge that two or more padded paths use, laid
+    out by the run's `_CrossingIndex`: cell (edges[r], lo[r] + i) is
+    `y[r][i]`, and every level's rows have the same `lo` and length.
 
     Item i, a (packet, position) crossing of a shared edge, is four flat
     ints: `rows[i]` and `pos[i]` from the index, `bases[i]` (its slot before
     this level's delay, relative to its row's `lo`) and `var[i]` (packet *
-    n_blocks + block, the variable whose draw moves it). What is still
-    random is a function of the position alone, so it is held once per
-    position, and computed once per distinct law: the delay per draw,
-    `delays[p]`; the law of the deeper open levels at weight `budget`,
-    `weighted[p]`, as (offset, value) pairs; its offsets as a set,
-    `offsets[p]`; and, on first read, which only the greedy sweep makes,
-    the law of this level and the deeper ones, `blurs[p]`. A packet's fixed
-    draws only shift `bases`, computed a column at a time by
-    `DelayAssignment.fixed_slots`.
+    n_blocks + block, the variable whose draw moves it). Items go in packet
+    order and, within a packet, in position order, and a block index never
+    falls as the position grows, so a variable's items are contiguous:
+    `by_var[v]` is a range, found by bisection.
 
-    Items go in packet order and, within a packet, in position order, and a
-    block index never falls as the position grows, so a variable's items
-    are contiguous: `by_var[v]` is a range, found by bisection. A bad cell's
-    dependents are found through the index's `by_row`: an item is one when
-    the cell's offset from its slot is in `offsets[p]`.
+    A draw is 1 .. `budget`, and draw 0 means the variable is still open.
+    What is still random is a function of the position alone, so it is held
+    once per position, and computed once per distinct law: the delay of
+    draw d, `delays[p][d]` (0 at draw 0); the law of the deeper open levels
+    at weight `budget`, `weighted[p]`, as (offset, value) pairs; its offsets
+    as a set, `offsets[p]`; and, on first read, which only the greedy sweep
+    makes, the law of this level and the deeper ones, `blurs[p]`, which is
+    what an open variable adds at its base slot. A packet's fixed draws only
+    shift `bases`, computed a column at a time by
+    `DelayAssignment.fixed_slots`. A bad cell's dependents are found through
+    the index's `by_row`: an item is one when the cell's offset from its
+    slot is in `offsets[p]`.
 
-    Y has four writers. `fill` adds every item at its draw into a zero Y.
-    `move` redraws one variable: one pass over its items takes each one's
-    weighted law off at the old slot and puts it on at the new one, and the
-    resampling loop skips it when the redraw repeats the old draw. The
-    greedy sweep uses the other two, each one pass over a variable's items
-    that adds them (sign +1) or takes them off (-1): `add_blur` writes each
-    item's blur at its base slot, while the variable is open, and `spread`
-    writes its weighted law at one draw, once the variable is fixed.
+    Y has three writers. `fill` adds every item at its draw into a zero Y.
+    `spread` adds (sign +1) or takes off (-1) one variable's items at one
+    draw, each at its blur at draw 0. `move` redraws a variable in one pass
+    over its items, and the resampling loop skips it when the redraw repeats
+    the old draw.
 
-    An edge that one packet uses holds a single item at weight `budget`, so
-    none of its cells exceeds `scale`; the limit `floor(target * scale)` has
-    target > 1, so such a cell is never bad, and the edge gets no row. So
-    does every dummy position, past a real path's end up to `length`; it
-    is counted from the path's length, and no dummy edge is built. Its
-    largest cell is `budget` times the largest count of its tail law under
-    every draw; `solo[v]` keeps the largest such count per variable, and
-    `max_y` and `peak` take it into their maximum.
+    An edge that one packet uses gets no row, nor does a dummy position: it
+    holds a single item at weight `budget`, so none of its cells exceeds
+    `scale`, and the limit `floor(target * scale)` has target > 1. Its
+    largest cell is `budget` times the largest count of its deeper law.
+    `ceiling[b]` is the largest such count over every position of block b,
+    and `peak`, `max_y` and `first_bad_cell` take `budget` times it into
+    their maximum. That the shared positions count too changes none of
+    them: Y is never negative, so an added shared item's own cells hold at
+    least `budget` times its law's counts.
 
     The first bad cell is in the first row whose maximum exceeds the limit.
     The built-in `max` scans a row far faster than a heap or per-row maxima
@@ -262,7 +241,7 @@ class _LevelWorkspace:
         # what is still random at a position depends only on its delay
         # tables for this level and the deeper ones, and few positions
         # differ in those
-        identity = tuple(range(1, self.budget + 1))
+        identity = tuple(range(self.budget + 1))
         laws: dict[tuple, tuple] = {}
         per_position = []
         deeper = (repeat(None) if t is None else t for t in columns.tables[level:])
@@ -272,52 +251,56 @@ class _LevelWorkspace:
                 tail = residual_law(tree, level + 1, p + 1)
                 law = laws[key] = (
                     p,  # the first position with this law, where `blurs` computes it
-                    identity if key[0] is None else key[0],
+                    identity if key[0] is None else (0, *key[0]),
                     [(dt, self.budget * count) for dt, count in tail],
                     frozenset(dt for dt, _ in tail),
                     max(count for _, count in tail),
                 )
             per_position.append(law)
-        self.alike, self.delays, self.weighted, self.offsets, peak = (
+        self.alike, self.delays, self.weighted, self.offsets, tops = (
             list(c) for c in zip(*per_position)
         )
         block_of = columns.blocks[level]
+        self.ceiling = ceiling = [0] * n_blocks
+        for b, top in zip(block_of, tops):
+            if top > ceiling[b]:
+                ceiling[b] = top
+        self.unshared_max = self.budget * max(ceiling)
         bases: list[int] = []
         var: list[int] = []
-        self.solo = solo = [0] * (len(index.shared) * n_blocks)
-        for packet, (mask, private) in enumerate(zip(index.shared, index.private)):
+        for packet, mask in enumerate(index.shared):
             first = packet * n_blocks
             bases.extend(compress(assignment.fixed_slots(packet, level), mask))
             var.extend(compress(map(first.__add__, block_of), mask))
-            for p in private:
-                v = first + block_of[p]
-                if peak[p] > solo[v]:
-                    solo[v] = peak[p]
         self.var = var
         self.bases = list(map(sub, bases, map(index.lo.__getitem__, index.rows)))
-        bounds = [bisect_left(var, v) for v in range(len(solo) + 1)]
+        bounds = [bisect_left(var, v) for v in range(len(index.shared) * n_blocks + 1)]
         self.by_var = [range(a, b) for a, b in pairwise(bounds)]
         self.y: list[list[int]] = [[0] * width for width in index.widths]
-        self.solo_max = max(solo, default=0)
 
     def fill(self, draws: list[int]) -> None:
         """Add every item's law at weight `budget`, given the draws per variable, into a zero Y."""
         y, delays, weighted = self.y, self.delays, self.weighted
         for r, base, p, v in zip(self.rows, self.bases, self.pos, self.var):
             row = y[r]
-            slot0 = base + delays[p][draws[v] - 1]
+            slot0 = base + delays[p][draws[v]]
             for dt, value in weighted[p]:
                 row[slot0 + dt] += value
 
     def spread(self, var: int, draw: int, sign: int) -> None:
-        """Add (`sign` +1) or take off (-1) the variable's items' laws, at weight `budget`, at `draw`."""
-        y, delays, weighted = self.y, self.delays, self.weighted
+        """Add (`sign` +1) or take off (-1) the variable's items at `draw`.
+
+        Each item adds its law at weight `budget`, or its blur while the
+        variable is open (draw 0).
+        """
+        y, delays = self.y, self.delays
+        laws = self.blurs if draw == 0 else self.weighted
         items = self.by_var[var]
         a, b = items.start, items.stop
         for r, base, p in zip(self.rows[a:b], self.bases[a:b], self.pos[a:b]):
             row = y[r]
-            slot0 = base + delays[p][draw - 1]
-            for dt, value in weighted[p]:
+            slot0 = base + delays[p][draw]
+            for dt, value in laws[p]:
                 row[slot0 + dt] += sign * value
 
     def move(self, var: int, old: int, new: int) -> None:
@@ -328,7 +311,7 @@ class _LevelWorkspace:
         for r, base, p in zip(self.rows[a:b], self.bases[a:b], self.pos[a:b]):
             row = y[r]
             at = delays[p]
-            gone, come = base + at[old - 1], base + at[new - 1]
+            gone, come = base + at[old], base + at[new]
             for dt, value in weighted[p]:
                 row[gone + dt] -= value
                 row[come + dt] += value
@@ -343,16 +326,6 @@ class _LevelWorkspace:
         laws = {p: residual_law(self.tree, self.level, p + 1) for p in set(self.alike)}
         return [laws[p] for p in self.alike]
 
-    def add_blur(self, var: int, sign: int) -> None:
-        """Add (`sign` +1) or take off (-1) the variable's items while it is open, each at its blur."""
-        y, blurs = self.y, self.blurs
-        items = self.by_var[var]
-        a, b = items.start, items.stop
-        for r, base, p in zip(self.rows[a:b], self.bases[a:b], self.pos[a:b]):
-            row = y[r]
-            for dt, count in blurs[p]:
-                row[base + dt] += sign * count
-
     def peak(self, var: int, draw: int) -> int:
         """Max Y over the variable's cells, its unshared ones included, were it added at `draw`.
 
@@ -360,16 +333,16 @@ class _LevelWorkspace:
         an edge once, so no two items of one variable share a cell.
         """
         y, rows, bases, pos, delays, weighted = self.y, self.rows, self.bases, self.pos, self.delays, self.weighted
-        peak = self.budget * self.solo[var]
+        peak = self.budget * self.ceiling[var % self.n_blocks]
         for i in self.by_var[var]:
             p = pos[i]
             row = y[rows[i]]
-            slot0 = bases[i] + delays[p][draw - 1]
+            slot0 = bases[i] + delays[p][draw]
             peak = max(peak, max(row[slot0 + dt] + value for dt, value in weighted[p]))
         return peak
 
     def max_y(self) -> int:
-        return max(self.budget * self.solo_max, max(map(max, self.y), default=0))
+        return max(self.unshared_max, max(map(max, self.y), default=0))
 
     def first_bad_cell(self, limit: int) -> tuple[tuple[int, int] | None, int]:
         """(row, index) of the least (edge id, slot) cell above `limit`, and a maximum.
@@ -377,7 +350,7 @@ class _LevelWorkspace:
         The scan stops at the first bad row, whose maximum comes second;
         with no bad cell it reads every row, and max Y comes second.
         """
-        peak = self.budget * self.solo_max
+        peak = self.unshared_max
         for r, row in enumerate(self.y):
             top = max(row)
             if top > limit:
@@ -393,7 +366,7 @@ class _LevelWorkspace:
         found: set[int] = set()
         for i in self.index.by_row[row]:
             p, v = pos[i], var[i]
-            if index - bases[i] - delays[p][draws[v] - 1] in offsets[p]:
+            if index - bases[i] - delays[p][draws[v]] in offsets[p]:
                 found.add(v)
         return sorted(found)
 
@@ -446,11 +419,11 @@ def _greedy_fix(ws: _LevelWorkspace) -> tuple[list[list[int]], int]:
     Takes a freshly built workspace.
     """
     n_vars = len(ws.by_var)
+    draws = [0] * n_vars  # every variable open
     for var in range(n_vars):
-        ws.add_blur(var, +1)
-    draws = [1] * n_vars
+        ws.spread(var, 0, +1)
     for var in range(n_vars):
-        ws.add_blur(var, -1)
+        ws.spread(var, 0, -1)
         # the first draw with the least maximum
         draws[var] = best = min(range(1, ws.budget + 1), key=lambda draw: ws.peak(var, draw))
         ws.spread(var, best, +1)

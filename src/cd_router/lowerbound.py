@@ -33,6 +33,17 @@ class LowerBoundInstance:
         return 2 * self.n + 3
 
 
+def _gadget_path(perm: tuple[int, ...]) -> list[str]:
+    """The gadget path that crosses the critical edges in the order `perm`."""
+    path = ["s_sp", f"sp_u{perm[0]}", f"crit_{perm[0]}"]
+    for prev, nxt in zip(perm, perm[1:]):
+        path.append(f"back_{prev}_{nxt}")
+        path.append(f"crit_{nxt}")
+    path.append(f"back_{perm[-1]}_{len(perm) + 1}")
+    path.append("out")
+    return path
+
+
 def generate(n: int, seed: int | str = 0) -> LowerBoundInstance:
     """Gadget with n critical edges; each packet visits them in random order."""
     if n < 1:
@@ -56,17 +67,7 @@ def generate(n: int, seed: int | str = 0) -> LowerBoundInstance:
         rng.shuffle(perm)
         permutations.append(tuple(perm))
 
-    paths = []
-    for perm in permutations:
-        path = ["s_sp", f"sp_u{perm[0]}", f"crit_{perm[0]}"]
-        for prev, nxt in zip(perm, perm[1:]):
-            path.append(f"back_{prev}_{nxt}")
-            path.append(f"crit_{nxt}")
-        path.append(f"back_{perm[-1]}_{n + 1}")
-        path.append("out")
-        paths.append(path)
-
-    instance = Instance(nodes=nodes, edges=edges, paths=paths)
+    instance = Instance(nodes=nodes, edges=edges, paths=[_gadget_path(perm) for perm in permutations])
     stats(instance)  # raises InvalidInstanceError on a broken gadget
     return LowerBoundInstance(n=n, permutations=tuple(permutations), instance=instance)
 
@@ -89,6 +90,10 @@ def deserialize(text: str) -> LowerBoundInstance:
         if type(p) is not list or any(type(x) is not int for x in p) or sorted(p) != list(range(1, n + 1)):
             raise InvalidInstanceError(f"permutations: row {i} is not a permutation of 1..{n}: {p!r}")
     permutations = tuple(map(tuple, perms))
+    for i, (path, perm) in enumerate(zip(instance.paths, permutations)):
+        if path != _gadget_path(perm):
+            raise InvalidInstanceError(f"path {i} is not the gadget path of its permutation {list(perm)}")
+    stats(instance)  # raises InvalidInstanceError on a broken gadget
     return LowerBoundInstance(n=n, permutations=permutations, instance=instance)
 
 

@@ -1,7 +1,9 @@
 """Command-line behavior: output lines, file artifacts, exit codes."""
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -305,9 +307,11 @@ def test_bench_reports_a_failed_job_and_keeps_the_other_rows(tmp_path, monkeypat
 
 
 def test_bench_unknown_suite(tmp_path, capsys):
-    code = main(["bench", "--suite", "exhaustive", "--out", str(tmp_path / "x.csv")])
-    assert code == EXIT_USAGE
-    assert "unknown suite" in capsys.readouterr().err
+    # `bench` runs the random suite only, so it takes no --suite
+    out = tmp_path / "x.csv"
+    assert main(["bench", "--suite", "random", "--out", str(out)]) == EXIT_USAGE
+    assert "unrecognized arguments: --suite random" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_64(capsys):
@@ -415,3 +419,32 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "C=2 D=4 ok\n"
+
+
+def _leaf_parsers(parser: argparse.ArgumentParser, prefix: tuple[str, ...] = ()):
+    """(command words, parser) for every subcommand that takes no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaf_parsers(sub, prefix + (name,))
+
+
+def test_readme_synopses_list_each_subcommands_arguments():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listing = readme.split("Subcommands and flags:", 1)[1].split("\nExit codes:", 1)[0]
+    spans = [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", listing)]
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    assert len(leaves) == 7
+    for command, parser in leaves.items():
+        # a synopsis is the command words followed by its arguments
+        synopses = [span for span in spans if span.startswith(command + " ")]
+        assert len(synopses) == 1, (command, synopses)
+        words = re.findall(r"[^\s\[\]]+", synopses[0])[len(command.split()):]
+        flags = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+        assert {w for w in words if w.startswith("--")} == flags - {"--help"}, command
+        positionals = [
+            w for before, w in zip(["", *words], words) if w.isupper() and not before.startswith("--")
+        ]
+        assert positionals == [a.dest.upper() for a in parser._actions if not a.option_strings], command

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cd_router import delay_model
 from cd_router.delay_model import (
     AssignmentError,
     DelayAssignment,
@@ -206,6 +207,33 @@ def test_expected_load_initial_bound_and_single_packet_mass():
     for (eid, _), v in table.items():
         per_edge[eid] = per_edge.get(eid, 0.0) + v
     assert all(abs(v - 1.0) <= 1e-12 for v in per_edge.values())
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+def test_expected_load_computes_each_positions_law_once(monkeypatch, kind):
+    # D' = 64 positions crossed by 8 packets: one open law per position,
+    # not one per crossing, and the sum of the crossings' laws all the same
+    padded = pad(shared_path_instance(8, 64))
+    tree = (dissect_plain if kind == "plain" else dissect_shifted)(build_ladder(padded.length, 2))
+    assignment = DelayAssignment(tree, padded.padded.n_packets)
+    rng = random.Random(f"expected-load/{kind}")
+    for frontier in range(assignment.n_levels + 1):
+        reference: dict[tuple[str, int], float] = {}
+        for packet, path in enumerate(padded.padded.paths):
+            for pos, edge_id in enumerate(path, start=1):
+                for slot, p in crossing_distribution(tree, assignment, packet, pos).items():
+                    reference[edge_id, slot] = reference.get((edge_id, slot), 0.0) + p
+        calls = []
+        monkeypatch.setattr(delay_model, "residual_law", lambda *args: calls.append(args) or residual_law(*args))
+        assert expected_load(padded, tree, assignment) == reference
+        monkeypatch.undo()
+        assert len(calls) == padded.length == 64
+        if not assignment.fully_fixed:
+            budget = tree.ladder.levels[frontier].wait_budget
+            assignment.set_level(frontier, [
+                [rng.randint(1, budget) for _ in range(tree.n_blocks(frontier))]
+                for _ in range(assignment.n_packets)
+            ])
 
 
 def prob_range_frontier_sweep(kind):

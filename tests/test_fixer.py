@@ -126,7 +126,7 @@ def test_workspace_rows_match_a_table_rebuilt_from_the_draws(monkeypatch, name, 
                     # and no wider than level 0 reaches under some draw
                     blurred = _LevelWorkspace(index, assignment, level)
                     for var in range(len(blurred.by_var)):
-                        blurred.add_blur(var, +1)
+                        blurred.spread(var, 0, +1)
                     assert all(row[0] and row[-1] for row in blurred.y)
                 assert (ws.lo, list(map(len, ws.y))) == reach, level
                 slack = config.slack(ladder.levels[level].block_len, 1.0)
@@ -233,7 +233,7 @@ def _per_draw_blur(ws: _LevelWorkspace, variables) -> list[list[int]]:
         for draw in range(1, ws.budget + 1):
             for i in ws.by_var[var]:
                 p = ws.pos[i]
-                slot0 = ws.bases[i] + ws.delays[p][draw - 1]
+                slot0 = ws.bases[i] + ws.delays[p][draw]
                 for dt, count in delay_model.residual_law(ws.tree, ws.level + 1, p + 1):
                     y[ws.rows[i]][slot0 + dt] += count
     return y
@@ -249,13 +249,68 @@ def test_blur_equals_a_spread_over_every_draw(name, kind):
         levels.append(ws.level)
         n_vars = len(ws.by_var)
         for var in range(n_vars):
-            ws.add_blur(var, +1)
+            ws.spread(var, 0, +1)
         assert ws.y == _per_draw_blur(ws, range(n_vars)), ws.level
         off = set(rng.sample(range(n_vars), rng.randint(1, n_vars)))
         for var in off:
-            ws.add_blur(var, -1)
+            ws.spread(var, 0, -1)
         assert ws.y == _per_draw_blur(ws, [v for v in range(n_vars) if v not in off]), ws.level
     assert levels == list(range(len(levels))) and len(levels) >= 2
+
+
+def _private_ceiling(ws: _LevelWorkspace, tails, var: int) -> int:
+    """The largest deeper-law count over the variable's unshared positions.
+
+    `tails[p]` is position p's deeper law. A variable's unshared positions
+    are its block's positions that are not items, dummy ones included.
+    """
+    packet, block = divmod(var, ws.n_blocks)
+    mask = ws.index.shared[packet]
+    blocks = ws.tree.columns.blocks[ws.level]
+    return max(
+        (
+            max(c for _, c in tails[p]) for p in range(ws.index.length)
+            if blocks[p] == block and not (p < len(mask) and mask[p])
+        ),
+        default=0,
+    )
+
+
+def _private_peak(ws: _LevelWorkspace, tails, var: int, draw: int) -> int:
+    """`peak` by the definition, with the variable's private ceiling."""
+    table = ws.tree.columns.tables[ws.level]
+    peak = ws.budget * _private_ceiling(ws, tails, var)
+    for i in ws.by_var[var]:
+        p = ws.pos[i]
+        slot0 = ws.bases[i] + (draw if table is None else table[p][draw - 1])
+        for dt, count in tails[p]:
+            peak = max(peak, ws.y[ws.rows[i]][slot0 + dt] + ws.budget * count)
+    return peak
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+@pytest.mark.parametrize("name", ["shared-30x32", "accept2/8"])
+def test_peak_with_a_block_ceiling_equals_a_per_variable_private_one(name, kind):
+    # the ceiling also counts the shared positions of the block, whose own
+    # cells hold at least as much once Y is read plus the variable's laws
+    rng = random.Random(f"peak/{name}/{kind}")
+    levels, differs = [], 0
+    for args in _level_workspace_args(name, kind, rng):
+        ws = _LevelWorkspace(*args)
+        levels.append(ws.level)
+        tails = [delay_model.residual_law(ws.tree, ws.level + 1, p + 1) for p in range(ws.index.length)]
+        n_vars = len(ws.by_var)
+        for var in range(n_vars):
+            ws.spread(var, 0, +1)
+        # the greedy sweep's own steps, every draw of every variable probed
+        for var in range(n_vars):
+            ws.spread(var, 0, -1)
+            peaks = [ws.peak(var, draw) for draw in range(1, ws.budget + 1)]
+            assert peaks == [_private_peak(ws, tails, var, draw) for draw in range(1, ws.budget + 1)]
+            differs += ws.ceiling[var % ws.n_blocks] != _private_ceiling(ws, tails, var)
+            ws.spread(var, 1 + peaks.index(min(peaks)), +1)
+    assert levels == list(range(len(levels))) and len(levels) >= 2
+    assert differs  # some variable's block ceiling exceeds its private one
 
 
 @pytest.mark.parametrize("strategies, blurred", [

@@ -82,6 +82,42 @@ def test_deserialize_rejects_a_bad_permutation_sidecar(perms, match):
         lb.deserialize(json.dumps(doc))
 
 
+def test_deserialize_rejects_a_sidecar_that_contradicts_the_paths():
+    doc = json.loads(lb.serialize(lb.generate(3, 0)))
+    perms = doc["permutations"]
+    perms[0], perms[1] = perms[1], perms[0]
+    assert perms[0] != perms[1]
+    with pytest.raises(InvalidInstanceError, match=r"path 0 is not the gadget path of its permutation \[2, 1, 3\]"):
+        lb.deserialize(json.dumps(doc))
+
+
+def test_deserialize_rejects_an_instance_that_is_no_gadget():
+    doc = json.loads(encode(shared_path_instance(2, 2)))
+    doc["paths"][1] = doc["paths"][1][:1]  # paths of 2 and 1 edges
+    doc["permutations"] = [[1, 2], [2, 1]]
+    with pytest.raises(InvalidInstanceError, match="path 0 is not the gadget path"):
+        lb.deserialize(json.dumps(doc))
+
+
+def test_deserialize_validates_the_gadget():
+    text = lb.serialize(lb.generate(2))
+    doc = json.loads(text)
+    doc["paths"][1][3] = "nope"
+    with pytest.raises(InvalidInstanceError, match="path 1 is not the gadget path"):
+        lb.deserialize(json.dumps(doc))
+    # the gadget's paths, on a graph that does not carry them
+    doc = json.loads(text)
+    doc["edges"] = [e for e in doc["edges"] if e["id"] != "out"]
+    with pytest.raises(InvalidInstanceError, match="unknown edge out") as missing:
+        lb.deserialize(json.dumps(doc))
+    assert missing.value.violations == ("path 0: unknown edge out", "path 1: unknown edge out")
+    doc = json.loads(text)
+    crit = next(e for e in doc["edges"] if e["id"] == "crit_1")
+    crit["tail"] = "s"
+    with pytest.raises(InvalidInstanceError, match="edge crit_1 tail s does not continue from u1"):
+        lb.deserialize(json.dumps(doc))
+
+
 def test_permutations_are_uniform():
     # 10^4 draws over the 24 orderings of n=4; chi-square with 23 degrees
     # of freedom sits far below the 0.999 quantile (~49.7)

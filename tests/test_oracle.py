@@ -151,7 +151,7 @@ def assert_closed_form_matches_exhaustive(padded, tree, assignment):
     if not assignment.fully_fixed:
         ws = _LevelWorkspace(_CrossingIndex(padded, assignment), assignment, assignment.frontier)
         for var in range(len(ws.by_var)):
-            ws.add_blur(var, +1)
+            ws.spread(var, 0, +1)
     else:
         last = assignment.n_levels - 1
         ws = _LevelWorkspace(_CrossingIndex(padded, assignment), assignment, last)
@@ -169,12 +169,14 @@ def assert_closed_form_matches_exhaustive(padded, tree, assignment):
     expected = {key: value * ws.scale for key, value in table.load.items()}
     assert rows == {key: value for key, value in expected.items() if key[0] in ws.edges}
     # an unshared edge holds one packet's law: no cell of it can exceed
-    # scale, and once the level is pinned its largest cell is the largest
-    # tail count, at weight budget
+    # scale; once every level is pinned, the deeper law is a point mass, so
+    # every block's ceiling is 1 and every unshared cell holds exactly the
+    # workspace's unshared maximum, budget
     unshared = [value for key, value in expected.items() if key[0] not in ws.edges]
     assert all(value <= ws.scale for value in unshared)
     if assignment.fully_fixed:
-        assert max(unshared, default=0) == ws.budget * ws.solo_max
+        assert ws.ceiling == [1] * ws.n_blocks
+        assert all(value == ws.unshared_max == ws.budget for value in unshared)
 
 
 @pytest.mark.parametrize("kind", ["plain", "buffered"])
