@@ -136,12 +136,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         Path(args.report).write_text(
             json.dumps(result.report.to_dict(), indent=2) + "\n"
         )
-    r = result.report
-    denom = result.congestion + result.dilation
+    r, s = result.report, result.padded.stats
     print(
-        f"variant={r.variant} C={result.congestion} D={result.dilation} "
+        f"variant={r.variant} C={s.congestion} D={s.dilation} "
         f"load={r.load} gamma={r.gamma_final:.4f} makespan={r.makespan} "
-        f"ratio={r.makespan / denom:.3f}",
+        f"ratio={r.makespan / (s.congestion + s.dilation):.3f}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -214,7 +213,7 @@ def _bench_one(job: tuple[int, str, str, int]) -> tuple[dict | None, str | None]
     except FixerError as exc:
         return None, f"job {index} ({variant}): {exc}"
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    r = result.report
+    r, s = result.report, result.padded.stats
     row = {
         "instance": f"random-{index}",
         "seed": seed,
@@ -224,9 +223,9 @@ def _bench_one(job: tuple[int, str, str, int]) -> tuple[dict | None, str | None]
         "gamma": f"{r.gamma_final:.6g}",
         "load": r.load,
         "makespan": r.makespan,
-        "C": result.congestion,
-        "D": result.dilation,
-        "ratio": f"{r.makespan / (result.congestion + result.dilation):.4f}",
+        "C": s.congestion,
+        "D": s.dilation,
+        "ratio": f"{r.makespan / (s.congestion + s.dilation):.4f}",
         "ms": f"{elapsed_ms:.1f}",
     }
     return row, None
@@ -241,8 +240,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows: list[dict] = []
     errors: list[str] = []
     if args.jobs > 1:
+        # most jobs take under a millisecond, so each round trip carries a
+        # chunk: about four per worker
+        chunksize = math.ceil(len(jobs) / (4 * args.jobs))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_bench_one, jobs))
+            outcomes = list(pool.map(_bench_one, jobs, chunksize=chunksize))
     else:
         outcomes = [_bench_one(job) for job in jobs]
     for row, error in outcomes:

@@ -16,6 +16,10 @@ Everything here is exact: a residual law counts, in integers, the draw
 combinations that give each delay. Every budget is a power of two, so the
 probabilities `crossing_distribution` derives from those counts are exact
 floats.
+
+A `DelayAssignment` carries the tree its draws are over, and every crossing
+slot and law reads that tree (`assignment.tree`): no function takes a tree
+beside an assignment, so the two cannot disagree.
 """
 from __future__ import annotations
 
@@ -201,29 +205,26 @@ def residual_law(tree: Tree, from_level: int, pos: int) -> list[tuple[int, int]]
     return sorted(law.items())
 
 
-def crossing_time(tree: Tree, assignment: DelayAssignment, packet: int, pos: int) -> int:
+def crossing_time(assignment: DelayAssignment, packet: int, pos: int) -> int:
     """Slot in which `packet` crosses edge position `pos` (fully fixed only)."""
     if not assignment.fully_fixed:
         raise AssignmentError("assignment incomplete: crossing_time needs all levels fixed")
-    return fixed_slot(tree, assignment.values[packet], assignment.n_levels, pos)
+    return fixed_slot(assignment.tree, assignment.values[packet], assignment.n_levels, pos)
 
 
-def crossing_distribution(
-    tree: Tree, assignment: DelayAssignment, packet: int, pos: int
-) -> dict[int, float]:
+def crossing_distribution(assignment: DelayAssignment, packet: int, pos: int) -> dict[int, float]:
     """Exact law of the crossing slot given the fixed prefix of levels.
 
     The open levels' residual law, shifted by everything already determined.
     """
-    law = residual_law(tree, assignment.frontier, pos)
+    tree, frontier = assignment.tree, assignment.frontier
+    law = residual_law(tree, frontier, pos)
     total = sum(c for _, c in law)
-    base = fixed_slot(tree, assignment.values[packet], assignment.frontier, pos)
+    base = fixed_slot(tree, assignment.values[packet], frontier, pos)
     return {base + t: c / total for t, c in law}
 
 
-def expected_load(
-    padded: PaddedInstance, tree: Tree, assignment: DelayAssignment
-) -> dict[tuple[str, int], float]:
+def expected_load(padded: PaddedInstance, assignment: DelayAssignment) -> dict[tuple[str, int], float]:
     """Conditional expected number of crossings per (edge, slot).
 
     Sum of independent per-packet crossing laws, each the position's
@@ -232,7 +233,7 @@ def expected_load(
     this never exceeds 1 because padding guarantees congestion <= path
     length.
     """
-    frontier = assignment.frontier
+    tree, frontier = assignment.tree, assignment.frontier
     laws = [residual_law(tree, frontier, pos) for pos in range(1, tree.length + 1)]
     total = prod(lv.wait_budget for lv in tree.ladder.levels[frontier:])
     table: dict[tuple[str, int], float] = {}

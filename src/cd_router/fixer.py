@@ -20,7 +20,9 @@ schedule, and its replay is also the capacity-1 check's.
 What is still random about a crossing depends on its position alone: the
 dissection and its per-position columns (`tree.columns`) are shared by every
 run on a ladder and variant, and a packet's fixed draws become its slot at
-every position in one column-wise pass (`DelayAssignment.fixed_slots`). The
+every position in one column-wise pass (`DelayAssignment.fixed_slots`).
+Every slot and crossing law here reads the assignment's tree
+(`assignment.tree`); no function takes the tree a second time. The
 crossings that share an edge, and every slot they could reach at any
 level, are indexed once per run (`_CrossingIndex`).
 """
@@ -184,8 +186,8 @@ class _LevelWorkspace:
     Y is held in exact integers, in units of 1/`scale`, where `scale` is the
     product of the budgets of this level and of every deeper level. It is a
     list of slot rows, one per edge that two or more padded paths use, laid
-    out by the run's `_CrossingIndex`: cell (edges[r], lo[r] + i) is
-    `y[r][i]`, and every level's rows have the same `lo` and length.
+    out by the run's `_CrossingIndex`: cell (index.edges[r], index.lo[r] + i)
+    is `y[r][i]`, and every level's rows have the same `lo` and length.
 
     Item i, a (packet, position) crossing of a shared edge, is four flat
     ints: `rows[i]` and `pos[i]` from the index, `bases[i]` (its slot before
@@ -234,7 +236,7 @@ class _LevelWorkspace:
     def __init__(self, index: _CrossingIndex, assignment: DelayAssignment, level: int):
         tree, columns = assignment.tree, assignment.tree.columns
         self.index, self.tree, self.level = index, tree, level
-        self.edges, self.lo, self.rows, self.pos = index.edges, index.lo, index.rows, index.pos
+        self.rows, self.pos = index.rows, index.pos
         self.budget = tree.ladder.levels[level].wait_budget
         self.scale = prod(lv.wait_budget for lv in tree.ladder.levels[level:])
         self.n_blocks = n_blocks = tree.n_blocks(level)
@@ -432,21 +434,22 @@ def _greedy_fix(ws: _LevelWorkspace) -> tuple[list[list[int]], int]:
 
 def fix_level(
     padded: PaddedInstance,
-    tree: Tree,
+    index: _CrossingIndex,
     assignment: DelayAssignment,
     level: int,
     gamma: float,
     config: FixerConfig,
     relax: float,
-    index: _CrossingIndex,
 ) -> LevelFix:
     """Pin one level's draws so all conditional cell loads stay <= gamma + slack.
 
     Commits into the assignment on success; raises FixerError (carrying the
-    best achieved maximum) when the budgets run out. `index` is the run's
-    `_CrossingIndex`.
+    best achieved maximum) when the budgets run out. The crossings are the
+    run's `index`, and their slots read the assignment's tree. `padded` is
+    read only by the benchmark's count hook, which takes it as the first
+    argument and `config` as the sixth.
     """
-    block_len = tree.ladder.levels[level].block_len
+    block_len = assignment.tree.ladder.levels[level].block_len
     slack = config.slack(block_len, relax)
     target = max(gamma, 1.0) + slack
     ws = _LevelWorkspace(index, assignment, level)
@@ -491,14 +494,16 @@ def _parking(tree: Tree, values: list[list[int]]) -> int:
     return sum(lv.wait_budget - values[level][-1] for level, lv in enumerate(tree.ladder.levels))
 
 
-def schedule_from_assignment(
-    padded: PaddedInstance, tree: Tree, assignment: DelayAssignment
-) -> Schedule:
-    """Concrete per-node waits realizing the fully fixed policy (padded paths)."""
+def schedule_from_assignment(padded: PaddedInstance, assignment: DelayAssignment) -> Schedule:
+    """Concrete per-node waits realizing the fully fixed policy (padded paths).
+
+    The slots read the assignment's tree. `padded` is read only by the
+    benchmark's count hook, which takes it as the first argument.
+    """
     if not assignment.fully_fixed:
         raise AssignmentError("assignment incomplete: a schedule needs all levels fixed")
     return Schedule(waits=[
-        waits_from_slots(assignment.fixed_slots(packet, assignment.n_levels), _parking(tree, values))
+        waits_from_slots(assignment.fixed_slots(packet, assignment.n_levels), _parking(assignment.tree, values))
         for packet, values in enumerate(assignment.values)
     ])
 
@@ -548,7 +553,6 @@ def stretch(schedule: Schedule, load: int, ranks: list[list[int]]) -> Schedule:
 
 def finalize(
     padded: PaddedInstance,
-    tree: Tree,
     assignment: DelayAssignment,
     config: FixerConfig,
     report: FixReport,
@@ -560,8 +564,9 @@ def finalize(
     `realized_loads` ranks. Dummy positions are private and never raise a
     rank, so the real paths, each a prefix of its padded one, give the load.
     The greedy finalize fixes the open levels on the run's `index`, which
-    `ones` does not read.
+    `ones` does not read. The slots and budgets read the assignment's tree.
     """
+    tree = assignment.tree
     open_levels = tuple(range(assignment.frontier, assignment.n_levels))
     residual = prod(tree.ladder.levels[level].wait_budget for level in open_levels)
     if config.finalize_strategy == "greedy":
@@ -599,20 +604,21 @@ def finalize(
 
 @dataclass
 class PipelineResult:
-    instance: Instance
+    """What a run made. Each fact has one owner: the instance is `padded.base`,
+    its congestion and dilation are in `padded.stats`, and the tree is
+    `assignment.tree`.
+    """
+
     padded: PaddedInstance
-    tree: Tree
     assignment: DelayAssignment
     report: FixReport
     prestretch: Schedule  # load-c schedule on the original instance
     schedule: Schedule    # stretched to capacity 1 on the original instance
-    congestion: int = 0
-    dilation: int = 0
 
     @cached_property
     def padded_schedule(self) -> Schedule:
         """The same motion on the padded instance, dummy suffixes included, built on first read."""
-        return schedule_from_assignment(self.padded, self.tree, self.assignment)
+        return schedule_from_assignment(self.padded, self.assignment)
 
 
 def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> PipelineResult:
@@ -620,7 +626,6 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
     config = config or FixerConfig()
     _validated(config)
     padded = pad(instance)  # validates once
-    s = padded.stats
     delta = min(config.delta, padded.length)
     ladder = build_ladder(padded.length, delta)
     tree = dissect_plain(ladder) if config.variant == "plain" else dissect_shifted(ladder)
@@ -638,7 +643,7 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
         outcome = None
         for relax in config.relax_ladder:
             try:
-                outcome = fix_level(padded, tree, assignment, level, gamma, config, relax, index)
+                outcome = fix_level(padded, index, assignment, level, gamma, config, relax)
                 break
             except FixerError as exc:
                 log.info("level %d failed at relax %.1f: %s", level, relax, exc)
@@ -650,7 +655,7 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
         gamma = outcome.gamma_after
     report.gamma_final = gamma
 
-    prestretch, ranks = finalize(padded, tree, assignment, config, report, index)
+    prestretch, ranks = finalize(padded, assignment, config, report, index)
     del index  # not held through the replays
     pre_trace = simulate(instance, prestretch, capacity=report.load)
     report.makespan_prestretch = pre_trace.makespan
@@ -669,13 +674,9 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
     report.makespan = final_trace.makespan
 
     return PipelineResult(
-        instance=instance,
         padded=padded,
-        tree=tree,
         assignment=assignment,
         report=report,
         prestretch=prestretch,
         schedule=final_schedule,
-        congestion=s.congestion,
-        dilation=s.dilation,
     )

@@ -59,7 +59,6 @@ class ValidationReport:
 class InstanceStats:
     congestion: int
     dilation: int
-    n_packets: int
     edge_loads: dict[str, int] = field(compare=False, default_factory=dict)
 
 
@@ -113,7 +112,6 @@ def measure(instance: Instance) -> InstanceStats:
     return InstanceStats(
         congestion=max(loads.values()),
         dilation=max(len(p) for p in instance.paths),
-        n_packets=len(instance.paths),
         edge_loads=loads,
     )
 
@@ -294,8 +292,5 @@ def generate_random_instance(
             path.append(e.id)
             used.add(e.id)
             node = e.head
-        if not path:
-            e = rng.choice(out[rng.choice(starts)])
-            path = [e.id]
         paths.append(path)
     return Instance(nodes=set(node_ids), edges=edges, paths=paths)

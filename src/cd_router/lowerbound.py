@@ -182,25 +182,21 @@ def critical_crossings(lb: LowerBoundInstance, schedule: Schedule) -> dict[int, 
 
 # --- entropy counting -------------------------------------------------------
 
-def _binary_entropy(x: float) -> float:
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("entropy argument must lie in [0, 1]")
-    if x in (0.0, 1.0):
-        return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
-
-
 def phi(eps: float) -> float:
     """Entropy cost of distributing an eps fraction of extra waiting.
 
     phi(eps) = H(eps/(1+eps)) * (1+eps) with H the binary entropy; phi(0) = 0.
-    For eps in (0, 0.1] a convenient upper bound is 1.5 * eps * log2(1/eps).
+    It is computed in closed form, (eps * ln(1 + 1/eps) + ln(1 + eps)) / ln 2,
+    with ln(1 + 1/eps) taken as ln(1 + eps) - ln(eps) below eps = 1, where
+    1/eps can overflow. For eps in (0, 0.1] a convenient upper bound is
+    1.5 * eps * log2(1/eps).
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     if eps == 0:
         return 0.0
-    return _binary_entropy(eps / (1.0 + eps)) * (1.0 + eps)
+    inverse = math.log1p(1 / eps) if eps > 1 else math.log1p(eps) - math.log(eps)
+    return (eps * inverse + math.log1p(eps)) / math.log(2)
 
 
 @dataclass(frozen=True)

@@ -156,21 +156,20 @@ class ExhaustiveTable:
 
 
 def exhaustive_expectation(
-    padded: PaddedInstance,
-    tree: Tree,
-    assignment: DelayAssignment | None = None,
-    cap: int = 2**20,
+    padded: PaddedInstance, assignment: DelayAssignment, cap: int = 2**20
 ) -> ExhaustiveTable:
     """Exact expected loads and crossing laws by brute enumeration.
 
-    Positions sharing the same blocks at every level are grouped; only the
-    group's blocks are enumerated (other blocks cannot influence those
-    positions, which the walker realizes without being told). Fixed levels of
-    a partial assignment keep their values.
+    Positions sharing the same blocks at every level of the assignment's
+    tree are grouped; only the group's blocks are enumerated (other blocks
+    cannot influence those positions, which the walker realizes without
+    being told). Fixed levels keep their values; with nothing fixed, pass
+    `DelayAssignment(tree, n_packets)`.
     """
+    tree = assignment.tree
     levels = tree.ladder.levels
     n_levels = len(levels)
-    frontier = assignment.frontier if assignment is not None else 0
+    frontier = assignment.frontier
     open_levels = list(range(frontier, n_levels))
     outcome_count = 1
     for level in open_levels:
@@ -188,13 +187,11 @@ def exhaustive_expectation(
             key = tuple(tree.block_index(level, pos) for level in range(n_levels))
             groups.setdefault(key, []).append(pos)
         for key, positions in groups.items():
-            base_values: list[list[int]] = []
-            for level in range(n_levels):
-                if assignment is not None and level < frontier:
-                    row = [assignment.value(packet, level, b) for b in range(tree.n_blocks(level))]
-                else:
-                    row = [1] * tree.n_blocks(level)
-                base_values.append(row)  # type: ignore[arg-type]
+            base_values = [
+                [assignment.value(packet, level, b) for b in range(tree.n_blocks(level))]
+                if level < frontier else [1] * tree.n_blocks(level)
+                for level in range(n_levels)
+            ]
             ranges = [range(1, levels[level].wait_budget + 1) for level in open_levels]
             for combo in product(*ranges):
                 for level, draw in zip(open_levels, combo):

@@ -133,8 +133,8 @@ def test_criterion_2_initial_expectation_bound(small_suite, capfd):
     worst_gap = 0.0
     for index, padded, ladder, tree in small_suite:
         assignment = DelayAssignment(tree, padded.padded.n_packets)
-        table = expected_load(padded, tree, assignment)
-        exact = exhaustive_expectation(padded, tree)
+        table = expected_load(padded, assignment)
+        exact = exhaustive_expectation(padded, assignment)
         top = max(table.values())
         worst_max = max(worst_max, top)
         if top > 1 + 1e-9:
@@ -176,7 +176,7 @@ def test_criterion_3_probability_range_invariants(small_suite, capfd):
                 floor /= ladder.levels[level].wait_budget
             for packet, path in enumerate(padded.padded.paths):
                 for pos in range(1, len(path) + 1):
-                    law = crossing_distribution(tree, assignment, packet, pos)
+                    law = crossing_distribution(assignment, packet, pos)
                     checked += 1
                     for slot, p in law.items():
                         if p < floor - 1e-12:
@@ -208,19 +208,20 @@ def test_criterion_4_pipeline_feasibility(pipeline_suite, capfd):
     for variant in ("plain", "buffered"):
         for result in pipeline_suite[variant]:
             rep = result.report
-            trace = simulate(result.instance, result.schedule, capacity=1)
+            trace = simulate(result.padded.base, result.schedule, capacity=1)
             if trace.max_load != 1:
                 failures.append(f"{variant} {rep}: load {trace.max_load} at capacity 1")
             if rep.load > rep.counting_cap + 1e-9:
                 failures.append(f"{variant}: load {rep.load} > cap {rep.counting_cap}")
             if variant == "plain":
-                budget = result.tree.ladder.total_wait_budget()
+                budget = result.assignment.tree.ladder.total_wait_budget()
                 for packet in range(result.padded.padded.n_packets):
                     if result.padded_schedule.total_waiting(packet) != budget:
                         failures.append(f"plain packet {packet}: waiting != {budget}")
                         break
             gammas.append(rep.gamma_final)
-            ratios.append(rep.makespan / (result.congestion + result.dilation))
+            s = result.padded.stats
+            ratios.append(rep.makespan / (s.congestion + s.dilation))
     elapsed = time.perf_counter() - start + pipeline_suite["elapsed"]
     if elapsed >= 300.0:
         failures.append(f"runtime {elapsed:.1f}s >= 300s")
@@ -237,11 +238,11 @@ def test_criterion_5_buffered_edge_waits(pipeline_suite, capfd):
     failures = []
     worst = 0
     for result in pipeline_suite["buffered"]:
-        trace = simulate(result.instance, result.prestretch, capacity=result.report.load)
+        trace = simulate(result.padded.base, result.prestretch, capacity=result.report.load)
         worst = max(worst, trace.max_edge_wait)
         if trace.max_edge_wait > 1:
             failures.append(
-                f"buffered run on {result.instance.n_packets} packets: "
+                f"buffered run on {result.padded.base.n_packets} packets: "
                 f"edge wait {trace.max_edge_wait}"
             )
     elapsed = time.perf_counter() - start
@@ -319,12 +320,12 @@ def test_criterion_8_formula_matches_execution(capfd):
             for rep in range(4):
                 assignment = DelayAssignment(tree, k)
                 randomize_remaining(assignment, random.Random(f"accept8/{seed_index}/{kind}/{rep}"))
-                schedule = schedule_from_assignment(padded, tree, assignment)
+                schedule = schedule_from_assignment(padded, assignment)
                 trace = simulate(padded.padded, schedule, capacity=k)
                 for packet in range(k):
                     slots = trace.crossing_slots[packet]
                     for pos in range(1, padded.length + 1):
-                        want = crossing_time(tree, assignment, packet, pos)
+                        want = crossing_time(assignment, packet, pos)
                         if slots[pos - 1] != want:
                             failures.append(
                                 f"{kind} seed {seed_index} rep {rep} packet {packet} "

@@ -235,6 +235,9 @@ def test_lowerbound_margin_exact_lines(capsys):
     assert capsys.readouterr().out == "phi=5.24e-4 < 7.27e-4 : separation holds\n"
     assert main(["lowerbound", "margin", "--eps", "0.5"]) == EXIT_FAILURE
     assert "separation fails" in capsys.readouterr().out
+    # eps / (1 + eps) rounds to 1.0 here; phi(1e20) is 67.9, not 0
+    assert main(["lowerbound", "margin", "--eps", "1e20"]) == EXIT_FAILURE
+    assert capsys.readouterr().out == "phi=6.79e1 >= 7.27e-4 : separation fails\n"
 
 
 def test_bench_emits_the_csv_contract(tmp_path, capsys):
@@ -275,8 +278,9 @@ def test_bench_rows_are_pinned_and_validate_each_instance_once(tmp_path, monkeyp
 
 def test_bench_parallel_jobs_match_serial(tmp_path):
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    assert main(["bench", "--count", "2", "--out", str(serial)]) == EXIT_OK
-    assert main(["bench", "--count", "2", "--jobs", "2", "--out", str(parallel)]) == EXIT_OK
+    # 10 jobs on 2 workers go in chunks of two
+    assert main(["bench", "--count", "5", "--out", str(serial)]) == EXIT_OK
+    assert main(["bench", "--count", "5", "--jobs", "2", "--out", str(parallel)]) == EXIT_OK
 
     def stable(path):  # drop the wall-clock column
         with open(path, newline="") as fh:

@@ -37,22 +37,22 @@ def test_crossing_time_plain_frozen_example():
     tree = plain_16_2()
     # j=5 sits in level-1 block [5..8] (index 1)
     a = full_assignment(tree, 1, [[[1]], [[2, 1, 2, 2]]])
-    assert crossing_time(tree, a, 0, 5) == 9
+    assert crossing_time(a, 0, 5) == 9
 
 
 def test_crossing_time_minimal_and_maximal():
     tree = plain_16_2()
     ones = full_assignment(tree, 1, [[[1]], [[1, 1, 1, 1]]])
-    assert crossing_time(tree, ones, 0, 1) == 1 + 2  # one unit per level
+    assert crossing_time(ones, 0, 1) == 1 + 2  # one unit per level
     maxed = full_assignment(tree, 1, [[[16]], [[2, 2, 2, 2]]])
-    assert crossing_time(tree, maxed, 0, 16) == 16 + (0 * 16 + 16) + (3 * 2 + 2)
+    assert crossing_time(maxed, 0, 16) == 16 + (0 * 16 + 16) + (3 * 2 + 2)
 
 
 def test_crossing_time_requires_full_assignment():
     tree = plain_16_2()
     a = DelayAssignment(tree, 1)
     with pytest.raises(AssignmentError, match="incomplete"):
-        crossing_time(tree, a, 0, 1)
+        crossing_time(a, 0, 1)
 
 
 def test_set_level_rejects_a_bad_matrix():
@@ -87,7 +87,7 @@ def test_crossing_times_strictly_increase_along_path():
     for _ in range(20):
         a = DelayAssignment(tree, 1)
         randomize_remaining(a, rng)
-        slots = [crossing_time(tree, a, 0, pos) for pos in range(1, 17)]
+        slots = [crossing_time(a, 0, pos) for pos in range(1, 17)]
         assert all(b > c for b, c in zip(slots[1:], slots))
 
 
@@ -121,7 +121,7 @@ def test_buffered_crossing_matches_wait_walk():
         slot = 0
         for pos in range(1, 17):
             slot += node_waits[pos - 1] + 1
-            assert crossing_time(tree, a, 0, pos) == slot
+            assert crossing_time(a, 0, pos) == slot
 
 
 @pytest.mark.parametrize("kind", ["plain", "buffered"])
@@ -142,7 +142,7 @@ def test_residual_law_counts_every_draw_combination(kind):
 def test_crossing_distribution_frozen_value():
     tree = plain_16_2()
     a = DelayAssignment(tree, 1)
-    law = crossing_distribution(tree, a, 0, 1)
+    law = crossing_distribution(a, 0, 1)
     assert law[3] == pytest.approx(1 / 32, abs=1e-15)
     assert min(law) == 3 and max(law) == 19
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
@@ -152,8 +152,8 @@ def test_crossing_distribution_point_mass_when_fixed():
     tree = plain_16_2()
     a = full_assignment(tree, 1, [[[7]], [[1, 2, 1, 2]]])
     for pos in (1, 5, 16):
-        law = crossing_distribution(tree, a, 0, pos)
-        assert law == {crossing_time(tree, a, 0, pos): 1.0}
+        law = crossing_distribution(a, 0, pos)
+        assert law == {crossing_time(a, 0, pos): 1.0}
 
 
 def test_crossing_distribution_mass_one_many_triples():
@@ -171,21 +171,21 @@ def test_crossing_distribution_mass_one_many_triples():
                         for _ in range(2)
                     ])
                 for pos in (1, length // 2, length):
-                    law = crossing_distribution(tree, a, 1, pos)
+                    law = crossing_distribution(a, 1, pos)
                     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distribution_matches_monte_carlo():
     tree = plain_16_2()
     base = DelayAssignment(tree, 1)
-    law = crossing_distribution(tree, base, 0, 9)
+    law = crossing_distribution(base, 0, 9)
     rng = random.Random(99)
     n = 20000
     hits: dict[int, int] = {}
     for _ in range(n):
         a = DelayAssignment(tree, 1)
         randomize_remaining(a, rng)
-        t = crossing_time(tree, a, 0, 9)
+        t = crossing_time(a, 0, 9)
         hits[t] = hits.get(t, 0) + 1
     for slot, p in law.items():
         sigma = math.sqrt(p * (1 - p) / n)
@@ -197,12 +197,12 @@ def test_expected_load_initial_bound_and_single_packet_mass():
     for make in (dissect_plain, dissect_shifted):
         tree = make(build_ladder(16, 2))
         a = DelayAssignment(tree, 4)
-        table = expected_load(padded, tree, a)
+        table = expected_load(padded, a)
         assert max(table.values()) <= 1 + 1e-9
     single = pad(shared_path_instance(1, 16))
     tree = plain_16_2()
     a = DelayAssignment(tree, 1)
-    table = expected_load(single, tree, a)
+    table = expected_load(single, a)
     per_edge: dict[str, float] = {}
     for (eid, _), v in table.items():
         per_edge[eid] = per_edge.get(eid, 0.0) + v
@@ -221,11 +221,11 @@ def test_expected_load_computes_each_positions_law_once(monkeypatch, kind):
         reference: dict[tuple[str, int], float] = {}
         for packet, path in enumerate(padded.padded.paths):
             for pos, edge_id in enumerate(path, start=1):
-                for slot, p in crossing_distribution(tree, assignment, packet, pos).items():
+                for slot, p in crossing_distribution(assignment, packet, pos).items():
                     reference[edge_id, slot] = reference.get((edge_id, slot), 0.0) + p
         calls = []
         monkeypatch.setattr(delay_model, "residual_law", lambda *args: calls.append(args) or residual_law(*args))
-        assert expected_load(padded, tree, assignment) == reference
+        assert expected_load(padded, assignment) == reference
         monkeypatch.undo()
         assert len(calls) == padded.length == 64
         if not assignment.fully_fixed:
@@ -250,7 +250,7 @@ def prob_range_frontier_sweep(kind):
         bound_a = 1.0 / budgets[frontier]
         open_product = math.prod(budgets[frontier:])
         for pos in range(1, 65):
-            law = crossing_distribution(tree, a, 0, pos)
+            law = crossing_distribution(a, 0, pos)
             for p in law.values():
                 assert p >= 1.0 / open_product - 1e-15  # nonzero mass floor
             if kind == "plain":
@@ -281,8 +281,8 @@ def test_formula_equals_simulation_small():
         for _ in range(10):
             a = DelayAssignment(tree, 2)
             randomize_remaining(a, rng)
-            sched = schedule_from_assignment(padded, tree, a)
+            sched = schedule_from_assignment(padded, a)
             trace = simulate(padded.padded, sched, capacity=2)
             for i in range(2):
-                expect = [crossing_time(tree, a, i, pos) for pos in range(1, 17)]
+                expect = [crossing_time(a, i, pos) for pos in range(1, 17)]
                 assert trace.crossing_slots[i] == expect

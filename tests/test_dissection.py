@@ -2,6 +2,9 @@ import pytest
 
 from cd_router.dissection import (
     LadderError,
+    Level,
+    LevelLadder,
+    ShiftedBlockTree,
     build_ladder,
     dissect_plain,
     dissect_shifted,
@@ -55,6 +58,14 @@ def test_ladder_rejections():
         build_ladder(4, 1)  # degenerate delta on a real path
     with pytest.raises(LadderError):
         build_ladder(8, 0)
+
+
+def test_shifted_tree_refuses_a_block_with_fewer_duty_edges_than_its_budget():
+    # a level-1 block of 4 edges has 2 duty edges (its odd positions), too
+    # few to spend a budget of 8 one slot per edge; block 0 is reported first
+    ladder = LevelLadder(16, (Level(16, 16), Level(4, 8)))
+    with pytest.raises(LadderError, match="level 1 block 0 has 2 duty edges < budget 8"):
+        ShiftedBlockTree(ladder)
 
 
 def test_budget_sums_and_horizon():

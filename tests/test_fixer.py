@@ -75,7 +75,7 @@ def test_pipeline_validates_the_instance_once(monkeypatch):
     inst = shared_path_instance(4, 16)
     result = run_pipeline(inst, FixerConfig(seed="0"))
     assert len(calls) == 1
-    assert (result.congestion, result.dilation) == (4, 16)
+    assert (result.padded.stats.congestion, result.padded.stats.dilation) == (4, 16)
 
 
 def test_config_rejects_bad_values():
@@ -119,16 +119,16 @@ def test_workspace_rows_match_a_table_rebuilt_from_the_draws(monkeypatch, name, 
                 ws = _LevelWorkspace(index, assignment, level)
                 # one row per edge that two or more padded paths use, in edge id order
                 assert len(ws.y) == len(shared)
-                assert ws.edges == shared
+                assert ws.index.edges == shared
                 # each row spans the ladder-wide reach, the same at every level
                 if level == 0:
-                    reach = (ws.lo, list(map(len, ws.y)))
+                    reach = (ws.index.lo, list(map(len, ws.y)))
                     # and no wider than level 0 reaches under some draw
                     blurred = _LevelWorkspace(index, assignment, level)
                     for var in range(len(blurred.by_var)):
                         blurred.spread(var, 0, +1)
                     assert all(row[0] and row[-1] for row in blurred.y)
-                assert (ws.lo, list(map(len, ws.y))) == reach, level
+                assert (ws.index.lo, list(map(len, ws.y))) == reach, level
                 slack = config.slack(ladder.levels[level].block_len, 1.0)
                 limit = floor((1.0 + slack) * ws.scale)
                 if strategy == "resample":
@@ -137,11 +137,11 @@ def test_workspace_rows_match_a_table_rebuilt_from_the_draws(monkeypatch, name, 
                     draws, peak = _greedy_fix(ws)
                 assignment.set_level(level, draws)
                 table = {
-                    key: p * ws.scale for key, p in expected_load(padded, tree, assignment).items()
+                    key: p * ws.scale for key, p in expected_load(padded, assignment).items()
                 }
                 rebuilt = [
                     [table.get((edge, lo + index), 0) for index in range(len(row))]
-                    for edge, lo, row in zip(ws.edges, ws.lo, ws.y)
+                    for edge, lo, row in zip(ws.index.edges, ws.index.lo, ws.y)
                 ]
                 assert ws.y == rebuilt, level
                 # every shared-edge cell of the table lies inside its row
@@ -155,7 +155,7 @@ def test_workspace_rows_match_a_table_rebuilt_from_the_draws(monkeypatch, name, 
                     assert peak == ws.max_y()
                 for lim in sorted({limit, ws.scale} | {v - 1 for v in table.values() if v > ws.scale}):
                     cell, top = ws.first_bad_cell(lim)
-                    found = None if cell is None else (ws.edges[cell[0]], ws.lo[cell[0]] + cell[1])
+                    found = None if cell is None else (ws.index.edges[cell[0]], ws.index.lo[cell[0]] + cell[1])
                     assert found == min((key for key, v in table.items() if v > lim), default=None)
                     # with no bad cell, the one scan has read max Y
                     assert cell is not None or top == ws.max_y()
@@ -494,7 +494,7 @@ def test_pipeline_single_packet():
     rep = result.report
     assert rep.load == 1
     assert result.schedule == result.prestretch  # stretch is identity
-    budget = result.tree.ladder.total_wait_budget()
+    budget = result.assignment.tree.ladder.total_wait_budget()
     assert rep.makespan <= result.padded.length + budget
     # every crossing of the padded walk is conserved waiting plus motion
     assert result.padded_schedule.arrival(0) + result.padded_schedule.waits[0][-1] \
@@ -503,7 +503,7 @@ def test_pipeline_single_packet():
 
 def test_pipeline_plain_conserves_wait_budget():
     result = run_pipeline(shared_path_instance(4, 16), FixerConfig(delta=2))
-    budget = result.tree.ladder.total_wait_budget()
+    budget = result.assignment.tree.ladder.total_wait_budget()
     for packet in range(result.padded.padded.n_packets):
         assert result.padded_schedule.total_waiting(packet) == budget
 
@@ -522,7 +522,7 @@ def test_pipeline_gamma_tracks_slack_per_level():
     rep = result.report
     gamma = 1.0
     for lf in rep.levels:
-        block_len = result.tree.ladder.levels[lf.level].block_len
+        block_len = result.assignment.tree.ladder.levels[lf.level].block_len
         assert lf.slack == pytest.approx(lf.relax * block_len ** (-1 / 32))
         assert lf.gamma_before == pytest.approx(gamma)
         assert lf.gamma_after == pytest.approx(max(gamma, 1.0) + lf.slack)
@@ -537,7 +537,7 @@ def test_pipeline_gamma_tracks_slack_per_level():
 
 def test_pipeline_shared_path_capacity_one():
     result = run_pipeline(shared_path_instance(4, 16), FixerConfig(delta=2))
-    trace = simulate(result.instance, result.schedule, capacity=1)
+    trace = simulate(result.padded.base, result.schedule, capacity=1)
     assert trace.max_load == 1
     # 4 packets through one path of 16 edges cannot beat C + D - 1
     assert trace.makespan >= 19
@@ -549,7 +549,7 @@ def test_pipeline_buffered_keeps_edge_waits_short():
         shared_path_instance(4, 16), FixerConfig(variant="buffered", delta=2)
     )
     assert result.report.prestretch_max_edge_wait <= 1
-    trace = simulate(result.instance, result.schedule, capacity=1)
+    trace = simulate(result.padded.base, result.schedule, capacity=1)
     assert trace.max_load == 1
 
 
@@ -617,13 +617,13 @@ def test_pipeline_builds_the_position_columns_once(monkeypatch):
         # residual law and the final waits read the same columns
         result = run_pipeline(shared_path_instance(8, 300), FixerConfig(variant=kind, delta=2))
         assert result.report.levels
-        n_levels, length = len(result.tree.ladder.levels), result.padded.length
+        n_levels, length = len(result.assignment.tree.ladder.levels), result.padded.length
         assert sorted(calls) == [(level, pos) for level in range(n_levels) for pos in range(1, length + 1)]
         # the columns live on the tree, which every run on its ladder shares
         calls.clear()
         again = run_pipeline(shared_path_instance(5, 400), FixerConfig(variant=kind, delta=2, seed=1))
         assert again.padded.length == result.padded.length
-        assert again.tree is result.tree
+        assert again.assignment.tree is result.assignment.tree
         assert calls == []
 
 
@@ -634,7 +634,7 @@ def test_a_tree_is_keyed_on_its_levels_not_on_delta():
         _clear_trees()
         first = run_pipeline(inst, FixerConfig(variant=kind, delta=4))
         second = run_pipeline(inst, FixerConfig(variant=kind, delta=5))
-        assert second.tree is first.tree
+        assert second.assignment.tree is first.assignment.tree
         info = dissect.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert (first.report.delta, second.report.delta) == (4, 5)
@@ -647,8 +647,8 @@ def test_runs_on_one_ladder_share_one_read_only_tree():
             # both pad to D' = 32
             first = run_pipeline(shared_path_instance(8, 32), FixerConfig(variant=kind, delta=delta))
             second = run_pipeline(shared_path_instance(3, 20), FixerConfig(variant=kind, delta=delta, seed=5))
-            assert second.tree is first.tree
-            trees[kind, delta] = first.tree
+            assert second.assignment.tree is first.assignment.tree
+            trees[kind, delta] = first.assignment.tree
     # another delta or variant is another tree
     assert len({id(tree) for tree in trees.values()}) == len(trees)
     for tree in trees.values():
@@ -677,7 +677,7 @@ def _tree_cases():
 
 def _outputs(inst, config):
     result = run_pipeline(inst, config)
-    return encode(result.prestretch), encode(result.schedule), json.dumps(result.report.to_dict()), result.tree
+    return encode(result.prestretch), encode(result.schedule), json.dumps(result.report.to_dict()), result.assignment.tree
 
 
 def test_shared_trees_give_the_outputs_of_fresh_ones_in_any_order():
@@ -781,7 +781,7 @@ def test_pipeline_builds_no_dummy_chain(monkeypatch, kind, strategies):
         assert "padded_schedule" not in vars(result)
         padded_schedule = result.padded_schedule
         assert result.padded_schedule is padded_schedule
-        assert padded_schedule == schedule_from_assignment(result.padded, result.tree, result.assignment)
+        assert padded_schedule == schedule_from_assignment(result.padded, result.assignment)
 
 
 def test_virtual_padding_equals_explicit_padding_property():
@@ -836,7 +836,7 @@ def test_schedule_from_assignment_needs_every_level_fixed():
     assignment = DelayAssignment(tree, 2)
     assignment.set_level(0, [[5], [11]])
     with pytest.raises(delay_model.AssignmentError, match="assignment incomplete"):
-        schedule_from_assignment(padded, tree, assignment)
+        schedule_from_assignment(padded, assignment)
 
 
 def test_schedule_matches_crossing_times():
@@ -845,11 +845,11 @@ def test_schedule_matches_crossing_times():
     assignment = DelayAssignment(tree, 2)
     assignment.set_level(0, [[5], [11]])
     assignment.fill_remaining(2)
-    schedule = schedule_from_assignment(padded, tree, assignment)
+    schedule = schedule_from_assignment(padded, assignment)
     for packet in range(2):
         slots = schedule.crossing_slots(packet)
         for pos in range(1, padded.length + 1):
-            assert slots[pos - 1] == crossing_time(tree, assignment, packet, pos)
+            assert slots[pos - 1] == crossing_time(assignment, packet, pos)
 
 
 def test_schedule_matches_crossing_times_property():
@@ -869,13 +869,13 @@ def test_schedule_matches_crossing_times_property():
         tree = dissect_plain(ladder) if kind == "plain" else dissect_shifted(ladder)
         assignment = DelayAssignment(tree, padded.padded.n_packets)
         randomize_remaining(assignment, random.Random(draws_seed))
-        schedule = schedule_from_assignment(padded, tree, assignment)
+        schedule = schedule_from_assignment(padded, assignment)
         for packet in range(padded.padded.n_packets):
             # `crossing_time` reads the tree's columns, as the schedule does;
             # the oracle's walker re-derives the slots from the waiting rules
             walked = oracle._walk_slots(oracle._policy_waits(tree, assignment.values[packet]), padded.length)
             assert schedule.crossing_slots(packet) == walked == [
-                crossing_time(tree, assignment, packet, pos) for pos in range(1, padded.length + 1)
+                crossing_time(assignment, packet, pos) for pos in range(1, padded.length + 1)
             ]
 
     agree()
@@ -890,7 +890,7 @@ def test_unpad_drops_dummy_motion_only():
             where = (kind, index)
             assert result.prestretch == unpad_schedule(result.padded, result.padded_schedule), where
             if kind == "plain":
-                budget = result.tree.ladder.total_wait_budget()
+                budget = result.assignment.tree.ladder.total_wait_budget()
                 for packet in range(inst.n_packets):
                     assert result.padded_schedule.total_waiting(packet) == budget, (where, packet)
             trace = simulate(inst, result.prestretch, capacity=result.report.load)

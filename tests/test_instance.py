@@ -23,7 +23,6 @@ def test_fig1_validates_and_has_expected_stats(fig1):
     s = stats(fig1)
     assert s.congestion == 2
     assert s.dilation == 4
-    assert s.n_packets == 3
 
 
 def test_minimal_single_edge_instance():
@@ -37,7 +36,6 @@ def test_shared_path_stats():
     inst = shared_path_instance(5, 7)
     s = stats(inst)
     assert (s.congestion, s.dilation) == (5, 7)
-    assert s.n_packets == 5
 
 
 def test_duplicate_edge_in_path_flagged():

@@ -246,6 +246,23 @@ def test_phi_is_concave_and_increasing():
     assert all(d < 0 for d in second)
 
 
+def test_phi_stays_accurate_at_extreme_eps():
+    # eps / (1 + eps) rounds to 1.0 from about eps = 1e16 on, where the
+    # binary entropy reads 0; to first order in 1/eps, phi(eps) is
+    # log2(eps) + 1 / ln 2 for a large eps, and eps times that for a tiny one
+    assert lb.phi(1e20) == pytest.approx(math.log2(1e20) + 1 / math.log(2), rel=1e-12)
+    assert lb.phi(1e-300) == pytest.approx(1e-300 * (math.log2(1e300) + 1 / math.log(2)), rel=1e-12)
+    assert not lb.margin(1e20).holds
+    xs = [10.0 ** (k / 4) for k in range(-1200, 1201)]
+    ys = [lb.phi(x) for x in xs]
+    assert all(b > a for a, b in zip(ys, ys[1:]))
+    # below about 5.6e-309, 1 / eps overflows to inf
+    assert 0 < lb.phi(5e-324) < lb.phi(1e-300)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            lb.phi(bad)
+
+
 def test_margin_separates_small_eps():
     assert lb.COLLISION_EXPONENT == pytest.approx(math.log2(16 / 15) / 128)
     small = lb.margin(0.000032)

@@ -119,7 +119,7 @@ def test_single_level_draws_spread_uniformly():
     # spent entirely at the source, so edge j is crossed at slot j + x.
     padded = pad(shared_path_instance(1, 4))
     tree = dissect_plain(build_ladder(padded.length, 2))
-    table = exhaustive_expectation(padded, tree)
+    table = exhaustive_expectation(padded, DelayAssignment(tree, 1))
     path = padded.padded.paths[0]
     for j, eid in enumerate(path, start=1):
         for x in range(1, 5):
@@ -133,17 +133,17 @@ def test_crossing_laws_have_unit_mass(kind):
     padded = pad(shared_path_instance(2, 8))
     ladder = build_ladder(padded.length, 2)
     tree = dissect_plain(ladder) if kind == "plain" else dissect_shifted(ladder)
-    table = exhaustive_expectation(padded, tree)
+    table = exhaustive_expectation(padded, DelayAssignment(tree, 2))
     for law in table.crossing.values():
         assert sum(law.values()) == pytest.approx(1.0)
 
 
-def assert_closed_form_matches_exhaustive(padded, tree, assignment):
-    table = exhaustive_expectation(padded, tree, assignment)
+def assert_closed_form_matches_exhaustive(padded, assignment):
+    table = exhaustive_expectation(padded, assignment)
 
     for (packet, pos), law in table.crossing.items():
-        assert law == crossing_distribution(tree, assignment, packet, pos), (packet, pos)
-    assert expected_load(padded, tree, assignment) == table.load
+        assert law == crossing_distribution(assignment, packet, pos), (packet, pos)
+    assert expected_load(padded, assignment) == table.load
 
     # the fixer's level workspace must rebuild the same table, in exact
     # integer units of 1/scale: blurred over the frontier level while it is
@@ -162,17 +162,17 @@ def assert_closed_form_matches_exhaustive(padded, tree, assignment):
     # row cell back to its (edge, slot)
     rows = {
         (edge, lo + index): value
-        for edge, lo, row in zip(ws.edges, ws.lo, ws.y)
+        for edge, lo, row in zip(ws.index.edges, ws.index.lo, ws.y)
         for index, value in enumerate(row)
         if value
     }
     expected = {key: value * ws.scale for key, value in table.load.items()}
-    assert rows == {key: value for key, value in expected.items() if key[0] in ws.edges}
+    assert rows == {key: value for key, value in expected.items() if key[0] in ws.index.edges}
     # an unshared edge holds one packet's law: no cell of it can exceed
     # scale; once every level is pinned, the deeper law is a point mass, so
     # every block's ceiling is 1 and every unshared cell holds exactly the
     # workspace's unshared maximum, budget
-    unshared = [value for key, value in expected.items() if key[0] not in ws.edges]
+    unshared = [value for key, value in expected.items() if key[0] not in ws.index.edges]
     assert all(value <= ws.scale for value in unshared)
     if assignment.fully_fixed:
         assert ws.ceiling == [1] * ws.n_blocks
@@ -196,7 +196,7 @@ def test_exhaustive_agrees_with_closed_form(kind, frontier):
         assignment.set_level(
             1, [[(b % budget) + 1 for b in range(tree.n_blocks(1))] for _ in range(2)]
         )
-    assert_closed_form_matches_exhaustive(padded, tree, assignment)
+    assert_closed_form_matches_exhaustive(padded, assignment)
 
 
 @pytest.mark.parametrize("kind", ["plain", "buffered"])
@@ -211,7 +211,7 @@ def test_exhaustive_agrees_with_closed_form_on_random_instances(kind, index):
     assignment = DelayAssignment(tree, padded.padded.n_packets)
     rng = random.Random(f"closed-form/{kind}/{index}")
     while True:
-        assert_closed_form_matches_exhaustive(padded, tree, assignment)
+        assert_closed_form_matches_exhaustive(padded, assignment)
         if assignment.fully_fixed:
             break
         level = assignment.frontier
@@ -230,13 +230,13 @@ def test_exhaustive_point_mass_when_fully_fixed(fig1):
     tree = dissect_plain(build_ladder(padded.length, 2))
     assignment = DelayAssignment(tree, padded.padded.n_packets)
     assignment.fill_remaining(3)
-    table = exhaustive_expectation(padded, tree, assignment)
+    table = exhaustive_expectation(padded, assignment)
     for (packet, pos), law in table.crossing.items():
-        assert law == {crossing_time(tree, assignment, packet, pos): pytest.approx(1.0)}
+        assert law == {crossing_time(assignment, packet, pos): pytest.approx(1.0)}
 
 
 def test_exhaustive_refuses_oversized_outcome_spaces():
     padded = pad(shared_path_instance(1, 16))
     tree = dissect_plain(build_ladder(padded.length, 2))
     with pytest.raises(OracleCapacityError):
-        exhaustive_expectation(padded, tree, cap=2)
+        exhaustive_expectation(padded, DelayAssignment(tree, 1), cap=2)

@@ -75,6 +75,20 @@ def test_fix_level_keeps_the_positions_the_count_hook_reads():
     params = list(inspect.signature(fixer.fix_level).parameters)
     assert params[0] == "padded"
     assert params[5] == "config"
+    # `_count_schedule_from_assignment` reads the instance at args[0]
+    assert list(inspect.signature(fixer.schedule_from_assignment).parameters)[0] == "padded"
+
+
+def test_traced_padded_schedule_counts_a_crossing_per_padded_position():
+    tracing = _load_tracing()
+    result = fixer.run_pipeline(shared_path_instance(4, 24), fixer.FixerConfig(seed=0))
+    assert "padded_schedule" not in vars(result)
+    with tracing.Tracer().installed() as tracer:
+        schedule = result.padded_schedule  # built on first read, by `schedule_from_assignment`
+    assert result.padded.length == 32
+    assert [len(waits) for waits in schedule.waits] == [33] * 4
+    assert tracer.counts["delay_model.crossing_time.calls"] == 4 * 32
+    assert "fixer.schedule_from_assignment" in tracer.self_s
 
 
 def test_traced_runs_on_a_shared_tree_still_count_the_ladder():
@@ -85,8 +99,8 @@ def test_traced_runs_on_a_shared_tree_still_count_the_ladder():
     warm = fixer.run_pipeline(inst, config)
     with tracing.Tracer().installed() as tracer:
         results = [fixer.run_pipeline(inst, config) for _ in range(2)]
-    depth = warm.tree.ladder.depth
+    depth = warm.assignment.tree.ladder.depth
     assert depth > 0
-    assert all(result.tree is warm.tree for result in results)
+    assert all(result.assignment.tree is warm.assignment.tree for result in results)
     assert tracer.counts["dissection.depth"] == 2 * depth
     assert "dissection.ladder" in tracer.self_s
