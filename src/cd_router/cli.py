@@ -1,8 +1,9 @@
 """Command-line surface: analyze, schedule, simulate, lowerbound, bench.
 
-Exit codes: 0 success, 1 validation or feasibility failure, 2 search or
-fixing capacity exhausted, 64 usage error. `CD_ROUTER_LOG` (error, info,
-debug) controls logging; all randomness derives from --seed sub-streams.
+Exit codes: 0 success, 1 validation or feasibility failure or a file that
+cannot be read or written, 2 search or fixing capacity exhausted, 64 usage
+error. `CD_ROUTER_LOG` (error, info, debug) controls logging; all
+randomness derives from --seed sub-streams.
 """
 from __future__ import annotations
 
@@ -239,11 +240,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ]
     rows: list[dict] = []
     errors: list[str] = []
-    if args.jobs > 1:
+    # the pool starts every worker at once, so it gets no more than the jobs
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
         # most jobs take under a millisecond, so each round trip carries a
         # chunk: about four per worker
-        chunksize = math.ceil(len(jobs) / (4 * args.jobs))
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        chunksize = math.ceil(len(jobs) / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_bench_one, jobs, chunksize=chunksize))
     else:
         outcomes = [_bench_one(job) for job in jobs]
@@ -341,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvalidInstanceError, schedule_mod.ScheduleError, ValueError) as exc:
+    except (InvalidInstanceError, schedule_mod.ScheduleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except (FixerError, OracleCapacityError) as exc:

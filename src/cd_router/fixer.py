@@ -615,11 +615,6 @@ class PipelineResult:
     prestretch: Schedule  # load-c schedule on the original instance
     schedule: Schedule    # stretched to capacity 1 on the original instance
 
-    @cached_property
-    def padded_schedule(self) -> Schedule:
-        """The same motion on the padded instance, dummy suffixes included, built on first read."""
-        return schedule_from_assignment(self.padded, self.assignment)
-
 
 def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> PipelineResult:
     """pad -> dissect -> fix levels (relax ladder) -> finalize -> stretch -> verify."""

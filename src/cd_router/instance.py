@@ -237,8 +237,12 @@ def decode(text: str) -> Instance:
     for x in chain(arrays["nodes"], chain.from_iterable(fields), chain.from_iterable(arrays["paths"])):
         if type(x) is not str:
             raise InvalidInstanceError(f"malformed instance document: id {x!r} is not a JSON string")
+    nodes = set(arrays["nodes"])
+    if len(nodes) != len(arrays["nodes"]):
+        repeated = next(x for x, n in Counter(arrays["nodes"]).items() if n > 1)
+        raise InvalidInstanceError(f"malformed instance document: node {repeated} is repeated")
     return Instance(
-        nodes=set(arrays["nodes"]),
+        nodes=nodes,
         edges=[Edge(*f) for f in fields],
         paths=arrays["paths"],
     )

@@ -8,13 +8,12 @@ counted, enumerated, and checked exactly at desk scale.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 
 from . import oracle
-from .instance import Edge, Instance, InvalidInstanceError, decode, encode, stats
+from .instance import Edge, Instance, encode, stats
 from .schedule import Schedule
 
 # Per-cell collision probability decays like (15/16)^(n^2/128); this is the
@@ -74,27 +73,6 @@ def generate(n: int, seed: int | str = 0) -> LowerBoundInstance:
 
 def serialize(lb: LowerBoundInstance) -> str:
     return encode(lb.instance, extra={"permutations": [list(p) for p in lb.permutations]})
-
-
-def deserialize(text: str) -> LowerBoundInstance:
-    instance = decode(text)
-    doc = json.loads(text)
-    perms = doc.get("permutations")
-    if not isinstance(perms, list) or not perms:
-        raise InvalidInstanceError("missing permutations sidecar")
-    n = len(instance.paths)
-    if len(perms) != n:
-        raise InvalidInstanceError(f"permutations: {len(perms)} rows for {n} paths")
-    # taken as they are: "12", 2.7 and true are no permutation entries
-    for i, p in enumerate(perms):
-        if type(p) is not list or any(type(x) is not int for x in p) or sorted(p) != list(range(1, n + 1)):
-            raise InvalidInstanceError(f"permutations: row {i} is not a permutation of 1..{n}: {p!r}")
-    permutations = tuple(map(tuple, perms))
-    for i, (path, perm) in enumerate(zip(instance.paths, permutations)):
-        if path != _gadget_path(perm):
-            raise InvalidInstanceError(f"path {i} is not the gadget path of its permutation {list(perm)}")
-    stats(instance)  # raises InvalidInstanceError on a broken gadget
-    return LowerBoundInstance(n=n, permutations=permutations, instance=instance)
 
 
 # --- routing matrices -------------------------------------------------------

@@ -6,6 +6,9 @@ exhaustive_expectation enumerates waiting draws outcome by outcome, walking
 the waiting policy step by step instead of using closed forms. The walkers
 below re-derive motion from the policy definition on purpose; they must not
 share motion code with the scheduler or the closed-form model.
+stepped_simulation replays a schedule one slot at a time over every packet,
+recording loads, arrivals, per-edge waiting and buffer occupancy at every
+slot boundary: the reference `simulator.simulate` is checked against.
 """
 from __future__ import annotations
 
@@ -211,13 +214,16 @@ def exhaustive_expectation(
 
 @dataclass
 class SteppedTrace:
-    """What `stepped_simulation` measured; fields as in `simulator.SimulationTrace`."""
+    """What `stepped_simulation` measured; fields as in `simulator.SimulationTrace`.
+
+    `occupancy` maps (edge, slot) to the packets in the edge's buffer at the
+    end of the slot; `simulator` keeps only its maximum.
+    """
 
     loads: dict[tuple[str, int], int]
     arrivals: list[int]
     occupancy: dict[tuple[str, int], int]
     edge_waits: dict[tuple[int, str], int]  # (packet, edge) -> slots waited before it
-    state_counts: list[tuple[int, int, int]]  # per slot: (moving, buffered, parked)
     capacity: int
     crossing_slots: list[list[int]] = field(default_factory=list)
 
@@ -263,27 +269,20 @@ def stepped_simulation(instance: Instance, schedule: Schedule, capacity: int = 1
     edge_waits: dict[tuple[int, str], int] = {}
     arrivals = [0] * k
     crossing: list[list[int]] = [[] for _ in range(k)]
-    state_counts: list[tuple[int, int, int]] = []
 
     slot = 0
     while not all(done):
         slot += 1
-        moving = buffered = parked = 0
         for i in range(k):
             if done[i]:
-                parked += 1  # arrived packets park at their sink
-                continue
+                continue  # arrived packets park at their sink
             if remaining[i] > 0:
                 remaining[i] -= 1
                 here = node_at[i][position[i]]
-                if here == node_at[i][0] or here == node_at[i][-1]:
-                    parked += 1
-                else:
-                    buffered += 1
+                if here != node_at[i][0] and here != node_at[i][-1]:
                     next_edge = paths[i][position[i]]
                     edge_waits[(i, next_edge)] = edge_waits.get((i, next_edge), 0) + 1
                 continue
-            moving += 1
             eid = paths[i][position[i]]
             loads[(eid, slot)] = loads.get((eid, slot), 0) + 1
             crossing[i].append(slot)
@@ -303,14 +302,12 @@ def stepped_simulation(instance: Instance, schedule: Schedule, capacity: int = 1
                 continue
             next_edge = paths[i][position[i]]
             occupancy[(next_edge, slot)] = occupancy.get((next_edge, slot), 0) + 1
-        state_counts.append((moving, buffered, parked))
 
     return SteppedTrace(
         loads=loads,
         arrivals=arrivals,
         occupancy=occupancy,
         edge_waits=edge_waits,
-        state_counts=state_counts,
         capacity=capacity,
         crossing_slots=crossing,
     )

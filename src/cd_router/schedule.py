@@ -39,10 +39,6 @@ class Schedule:
     def makespan(self) -> int:
         return max(self.arrival(i) for i in range(self.n_packets))
 
-    def total_waiting(self, packet: int) -> int:
-        """All waiting, sink parking included."""
-        return sum(self.waits[packet])
-
     def validate_shape(self, paths: list[list[str]]) -> None:
         if len(self.waits) != len(paths):
             raise ScheduleError(

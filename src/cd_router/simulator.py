@@ -7,11 +7,11 @@ edge. One pass over the paths yields per-(edge, slot) loads, arrivals and
 crossing slots, in O(total path length) whatever the size of the waits. A
 packet occupies no buffer while at a node equal to its own source or sink;
 everywhere else it sits in its next edge's buffer. The waiting charged per
-(packet, edge), buffer occupancy at slot boundaries and per-slot packet
-states are derived from the trace only when first read; the largest
-occupancy comes from a sweep over the stays' endpoints. Replay does not
-validate the instance. `oracle.stepped_simulation` is the slot-by-slot
-reference this module is checked against.
+(packet, edge) is derived from the trace when first read, and the largest
+buffer occupancy at a slot boundary, the buffer size the paper bounds, from
+a sweep over the stays' endpoints. Replay does not validate the instance.
+`oracle.stepped_simulation` is the slot-by-slot reference this module is
+checked against.
 """
 from __future__ import annotations
 
@@ -58,57 +58,20 @@ class SimulationTrace:
                     edge_waits[key] = edge_waits.get(key, 0) + waits[p]
         return edge_waits
 
-    @cached_property
-    def _stays(self) -> list[tuple[str, int, int]]:
-        """(next edge, first, last slot boundary) of each stay at an interior node.
+    @property
+    def max_occupancy(self) -> int:
+        """Most packets in one edge's buffer at a slot boundary, swept over the stays' endpoints.
 
         A packet that crossed its p-th edge at slot c_p and crosses the next
         at c_{p+1} sits in that edge's buffer at boundaries c_p .. c_{p+1} - 1.
         """
         emap = self.instance.edge_map()
-        stays = []
+        events: dict[str, list[tuple[int, int]]] = {}
         for path, slots in zip(self.instance.paths, self.crossing_slots):
             ends = (emap[path[0]].tail, emap[path[-1]].head)
             for p in range(1, len(path)):
                 if emap[path[p - 1]].head not in ends:
-                    stays.append((path[p], slots[p - 1], slots[p] - 1))
-        return stays
-
-    @cached_property
-    def occupancy(self) -> dict[tuple[str, int], int]:
-        """(edge, slot) -> packets in the edge's buffer at the end of the slot."""
-        occupancy: dict[tuple[str, int], int] = {}
-        for edge, first, last in self._stays:
-            for slot in range(first, last + 1):
-                occupancy[(edge, slot)] = occupancy.get((edge, slot), 0) + 1
-        return occupancy
-
-    @cached_property
-    def state_counts(self) -> list[tuple[int, int, int]]:
-        """Per slot 1..makespan: (moving, buffered, parked) packet counts."""
-        end = self.makespan + 1
-        moving = [0] * end
-        for slots in self.crossing_slots:
-            for slot in slots:
-                moving[slot] += 1
-        # a stay's waiting slots are the ones after its first boundary
-        change = [0] * (end + 1)
-        for _, first, last in self._stays:
-            change[first + 1] += 1
-            change[last + 1] -= 1
-        k = len(self.arrivals)
-        counts = []
-        buffered = 0
-        for slot in range(1, end):
-            buffered += change[slot]
-            counts.append((moving[slot], buffered, k - moving[slot] - buffered))
-        return counts
-
-    @property
-    def max_occupancy(self) -> int:
-        events: dict[str, list[tuple[int, int]]] = {}
-        for edge, first, last in self._stays:
-            events.setdefault(edge, []).extend(((first, 1), (last + 1, -1)))
+                    events.setdefault(path[p], []).extend(((slots[p - 1], 1), (slots[p], -1)))
         worst = 0
         for edge_events in events.values():
             held = 0

@@ -215,8 +215,9 @@ def test_criterion_4_pipeline_feasibility(pipeline_suite, capfd):
                 failures.append(f"{variant}: load {rep.load} > cap {rep.counting_cap}")
             if variant == "plain":
                 budget = result.assignment.tree.ladder.total_wait_budget()
+                padded_schedule = schedule_from_assignment(result.padded, result.assignment)
                 for packet in range(result.padded.padded.n_packets):
-                    if result.padded_schedule.total_waiting(packet) != budget:
+                    if sum(padded_schedule.waits[packet]) != budget:
                         failures.append(f"plain packet {packet}: waiting != {budget}")
                         break
             gammas.append(rep.gamma_final)

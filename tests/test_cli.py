@@ -49,6 +49,18 @@ def test_analyze_rejects_ids_that_are_not_strings(tmp_path, capsys):
     assert "is not a JSON string" in capsys.readouterr().err
 
 
+def test_analyze_rejects_a_repeated_node_id(tmp_path, capsys):
+    doc = json.loads(fixture_text("fig1.json"))
+    node = doc["nodes"][0]
+    doc["nodes"].append(node)
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed instance document: node {node} is repeated\n"
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == EXIT_FAILURE
     assert "error:" in capsys.readouterr().err
@@ -289,6 +301,36 @@ def test_bench_parallel_jobs_match_serial(tmp_path):
     assert stable(serial) == stable(parallel)
 
 
+def test_bench_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    pools = []
+
+    class Serial:
+        """Stands in for the process pool, records its sizing, and starts no process."""
+
+        def __init__(self, max_workers):
+            self.sizing = [max_workers]
+            pools.append(self.sizing)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            self.sizing.append(chunksize)
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Serial)
+    out = tmp_path / "bench.csv"
+    # 2 jobs, so 2 workers in chunks of one, not 4,096 workers
+    assert main(["bench", "--count", "1", "--jobs", "4096", "--out", str(out)]) == EXIT_OK
+    # 12 jobs on 3 workers, in chunks of one; 12 on 2, in chunks of two
+    assert main(["bench", "--count", "6", "--jobs", "3", "--out", str(out)]) == EXIT_OK
+    assert main(["bench", "--count", "6", "--jobs", "2", "--out", str(out)]) == EXIT_OK
+    assert pools == [[2, 1], [3, 1], [2, 2]]
+
+
 def test_bench_reports_a_failed_job_and_keeps_the_other_rows(tmp_path, monkeypatch, capsys):
     run = cli.run_pipeline
 
@@ -398,6 +440,24 @@ def test_bad_values_exit_1_cleanly(tmp_path, capsys):
     }))
     assert main(["lowerbound", "solve", str(looped)]) == EXIT_FAILURE
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule", FIG1, "--out", "{bad}"],
+    ["schedule", FIG1, "--out", os.devnull, "--report", "{bad}"],
+    ["simulate", FIG1, "{schedule}", "--trace-csv", "{bad}"],
+    ["simulate", FIG1, "{schedule}", "--arrivals-csv", "{bad}"],
+    ["bench", "--count", "1", "--out", "{bad}"],
+    ["lowerbound", "gen", "--n", "2", "--out", "{bad}"],
+], ids=["schedule-out", "schedule-report", "simulate-trace-csv", "simulate-arrivals-csv", "bench-out",
+        "lowerbound-gen-out"])
+def test_an_unwritable_output_path_is_one_error_line(tmp_path, capsys, argv):
+    bad = tmp_path / "missing" / "out"
+    schedule = tmp_path / "schedule.json"
+    assert main(["schedule", FIG1, "--out", str(schedule)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([arg.format(bad=bad, schedule=schedule) for arg in argv]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{bad}'\n"
 
 
 def test_capacity_errors_exit_2(tmp_path, capsys):

@@ -497,15 +497,16 @@ def test_pipeline_single_packet():
     budget = result.assignment.tree.ladder.total_wait_budget()
     assert rep.makespan <= result.padded.length + budget
     # every crossing of the padded walk is conserved waiting plus motion
-    assert result.padded_schedule.arrival(0) + result.padded_schedule.waits[0][-1] \
-        == result.padded.length + budget
+    padded_schedule = schedule_from_assignment(result.padded, result.assignment)
+    assert padded_schedule.arrival(0) + padded_schedule.waits[0][-1] == result.padded.length + budget
 
 
 def test_pipeline_plain_conserves_wait_budget():
     result = run_pipeline(shared_path_instance(4, 16), FixerConfig(delta=2))
     budget = result.assignment.tree.ladder.total_wait_budget()
+    padded_schedule = schedule_from_assignment(result.padded, result.assignment)
     for packet in range(result.padded.padded.n_packets):
-        assert result.padded_schedule.total_waiting(packet) == budget
+        assert sum(padded_schedule.waits[packet]) == budget
 
 
 def test_pipeline_respects_counting_bound():
@@ -777,11 +778,6 @@ def test_pipeline_builds_no_dummy_chain(monkeypatch, kind, strategies):
     assert padded.padded is explicit and padded.dummy_edge_ids is dummies
     assert len(calls) == 1
     assert len(dummies) == sum(padded.length - m for m in padded.original_lengths) > 0
-    for result in results:
-        assert "padded_schedule" not in vars(result)
-        padded_schedule = result.padded_schedule
-        assert result.padded_schedule is padded_schedule
-        assert padded_schedule == schedule_from_assignment(result.padded, result.assignment)
 
 
 def test_virtual_padding_equals_explicit_padding_property():
@@ -888,11 +884,12 @@ def test_unpad_drops_dummy_motion_only():
         for index, inst in enumerate(_acceptance_small_suite()):
             result = run_pipeline(inst, FixerConfig(variant=kind, seed=f"accept2/{index}"))
             where = (kind, index)
-            assert result.prestretch == unpad_schedule(result.padded, result.padded_schedule), where
+            padded_schedule = schedule_from_assignment(result.padded, result.assignment)
+            assert result.prestretch == unpad_schedule(result.padded, padded_schedule), where
             if kind == "plain":
                 budget = result.assignment.tree.ladder.total_wait_budget()
                 for packet in range(inst.n_packets):
-                    assert result.padded_schedule.total_waiting(packet) == budget, (where, packet)
+                    assert sum(padded_schedule.waits[packet]) == budget, (where, packet)
             trace = simulate(inst, result.prestretch, capacity=result.report.load)
             assert trace.makespan == result.report.makespan_prestretch, where
 

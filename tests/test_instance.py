@@ -226,6 +226,13 @@ def test_decode_rejects_ids_that_are_not_strings(edit):
         decode(json.dumps(doc))
 
 
+def test_decode_rejects_a_repeated_node_id():
+    # a set would merge the two, and the instance would validate
+    doc = {"nodes": ["a", "a", "b"], "edges": [{"id": "e", "tail": "a", "head": "b"}], "paths": [["e"]]}
+    with pytest.raises(InvalidInstanceError, match="^malformed instance document: node a is repeated$"):
+        decode(json.dumps(doc))
+
+
 def test_decode_rejects_an_edge_that_is_not_an_object():
     doc = {"nodes": ["a", "b"], "edges": [["e", "a", "b"]], "paths": [["e"]]}
     with pytest.raises(InvalidInstanceError, match="^malformed instance document: "):

@@ -6,16 +6,14 @@ from itertools import permutations as all_permutations
 import pytest
 
 from cd_router import lowerbound as lb
-from cd_router.instance import InvalidInstanceError, encode, shared_path_instance, stats
+from cd_router.instance import decode, stats
 from cd_router.oracle import OracleCapacityError, optimal_makespan
 from cd_router.simulator import simulate
-
-from conftest import fixture_text
 
 
 @pytest.fixture()
 def gadget2():
-    return lb.deserialize(fixture_text("lb-n2.json"))
+    return lb.generate(2, seed=0)  # tests/fixtures/lb-n2.json, as `test_cli.py` pins
 
 
 # --- generation --------------------------------------------------------------
@@ -46,76 +44,12 @@ def test_generate_rejects_nonpositive_n():
 
 
 def test_serialization_round_trip(gadget2):
+    # `lowerbound solve` reads a gadget file back as a plain instance; the
+    # permutations sidecar is for readers of the file
     text = lb.serialize(gadget2)
-    again = lb.deserialize(text)
-    assert again.permutations == gadget2.permutations == ((1, 2), (2, 1))
-    assert again.instance.paths == gadget2.instance.paths
-    assert lb.serialize(again) == text
-
-
-def test_deserialize_needs_the_permutation_sidecar():
-    with pytest.raises(InvalidInstanceError, match="permutations"):
-        lb.deserialize(encode(shared_path_instance(2, 3)))
-
-
-def test_deserialize_round_trips_a_generated_gadget():
-    gadget = lb.generate(4, seed=7)
-    again = lb.deserialize(lb.serialize(gadget))
-    assert again == gadget
-
-
-@pytest.mark.parametrize("perms, match", [
-    (["21", "12"], "row 0 is not a permutation"),  # strings, not arrays
-    ([[1, 2.7], [2, 1]], "row 0 is not a permutation"),
-    ([[2.0, 1], [1, 2]], "row 0 is not a permutation"),
-    ([[1, 2], [True, 2]], "row 1 is not a permutation"),
-    ([[1, 1], [2, 1]], "row 0 is not a permutation of 1..2"),
-    ([[1, 2], [2, 3]], "row 1 is not a permutation of 1..2"),
-    ([[1, 2]], "1 rows for 2 paths"),
-    ([[1, 2], [2, 1], [1, 2]], "3 rows for 2 paths"),
-    ([[1], [1]], "row 0 is not a permutation of 1..2"),
-])
-def test_deserialize_rejects_a_bad_permutation_sidecar(perms, match):
-    doc = json.loads(lb.serialize(lb.generate(2)))
-    doc["permutations"] = perms
-    with pytest.raises(InvalidInstanceError, match=match):
-        lb.deserialize(json.dumps(doc))
-
-
-def test_deserialize_rejects_a_sidecar_that_contradicts_the_paths():
-    doc = json.loads(lb.serialize(lb.generate(3, 0)))
-    perms = doc["permutations"]
-    perms[0], perms[1] = perms[1], perms[0]
-    assert perms[0] != perms[1]
-    with pytest.raises(InvalidInstanceError, match=r"path 0 is not the gadget path of its permutation \[2, 1, 3\]"):
-        lb.deserialize(json.dumps(doc))
-
-
-def test_deserialize_rejects_an_instance_that_is_no_gadget():
-    doc = json.loads(encode(shared_path_instance(2, 2)))
-    doc["paths"][1] = doc["paths"][1][:1]  # paths of 2 and 1 edges
-    doc["permutations"] = [[1, 2], [2, 1]]
-    with pytest.raises(InvalidInstanceError, match="path 0 is not the gadget path"):
-        lb.deserialize(json.dumps(doc))
-
-
-def test_deserialize_validates_the_gadget():
-    text = lb.serialize(lb.generate(2))
-    doc = json.loads(text)
-    doc["paths"][1][3] = "nope"
-    with pytest.raises(InvalidInstanceError, match="path 1 is not the gadget path"):
-        lb.deserialize(json.dumps(doc))
-    # the gadget's paths, on a graph that does not carry them
-    doc = json.loads(text)
-    doc["edges"] = [e for e in doc["edges"] if e["id"] != "out"]
-    with pytest.raises(InvalidInstanceError, match="unknown edge out") as missing:
-        lb.deserialize(json.dumps(doc))
-    assert missing.value.violations == ("path 0: unknown edge out", "path 1: unknown edge out")
-    doc = json.loads(text)
-    crit = next(e for e in doc["edges"] if e["id"] == "crit_1")
-    crit["tail"] = "s"
-    with pytest.raises(InvalidInstanceError, match="edge crit_1 tail s does not continue from u1"):
-        lb.deserialize(json.dumps(doc))
+    assert gadget2.permutations == ((1, 2), (2, 1))
+    assert json.loads(text)["permutations"] == [[1, 2], [2, 1]]
+    assert decode(text) == gadget2.instance
 
 
 def test_permutations_are_uniform():

@@ -28,7 +28,6 @@ def test_schedule_accessors():
     assert waits_from_slots([3, 4, 6], 0) == [2, 0, 1, 0]
     assert s.arrival(0) == 6
     assert s.makespan == 6
-    assert s.total_waiting(0) == 3
 
 
 def test_schedule_json_round_trip():
@@ -123,14 +122,6 @@ def test_conservation_and_monotonicity(fig1):
         assert all(b > a for a, b in zip(slots, slots[1:]))
 
 
-def test_state_counts_partition(fig1):
-    sched = Schedule(waits=[[1, 0, 2, 0], [0, 0, 1, 0, 0], [3, 0, 0, 0]])
-    trace = simulate(fig1, sched)
-    k = fig1.n_packets
-    for moving, buffered, parked in trace.state_counts:
-        assert moving + buffered + parked == k
-
-
 def test_waits_split_parking_from_buffering():
     inst = shared_path_instance(1, 3)
     # wait 5 at source (parking), 2 before the middle edge (buffered)
@@ -139,8 +130,10 @@ def test_waits_split_parking_from_buffering():
     assert trace.edge_waits == {(0, "e1"): 2}
     assert trace.max_edge_wait == 2
     assert trace.max_occupancy == 1
-    # occupancy is charged to the waited-for edge while the packet holds
-    assert all(occ <= 1 for occ in trace.occupancy.values())
+    # occupancy is charged to the waited-for edge while the packet holds:
+    # e0, e1 and e2 are crossed at slots 6, 9 and 10
+    occupancy = stepped_simulation(inst, sched).occupancy
+    assert occupancy == {("e1", 6): 1, ("e1", 7): 1, ("e1", 8): 1, ("e2", 9): 1}
 
 
 def test_edge_waits_are_derived_on_first_read():
@@ -263,12 +256,11 @@ def _assert_same_trace(instance: Instance, sched: Schedule, capacity: int = 1) -
     fast = simulate(instance, sched, capacity=capacity)
     slow = stepped_simulation(instance, sched, capacity=capacity)
     for name in (
-        "loads", "arrivals", "crossing_slots", "edge_waits", "occupancy", "state_counts",
+        "loads", "arrivals", "crossing_slots", "edge_waits",
         "capacity", "makespan", "max_load", "max_occupancy", "max_edge_wait",
     ):
         assert getattr(fast, name) == getattr(slow, name), name
-    assert type(fast.loads) is dict and type(fast.occupancy) is dict
-    assert type(fast.state_counts) is list
+    assert type(fast.loads) is dict
     requirements = CheckRequirements(
         capacity=1,
         makespan_bound=slow.makespan - 1,

@@ -82,9 +82,8 @@ def test_fix_level_keeps_the_positions_the_count_hook_reads():
 def test_traced_padded_schedule_counts_a_crossing_per_padded_position():
     tracing = _load_tracing()
     result = fixer.run_pipeline(shared_path_instance(4, 24), fixer.FixerConfig(seed=0))
-    assert "padded_schedule" not in vars(result)
     with tracing.Tracer().installed() as tracer:
-        schedule = result.padded_schedule  # built on first read, by `schedule_from_assignment`
+        schedule = fixer.schedule_from_assignment(result.padded, result.assignment)
     assert result.padded.length == 32
     assert [len(waits) for waits in schedule.waits] == [33] * 4
     assert tracer.counts["delay_model.crossing_time.calls"] == 4 * 32
