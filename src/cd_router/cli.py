@@ -97,6 +97,16 @@ def _invalid(violations: tuple[str, ...]) -> bool:
     return bool(violations)
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Raise, before any work, the OSError that writing a path would; `-` is stdout.
+
+    Opening to append makes a missing file empty and leaves an existing one as it is.
+    """
+    for path in paths:
+        if path is not None and path != "-":
+            open(path, "a").close()
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -119,6 +129,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
+    _check_writable(args.out, args.report)
     instance = _load_instance(args.instance)
     config = FixerConfig(
         variant=args.variant,
@@ -148,6 +159,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_writable(args.trace_csv, args.arrivals_csv)
     instance = _load_instance(args.instance)
     if _invalid(validate(instance).violations):
         return EXIT_FAILURE
@@ -182,6 +194,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_lowerbound_gen(args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     lb = lb_mod.generate(args.n, args.seed)
     _write_or_print(lb_mod.serialize(lb), args.out)
     return EXIT_OK
@@ -233,6 +246,7 @@ def _bench_one(job: tuple[int, str, str, int]) -> tuple[dict | None, str | None]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     jobs = [
         (i, f"{args.seed}/bench{i}", variant, args.delta)
         for i in range(args.count)

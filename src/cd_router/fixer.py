@@ -139,6 +139,10 @@ class _CrossingIndex:
     position) pairs. At level 0 that is exactly the reach under any draw;
     a deeper level reaches a subset, so its rows only hold more cells that
     stay 0. `by_row`, the items per row, is built on first read.
+
+    `ints` is one int object per value, 0 upward, extended by each
+    workspace to its variable count: `pos` and every workspace's `var`
+    refer to these instead of minting an int per item.
     """
 
     def __init__(self, padded: PaddedInstance, assignment: DelayAssignment):
@@ -147,12 +151,12 @@ class _CrossingIndex:
         self.edges = sorted(e for e, load in padded.stats.edge_loads.items() if load > 1)
         row_of = {e: r for r, e in enumerate(self.edges)}
         paths = padded.base.paths
-        positions = range(padded.length)
         self.shared = [list(map(row_of.__contains__, path)) for path in paths]
         self.rows = list(chain.from_iterable(
             map(row_of.__getitem__, compress(path, mask)) for path, mask in zip(paths, self.shared)
         ))
-        self.pos = list(chain.from_iterable(compress(positions, mask) for mask in self.shared))
+        self.ints = list(range(padded.length))
+        self.pos = list(chain.from_iterable(compress(self.ints, mask) for mask in self.shared))
         # a level delays by its table, or by its draw 1 .. budget where it has none
         least = most = columns.offsets
         for lv, table in zip(tree.ladder.levels, columns.tables):
@@ -183,8 +187,15 @@ class _CrossingIndex:
 class _LevelWorkspace:
     """Y(edge, slot) as a function of this level's draws, updated in place.
 
-    Y is held in exact integers, in units of 1/`scale`, where `scale` is the
-    product of the budgets of this level and of every deeper level. It is a
+    Y is held in exact integers, in units of 1/`scale`. A `blurred`
+    workspace, which the greedy sweep and the greedy finalize build, can
+    hold open variables: its `scale` is the product of the budgets of this
+    level and of every deeper level, and each crossing adds its deeper law
+    at `weight` = `budget`. One that resampling builds holds every crossing
+    at a draw: its `scale` is the product of the deeper budgets alone, and
+    `weight` is 1, so its cells are small counts (at most the deeper
+    budgets' product per crossing). Every budget is a power of two, so both
+    units give the same bad cells and the same maximum over `scale`. Y is a
     list of slot rows, one per edge that two or more padded paths use, laid
     out by the run's `_CrossingIndex`: cell (index.edges[r], index.lo[r] + i)
     is `y[r][i]`, and every level's rows have the same `lo` and length.
@@ -197,11 +208,12 @@ class _LevelWorkspace:
     falls as the position grows, so a variable's items are contiguous:
     `by_var[v]` is a range, found by bisection.
 
-    A draw is 1 .. `budget`, and draw 0 means the variable is still open.
+    A draw is 1 .. `budget`, and draw 0 means the variable is still open,
+    which only a blurred workspace takes.
     What is still random is a function of the position alone, so it is held
     once per position, and computed once per distinct law: the delay of
     draw d, `delays[p][d]` (0 at draw 0); the law of the deeper open levels
-    at weight `budget`, `weighted[p]`, as (offset, value) pairs; its offsets
+    at `weight`, `weighted[p]`, as (offset, value) pairs; its offsets
     as a set, `offsets[p]`; and, on first read, which only the greedy sweep
     makes, the law of this level and the deeper ones, `blurs[p]`, which is
     what an open variable adds at its base slot. A packet's fixed draws only
@@ -217,14 +229,14 @@ class _LevelWorkspace:
     the old draw.
 
     An edge that one packet uses gets no row, nor does a dummy position: it
-    holds a single item at weight `budget`, so none of its cells exceeds
-    `scale`, and the limit `floor(target * scale)` has target > 1. Its
-    largest cell is `budget` times the largest count of its deeper law.
-    `ceiling[b]` is the largest such count over every position of block b,
-    and `peak`, `max_y` and `first_bad_cell` take `budget` times it into
-    their maximum. That the shared positions count too changes none of
-    them: Y is never negative, so an added shared item's own cells hold at
-    least `budget` times its law's counts.
+    holds a single item at `weight`, so none of its cells exceeds `scale`,
+    and the limit `floor(target * scale)` has target > 1. Its largest cell
+    is `weight` times the largest count of its deeper law. `ceiling[b]` is
+    the largest such count over every position of block b, and `peak`,
+    `max_y` and `first_bad_cell` take `weight` times it into their maximum.
+    That the shared positions count too changes none of them: Y is never
+    negative, so an added shared item's own cells hold at least `weight`
+    times its law's counts.
 
     The first bad cell is in the first row whose maximum exceeds the limit.
     The built-in `max` scans a row far faster than a heap or per-row maxima
@@ -233,12 +245,15 @@ class _LevelWorkspace:
     needs no resample scans Y once.
     """
 
-    def __init__(self, index: _CrossingIndex, assignment: DelayAssignment, level: int):
+    def __init__(
+        self, index: _CrossingIndex, assignment: DelayAssignment, level: int, blurred: bool = True
+    ):
         tree, columns = assignment.tree, assignment.tree.columns
-        self.index, self.tree, self.level = index, tree, level
+        self.index, self.tree, self.level, self.blurred = index, tree, level, blurred
         self.rows, self.pos = index.rows, index.pos
         self.budget = tree.ladder.levels[level].wait_budget
-        self.scale = prod(lv.wait_budget for lv in tree.ladder.levels[level:])
+        self.weight = weight = self.budget if blurred else 1
+        self.scale = weight * prod(lv.wait_budget for lv in tree.ladder.levels[level + 1:])
         self.n_blocks = n_blocks = tree.n_blocks(level)
         # what is still random at a position depends only on its delay
         # tables for this level and the deeper ones, and few positions
@@ -254,7 +269,7 @@ class _LevelWorkspace:
                 law = laws[key] = (
                     p,  # the first position with this law, where `blurs` computes it
                     identity if key[0] is None else (0, *key[0]),
-                    [(dt, self.budget * count) for dt, count in tail],
+                    [(dt, weight * count) for dt, count in tail],
                     frozenset(dt for dt, _ in tail),
                     max(count for _, count in tail),
                 )
@@ -267,21 +282,24 @@ class _LevelWorkspace:
         for b, top in zip(block_of, tops):
             if top > ceiling[b]:
                 ceiling[b] = top
-        self.unshared_max = self.budget * max(ceiling)
+        self.unshared_max = weight * max(ceiling)
+        n_vars = len(index.shared) * n_blocks
+        ints = index.ints
+        ints.extend(range(len(ints), n_vars))
         bases: list[int] = []
         var: list[int] = []
         for packet, mask in enumerate(index.shared):
             first = packet * n_blocks
             bases.extend(compress(assignment.fixed_slots(packet, level), mask))
-            var.extend(compress(map(first.__add__, block_of), mask))
+            var.extend(compress(map(ints[first:first + n_blocks].__getitem__, block_of), mask))
         self.var = var
         self.bases = list(map(sub, bases, map(index.lo.__getitem__, index.rows)))
-        bounds = [bisect_left(var, v) for v in range(len(index.shared) * n_blocks + 1)]
+        bounds = [bisect_left(var, v) for v in range(n_vars + 1)]
         self.by_var = [range(a, b) for a, b in pairwise(bounds)]
         self.y: list[list[int]] = [[0] * width for width in index.widths]
 
     def fill(self, draws: list[int]) -> None:
-        """Add every item's law at weight `budget`, given the draws per variable, into a zero Y."""
+        """Add every item's law at `weight`, given the draws per variable, into a zero Y."""
         y, delays, weighted = self.y, self.delays, self.weighted
         for r, base, p, v in zip(self.rows, self.bases, self.pos, self.var):
             row = y[r]
@@ -292,8 +310,8 @@ class _LevelWorkspace:
     def spread(self, var: int, draw: int, sign: int) -> None:
         """Add (`sign` +1) or take off (-1) the variable's items at `draw`.
 
-        Each item adds its law at weight `budget`, or its blur while the
-        variable is open (draw 0).
+        Each item adds its law at `weight`, or its blur while the variable
+        is open (draw 0), which only a blurred workspace takes.
         """
         y, delays = self.y, self.delays
         laws = self.blurs if draw == 0 else self.weighted
@@ -306,7 +324,7 @@ class _LevelWorkspace:
                 row[slot0 + dt] += sign * value
 
     def move(self, var: int, old: int, new: int) -> None:
-        """Redraw one variable: move its items' laws, at weight `budget`, from draw `old` to `new`."""
+        """Redraw one variable: move its items' laws, at `weight`, from draw `old` to `new`."""
         y, delays, weighted = self.y, self.delays, self.weighted
         items = self.by_var[var]
         a, b = items.start, items.stop
@@ -325,6 +343,8 @@ class _LevelWorkspace:
     @cached_property
     def blurs(self) -> list[list[tuple[int, int]]]:
         """Per position, the `residual_law` of this level and the deeper ones, once per distinct law."""
+        if not self.blurred:
+            raise ValueError("an open variable needs a blurred workspace")
         laws = {p: residual_law(self.tree, self.level, p + 1) for p in set(self.alike)}
         return [laws[p] for p in self.alike]
 
@@ -335,7 +355,7 @@ class _LevelWorkspace:
         an edge once, so no two items of one variable share a cell.
         """
         y, rows, bases, pos, delays, weighted = self.y, self.rows, self.bases, self.pos, self.delays, self.weighted
-        peak = self.budget * self.ceiling[var % self.n_blocks]
+        peak = self.weight * self.ceiling[var % self.n_blocks]
         for i in self.by_var[var]:
             p = pos[i]
             row = y[rows[i]]
@@ -418,7 +438,7 @@ def _resample_fix(
 def _greedy_fix(ws: _LevelWorkspace) -> tuple[list[list[int]], int]:
     """Fix variables one by one, each draw chosen to minimize its local maximum.
 
-    Takes a freshly built workspace.
+    Takes a freshly built blurred workspace.
     """
     n_vars = len(ws.by_var)
     draws = [0] * n_vars  # every variable open
@@ -444,16 +464,21 @@ def fix_level(
     """Pin one level's draws so all conditional cell loads stay <= gamma + slack.
 
     Commits into the assignment on success; raises FixerError (carrying the
-    best achieved maximum) when the budgets run out. The crossings are the
-    run's `index`, and their slots read the assignment's tree. `padded` is
-    read only by the benchmark's count hook, which takes it as the first
-    argument and `config` as the sixth.
+    best achieved maximum) when the budgets run out. Resampling holds every
+    crossing at a draw, so its workspace counts in units of 1/(the deeper
+    budgets' product); only the greedy sweep, which blurs open variables
+    in, counts in units of 1/(this level's budget times it). The crossings
+    are the run's `index`, and their slots read the assignment's tree.
+    `padded` is read only by the benchmark's count hook, which takes it as
+    the first argument and `config` as the sixth.
     """
     block_len = assignment.tree.ladder.levels[level].block_len
     slack = config.slack(block_len, relax)
     target = max(gamma, 1.0) + slack
-    ws = _LevelWorkspace(index, assignment, level)
-    # Y is an integer, so Y > target * scale exactly when Y > limit
+    ws = _LevelWorkspace(index, assignment, level, config.strategy == "greedy")
+    # Y is an integer, so Y > target * scale exactly when Y > limit. Every
+    # budget is a power of two, so scaling by one is exact in floating point:
+    # in either unit the limit, the bad cells and `peak / scale` are the same
     limit = floor(target * ws.scale)
     if config.strategy == "resample":
         draws, peak, resamples, restarts = _resample_fix(
@@ -572,7 +597,7 @@ def finalize(
     if config.finalize_strategy == "greedy":
         while not assignment.fully_fixed:
             level = assignment.frontier
-            draws, _ = _greedy_fix(_LevelWorkspace(index, assignment, level))
+            draws, _ = _greedy_fix(_LevelWorkspace(index, assignment, level, True))
             assignment.set_level(level, draws)
     else:
         assignment.fill_remaining(1)
@@ -652,21 +677,23 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
 
     prestretch, ranks = finalize(padded, assignment, config, report, index)
     del index  # not held through the replays
-    pre_trace = simulate(instance, prestretch, capacity=report.load)
-    report.makespan_prestretch = pre_trace.makespan
-    if pre_trace.max_load > report.load:
+    trace = simulate(instance, prestretch, capacity=report.load)
+    report.makespan_prestretch = trace.makespan
+    if trace.max_load > report.load:
         raise FixerError("pre-stretch load exceeds the certified bound", report)
-    report.prestretch_max_edge_wait = pre_trace.max_edge_wait
+    report.prestretch_max_edge_wait = trace.max_edge_wait
 
     final_schedule = stretch(prestretch, report.load, ranks)
-    # at load 1 `stretch` hands back the pre-stretch schedule, replayed already
-    if final_schedule is prestretch:
-        final_trace = pre_trace
-    else:
-        final_trace = simulate(instance, final_schedule, capacity=1)
-    if final_trace.max_load > 1:
+    del ranks
+    # at load 1 `stretch` hands back the pre-stretch schedule, replayed
+    # already; else its trace goes before the capacity-1 replay, so a run
+    # holds one trace at a time
+    if final_schedule is not prestretch:
+        del trace
+        trace = simulate(instance, final_schedule, capacity=1)
+    if trace.max_load > 1:
         raise FixerError("stretched schedule is not capacity-1 feasible", report)
-    report.makespan = final_trace.makespan
+    report.makespan = trace.makespan
 
     return PipelineResult(
         padded=padded,

@@ -451,13 +451,18 @@ def test_bad_values_exit_1_cleanly(tmp_path, capsys):
     ["lowerbound", "gen", "--n", "2", "--out", "{bad}"],
 ], ids=["schedule-out", "schedule-report", "simulate-trace-csv", "simulate-arrivals-csv", "bench-out",
         "lowerbound-gen-out"])
-def test_an_unwritable_output_path_is_one_error_line(tmp_path, capsys, argv):
+def test_an_unwritable_output_path_is_one_error_line(monkeypatch, tmp_path, capsys, argv):
     bad = tmp_path / "missing" / "out"
     schedule = tmp_path / "schedule.json"
     assert main(["schedule", FIG1, "--out", str(schedule)]) == EXIT_OK
     capsys.readouterr()
+    # the path fails before any work runs and before anything is printed
+    calls = []
+    for owner, name in [(cli, "run_pipeline"), (cli, "simulate"), (cli, "_bench_one"), (cli.lb_mod, "generate")]:
+        monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
     assert main([arg.format(bad=bad, schedule=schedule) for arg in argv]) == EXIT_FAILURE
-    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{bad}'\n"
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{bad}'\n")
+    assert calls == []
 
 
 def test_capacity_errors_exit_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import random
 import sys
+import weakref
 from collections import Counter
 from math import floor
 
@@ -199,6 +200,49 @@ def test_move_equals_a_fill_with_the_final_draws(name, kind):
             fresh.fill(draws)
             assert ws.y == fresh.y
     assert len(budgets) >= 2 and min(budgets) <= 4
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+@pytest.mark.parametrize("name", ["shared-30x32", "accept2/3", "accept2/8"])
+def test_count_units_and_budget_units_hold_one_table(name, kind):
+    # resampling counts over the deeper budgets, the greedy sweep over this
+    # level's budget too; every budget is a power of two, so the two agree
+    # on every bad cell and on the maximum over `scale`
+    rng = random.Random(f"units/{name}/{kind}")
+    levels = []
+    for args in _level_workspace_args(name, kind, rng):
+        counts, blurred = _LevelWorkspace(*args, False), _LevelWorkspace(*args, True)
+        budget = counts.budget
+        levels.append(counts.level)
+        assert (counts.weight, blurred.weight) == (1, budget)
+        assert blurred.scale == budget * counts.scale
+        n_vars = len(counts.by_var)
+        draws = [rng.randint(1, budget) for _ in range(n_vars)]
+        counts.fill(draws)
+        blurred.fill(draws)
+        for _ in range(4):
+            for _ in range(rng.randint(1, 2 * n_vars)):
+                var, new = rng.randrange(n_vars), rng.randint(1, budget)
+                counts.move(var, draws[var], new)
+                blurred.move(var, draws[var], new)
+                draws[var] = new
+            assert [[budget * v for v in row] for row in counts.y] == blurred.y
+            assert counts.max_y() / counts.scale == blurred.max_y() / blurred.scale
+            top = blurred.max_y() / blurred.scale
+            cells = {v / blurred.scale for row in blurred.y for v in row}
+            targets = [rng.uniform(0, 1.25 * top) for _ in range(20)] + rng.sample(sorted(cells), min(len(cells), 10))
+            bad = 0
+            for target in targets:
+                cell, peak = counts.first_bad_cell(floor(target * counts.scale))
+                assert (cell, budget * peak) == blurred.first_bad_cell(floor(target * blurred.scale)), target
+                bad += cell is not None
+            assert 0 < bad < len(targets)
+        # a count-unit workspace holds every crossing at a draw
+        with pytest.raises(ValueError, match="blurred"):
+            counts.spread(0, 0, +1)
+        with pytest.raises(ValueError, match="blurred"):
+            _greedy_fix(_LevelWorkspace(*args, False))
+    assert len(levels) >= 2
 
 
 @pytest.mark.parametrize("kind", ["plain", "buffered"])
@@ -734,10 +778,28 @@ def test_pipeline_indexes_the_crossings_once(monkeypatch, inst, config, check):
     builds.clear()
     padded = pad(inst)
     monkeypatch.setattr(fixer_mod, "_LevelWorkspace",
-                        lambda _, assignment, level: workspace(Counted(padded, assignment), assignment, level))
+                        lambda _, assignment, level, blurred: workspace(
+                            Counted(padded, assignment), assignment, level, blurred))
     alone = run_pipeline(inst, config)
     assert len(builds) == 1 + len(workspaces)
     assert (alone.schedule, alone.report) == (result.schedule, result.report)
+
+
+def test_a_run_holds_one_replay_trace_at_a_time(monkeypatch):
+    # the pre-stretch trace is dropped before the capacity-1 replay starts
+    traces, dead = [], []
+    replay = fixer_mod.simulate
+
+    def spy(*args, **kwargs):
+        dead.append([ref() is None for ref in traces])
+        trace = replay(*args, **kwargs)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(fixer_mod, "simulate", spy)
+    result = run_pipeline(shared_path_instance(30, 32))
+    assert result.report.load == 2
+    assert dead == [[], [True]]
 
 
 def test_pipeline_builds_no_index_when_nothing_is_fixed(monkeypatch):
