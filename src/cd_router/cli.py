@@ -77,6 +77,17 @@ def _finite_at_least(low: float):
     return parse
 
 
+def _output_file(text: str) -> str:
+    """argparse type: a file path, not `-` (else exit 64).
+
+    The commands that take one print their own lines to stdout, so `-`
+    cannot mean stdout there.
+    """
+    if text == "-":
+        raise argparse.ArgumentTypeError("'-' is not a file: this command prints its own lines to stdout")
+    return text
+
+
 def _sci(x: float) -> str:
     mantissa, exponent = f"{x:.2e}".split("e")
     return f"{mantissa}e{int(exponent)}"
@@ -98,9 +109,11 @@ def _invalid(violations: tuple[str, ...]) -> bool:
 
 
 def _check_writable(*paths: str | None) -> None:
-    """Raise, before any work, the OSError that writing a path would; `-` is stdout.
+    """Raise, before any work, the OSError that writing a path would.
 
-    Opening to append makes a missing file empty and leaves an existing one as it is.
+    `-` is stdout for `schedule --out` and `lowerbound gen --out`, and is
+    skipped; the other output flags refuse it while parsing. Opening to
+    append makes a missing file empty and leaves an existing one as it is.
     """
     for path in paths:
         if path is not None and path != "-":
@@ -301,7 +314,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy", choices=("resample", "greedy"), default="resample")
     p.add_argument("--finalize", choices=("ones", "greedy"), default="ones")
     p.add_argument("--out", default=None)
-    p.add_argument("--report", default=None)
+    p.add_argument("--report", type=_output_file, default=None)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("simulate", help="replay a schedule and check feasibility")
@@ -310,8 +323,8 @@ def build_parser() -> _Parser:
     p.add_argument("--capacity", type=_int_at_least(1), default=1)
     p.add_argument("--max-makespan", type=_int_at_least(0), default=None)
     p.add_argument("--max-wait", type=_int_at_least(0), default=None)
-    p.add_argument("--trace-csv", default=None)
-    p.add_argument("--arrivals-csv", default=None)
+    p.add_argument("--trace-csv", type=_output_file, default=None)
+    p.add_argument("--arrivals-csv", type=_output_file, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("lowerbound", help="hard-instance experiments")
@@ -337,7 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=_int_at_least(2), default=4)
     p.add_argument("--seed", default="0")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output_file, required=True)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, compress, pairwise, repeat
 from math import floor, inf, prod
-from operator import add, sub
+from operator import add, getitem, sub
 from typing import ClassVar
 
 from .delay_model import AssignmentError, DelayAssignment, Tree, residual_law
@@ -224,9 +224,21 @@ class _LevelWorkspace:
 
     Y has three writers. `fill` adds every item at its draw into a zero Y.
     `spread` adds (sign +1) or takes off (-1) one variable's items at one
-    draw, each at its blur at draw 0. `move` redraws a variable in one pass
-    over its items, and the resampling loop skips it when the redraw repeats
-    the old draw.
+    draw, each at its blur at draw 0. `move` redraws a variable, and the
+    resampling loop skips it when the redraw repeats the old draw.
+
+    `spread`, `move` and `peak` walk the variable's plan, `plans[var]`,
+    which the first of them to touch the variable builds and which is kept
+    for the workspace's life; a level that needs no resample builds none.
+    A plan groups the variable's items by position class (`alike`): each
+    group holds the class, its `delays` row and `weighted` law (at draw 0
+    `spread` reads the class's blur instead), and two parallel lists, the
+    Y row of each item and its base slot. On a level where every position
+    shares one class, a plan is one group, built without a per-item loop.
+    A write is then one tight loop over a group's items per law entry, and
+    a probe one C-level `max` per law entry. The plans hold Y's rows themselves, so
+    `clear` zeroes every row in place: a row replaced by a new list would
+    leave the plans writing to the old one.
 
     An edge that one packet uses gets no row, nor does a dummy position: it
     holds a single item at `weight`, so none of its cells exceeds `scale`,
@@ -236,7 +248,8 @@ class _LevelWorkspace:
     `max_y` and `first_bad_cell` take `weight` times it into their maximum.
     That the shared positions count too changes none of them: Y is never
     negative, so an added shared item's own cells hold at least `weight`
-    times its law's counts.
+    times its law's counts. For a variable with no shared item, whose plan
+    is empty, the ceiling is all that `peak` reads.
 
     The first bad cell is in the first row whose maximum exceeds the limit.
     The built-in `max` scans a row far faster than a heap or per-row maxima
@@ -277,6 +290,7 @@ class _LevelWorkspace:
         self.alike, self.delays, self.weighted, self.offsets, tops = (
             list(c) for c in zip(*per_position)
         )
+        self.one_class = len(laws) == 1
         block_of = columns.blocks[level]
         self.ceiling = ceiling = [0] * n_blocks
         for b, top in zip(block_of, tops):
@@ -297,6 +311,7 @@ class _LevelWorkspace:
         bounds = [bisect_left(var, v) for v in range(n_vars + 1)]
         self.by_var = [range(a, b) for a, b in pairwise(bounds)]
         self.y: list[list[int]] = [[0] * width for width in index.widths]
+        self.plans: list[list[tuple] | None] = [None] * n_vars
 
     def fill(self, draws: list[int]) -> None:
         """Add every item's law at `weight`, given the draws per variable, into a zero Y."""
@@ -307,34 +322,56 @@ class _LevelWorkspace:
             for dt, value in weighted[p]:
                 row[slot0 + dt] += value
 
+    def _plan(self, var: int) -> list[tuple]:
+        """Build and keep the variable's plan: its items grouped by position class."""
+        items = self.by_var[var]
+        a, b = items.start, items.stop
+        rows = list(map(self.y.__getitem__, self.rows[a:b]))
+        if self.one_class:
+            groups = {self.alike[0]: (rows, self.bases[a:b])} if rows else {}
+        else:
+            alike = self.alike
+            groups = {}
+            for row, base, p in zip(rows, self.bases[a:b], self.pos[a:b]):
+                group = groups.get(alike[p])
+                if group is None:
+                    group = groups[alike[p]] = ([], [])
+                group[0].append(row)
+                group[1].append(base)
+        plan = self.plans[var] = [
+            (p, self.delays[p], self.weighted[p], *group) for p, group in groups.items()
+        ]
+        return plan
+
     def spread(self, var: int, draw: int, sign: int) -> None:
         """Add (`sign` +1) or take off (-1) the variable's items at `draw`.
 
         Each item adds its law at `weight`, or its blur while the variable
         is open (draw 0), which only a blurred workspace takes.
         """
-        y, delays = self.y, self.delays
-        laws = self.blurs if draw == 0 else self.weighted
-        items = self.by_var[var]
-        a, b = items.start, items.stop
-        for r, base, p in zip(self.rows[a:b], self.bases[a:b], self.pos[a:b]):
-            row = y[r]
-            slot0 = base + delays[p][draw]
-            for dt, value in laws[p]:
-                row[slot0 + dt] += sign * value
+        blurs = self.blurs if draw == 0 else None
+        plan = self.plans[var]
+        if plan is None:
+            plan = self._plan(var)
+        for p, at, law, rows, bases in plan:
+            slot = at[draw]
+            for dt, value in law if blurs is None else blurs[p]:
+                slot_dt, value = slot + dt, sign * value
+                for row, base in zip(rows, bases):
+                    row[base + slot_dt] += value
 
     def move(self, var: int, old: int, new: int) -> None:
         """Redraw one variable: move its items' laws, at `weight`, from draw `old` to `new`."""
-        y, delays, weighted = self.y, self.delays, self.weighted
-        items = self.by_var[var]
-        a, b = items.start, items.stop
-        for r, base, p in zip(self.rows[a:b], self.bases[a:b], self.pos[a:b]):
-            row = y[r]
-            at = delays[p]
-            gone, come = base + at[old], base + at[new]
-            for dt, value in weighted[p]:
-                row[gone + dt] -= value
-                row[come + dt] += value
+        plan = self.plans[var]
+        if plan is None:
+            plan = self._plan(var)
+        for _, at, law, rows, bases in plan:
+            gone, come = at[old], at[new]
+            for dt, value in law:
+                gone_dt, come_dt = gone + dt, come + dt
+                for row, base in zip(rows, bases):
+                    row[base + gone_dt] -= value
+                    row[base + come_dt] += value
 
     def clear(self) -> None:
         for row in self.y:
@@ -354,13 +391,16 @@ class _LevelWorkspace:
         Y is read as it is, plus each item's weighted law: a packet crosses
         an edge once, so no two items of one variable share a cell.
         """
-        y, rows, bases, pos, delays, weighted = self.y, self.rows, self.bases, self.pos, self.delays, self.weighted
+        plan = self.plans[var]
+        if plan is None:
+            plan = self._plan(var)
         peak = self.weight * self.ceiling[var % self.n_blocks]
-        for i in self.by_var[var]:
-            p = pos[i]
-            row = y[rows[i]]
-            slot0 = bases[i] + delays[p][draw]
-            peak = max(peak, max(row[slot0 + dt] + value for dt, value in weighted[p]))
+        for _, at, law, rows, bases in plan:
+            slot = at[draw]
+            for dt, value in law:
+                top = max(map(getitem, rows, map((slot + dt).__add__, bases))) + value
+                if top > peak:
+                    peak = top
         return peak
 
     def max_y(self) -> int:

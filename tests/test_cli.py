@@ -465,6 +465,45 @@ def test_an_unwritable_output_path_is_one_error_line(monkeypatch, tmp_path, caps
     assert calls == []
 
 
+@pytest.mark.parametrize("argv, work", [
+    (["schedule", FIG1, "--out", "-"], "run_pipeline"),
+    (["schedule", FIG1, "--report", "-"], None),
+    (["simulate", FIG1, "{schedule}", "--trace-csv", "-"], None),
+    (["simulate", FIG1, "{schedule}", "--arrivals-csv", "-"], None),
+    (["bench", "--count", "1", "--out", "-"], None),
+    (["lowerbound", "gen", "--n", "2", "--out", "-"], "generate"),
+], ids=["schedule-out", "schedule-report", "simulate-trace-csv", "simulate-arrivals-csv", "bench-out",
+        "lowerbound-gen-out"])
+def test_a_dash_output_is_stdout_or_a_usage_error(monkeypatch, tmp_path, capsys, argv, work):
+    schedule = tmp_path / "schedule.json"
+    assert main(["schedule", FIG1, "--out", str(schedule)]) == EXIT_OK
+    capsys.readouterr()
+    printed = {"run_pipeline": schedule.read_text(), "generate": fixture_text("lb-n2.json")}
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    for owner, name in [(cli, "run_pipeline"), (cli, "simulate"), (cli, "_bench_one"), (cli.lb_mod, "generate")]:
+        monkeypatch.setattr(owner, name, lambda *args, name=name, run=getattr(owner, name): calls.append(name) or run(*args))
+    code = main([arg.format(schedule=schedule) for arg in argv])
+    captured = capsys.readouterr()
+    assert not (tmp_path / "-").exists()
+    if work is None:
+        # a flag that takes a file only: one usage error, before any work
+        flag = argv[argv.index("-") - 1]
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cd-router ")
+        assert captured.err.endswith(
+            f"error: argument {flag}: '-' is not a file: this command prints its own lines to stdout\n"
+        )
+        assert captured.err.count("error:") == 1
+        assert calls == []
+    else:
+        # `-` is stdout
+        assert code == EXIT_OK
+        assert captured.out == printed[work]
+        assert calls == [work]
+
+
 def test_capacity_errors_exit_2(tmp_path, capsys):
     big = tmp_path / "big.json"
     assert main(["lowerbound", "gen", "--n", "6", "--seed", "1", "--out", str(big)]) == EXIT_OK

@@ -204,6 +204,70 @@ def test_move_equals_a_fill_with_the_final_draws(name, kind):
 
 @pytest.mark.parametrize("kind", ["plain", "buffered"])
 @pytest.mark.parametrize("name", ["shared-30x32", "accept2/3", "accept2/8"])
+def test_plans_survive_a_restart(name, kind):
+    # a plan holds Y's rows themselves, so a restart zeroes them in place
+    rng = random.Random(f"restart/{name}/{kind}")
+    groups = []
+    for args in _level_workspace_args(name, kind, rng):
+        ws = _LevelWorkspace(*args)
+        n_vars = len(ws.by_var)
+        draws = [rng.randint(1, ws.budget) for _ in range(n_vars)]
+        ws.fill(draws)
+        for var in range(n_vars):  # every variable's plan is built
+            new = rng.randint(1, ws.budget)
+            ws.move(var, draws[var], new)
+            draws[var] = new
+        plans = list(ws.plans)
+        ws.clear()
+        draws = [rng.randint(1, ws.budget) for _ in range(n_vars)]
+        ws.fill(draws)
+        for _ in range(rng.randint(1, 3 * n_vars)):
+            var = rng.randrange(n_vars)
+            new = rng.choice([draws[var], rng.randint(1, ws.budget)])  # repeats included
+            ws.move(var, draws[var], new)
+            draws[var] = new
+        assert all(a is b for a, b in zip(plans, ws.plans))  # none was rebuilt
+        fresh = _LevelWorkspace(*args)
+        fresh.fill(draws)
+        assert ws.y == fresh.y, ws.level
+        groups.append(max(map(len, plans)))
+    assert len(groups) >= 2
+    # a shifted level's per-position tables split a variable over position classes
+    assert (max(groups) > 1) == (kind == "buffered")
+
+
+@pytest.mark.parametrize("c, d, resampled", [(30, 32, True), (16, 64, False)])
+def test_plans_are_lazy_and_built_once(monkeypatch, c, d, resampled):
+    built, moved, workspaces = Counter(), set(), []
+    plan, move, resample_fix = _LevelWorkspace._plan, _LevelWorkspace.move, fixer_mod._resample_fix
+
+    def counted_plan(ws, var):
+        built[ws, var] += 1
+        return plan(ws, var)
+
+    def recorded_move(ws, var, old, new):
+        moved.add((ws, var))
+        return move(ws, var, old, new)
+
+    def recorded_fix(ws, *args):
+        outcome = resample_fix(ws, *args)
+        workspaces.append((ws, outcome[2]))
+        return outcome
+
+    monkeypatch.setattr(_LevelWorkspace, "_plan", counted_plan)
+    monkeypatch.setattr(_LevelWorkspace, "move", recorded_move)
+    monkeypatch.setattr(fixer_mod, "_resample_fix", recorded_fix)
+    run_pipeline(shared_path_instance(c, d), FixerConfig(variant="plain", seed=0))
+    assert workspaces and all(n == 1 for n in built.values())
+    # a plan is built for exactly the variables the loop redraws
+    assert set(built) == moved
+    for ws, resamples in workspaces:
+        n_built = sum(w is ws for w, _ in built)
+        assert (resamples > 0, n_built > 0) == (resampled, resampled)
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+@pytest.mark.parametrize("name", ["shared-30x32", "accept2/3", "accept2/8"])
 def test_count_units_and_budget_units_hold_one_table(name, kind):
     # resampling counts over the deeper budgets, the greedy sweep over this
     # level's budget too; every budget is a power of two, so the two agree
@@ -259,13 +323,15 @@ def test_dependents_are_the_variables_whose_removal_changes_the_cell(name, kind)
         assert unreached
         cells = rng.sample(cells, min(len(cells), 40)) + rng.sample(unreached, min(len(unreached), 10))
         expected = {cell: [] for cell in cells}
+        before = [row[:] for row in y]
         for var in range(len(ws.by_var)):
-            ws.y = [row[:] for row in y]
+            # Y's rows change only in place: take the variable off and put it back
             ws.spread(var, draws[var], -1)
             for r, i in cells:
-                if ws.y[r][i] != y[r][i]:
+                if y[r][i] != before[r][i]:
                     expected[r, i].append(var)
-        ws.y = y
+            ws.spread(var, draws[var], +1)
+        assert y == before
         for cell in cells:
             assert ws.dependents(cell, draws) == expected[cell], cell
 
@@ -355,6 +421,30 @@ def test_peak_with_a_block_ceiling_equals_a_per_variable_private_one(name, kind)
             ws.spread(var, 1 + peaks.index(min(peaks)), +1)
     assert levels == list(range(len(levels))) and len(levels) >= 2
     assert differs  # some variable's block ceiling exceeds its private one
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+@pytest.mark.parametrize("name", ["accept2/3", "accept2/8"])
+def test_peak_reads_an_empty_plan_and_a_plan_of_several_groups(name, kind):
+    rng = random.Random(f"peak-plans/{name}/{kind}")
+    seen = set()
+    for args in _level_workspace_args(name, kind, rng):
+        ws = _LevelWorkspace(*args)
+        assert ws.blurred
+        tails = [delay_model.residual_law(ws.tree, ws.level + 1, p + 1) for p in range(ws.index.length)]
+        n_vars = len(ws.by_var)
+        draws = [rng.randint(1, ws.budget) for _ in range(n_vars)]
+        ws.fill(draws)
+        for var in range(n_vars):
+            ws.spread(var, draws[var], -1)
+            peaks = [ws.peak(var, draw) for draw in range(1, ws.budget + 1)]
+            assert peaks == [_private_peak(ws, tails, var, draw) for draw in range(1, ws.budget + 1)]
+            groups = len(ws.plans[var])
+            if groups == 0:  # no shared item: only the ceiling counts
+                assert set(peaks) == {ws.weight * ws.ceiling[var % ws.n_blocks]}
+            seen.add(min(groups, 2))
+            ws.spread(var, draws[var], +1)
+    assert seen == ({0, 1, 2} if kind == "buffered" else {0, 1})
 
 
 @pytest.mark.parametrize("strategies, blurred", [
