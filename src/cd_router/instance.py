@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 
 class InvalidInstanceError(ValueError):
@@ -201,16 +202,48 @@ def pad(instance: Instance) -> PaddedInstance:
 
 # --- JSON round trip ------------------------------------------------------
 
+def _array(items, indent: str) -> str:
+    """A JSON array of encoded items as `indent=2` lays it out, its items at `indent`."""
+    if not items:
+        return "[]"
+    sep = ",\n" + indent
+    return f"[\n{indent}{sep.join(items)}\n{indent[2:]}]"
+
+
 def encode(instance: Instance, extra: dict | None = None) -> str:
-    """Serialize with deterministic field ordering (byte-stable for equal inputs)."""
-    doc = {
-        "nodes": sorted(instance.nodes),
-        "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in instance.edges],
-        "paths": [list(p) for p in instance.paths],
-    }
+    """The instance document, byte for byte as `json.dumps(doc, indent=2) + "\n"` writes it.
+
+    `doc` is {"nodes": sorted ids, "edges": [{"id", "tail", "head"}, ...],
+    "paths": [[edge id, ...], ...]}, followed by the members of `extra`.
+    With `indent`, `json` falls back to its pure-Python encoder; here each id
+    goes through `encode_basestring_ascii`, the C function that encoder calls
+    for a string, and joins make the layout. `extra` goes through `json.dumps`
+    itself. Raises InvalidInstanceError for an id that is not a string, which
+    `decode` would refuse, and ValueError for an `extra` key that would
+    overwrite one of the instance's own arrays.
+    """
+    taken = sorted(extra.keys() & {"nodes", "edges", "paths"}) if extra else []
+    if taken:
+        raise ValueError(f"extra key {taken[0]!r} would overwrite the instance's own {taken[0]}")
+    try:
+        nodes = _array(list(map(encode_basestring_ascii, sorted(instance.nodes))), "    ")
+        edges = _array([
+            f'{{\n      "id": {encode_basestring_ascii(e.id)},\n'
+            f'      "tail": {encode_basestring_ascii(e.tail)},\n'
+            f'      "head": {encode_basestring_ascii(e.head)}\n    }}'
+            for e in instance.edges
+        ], "    ")
+        paths = _array([_array(list(map(encode_basestring_ascii, p)), "      ") for p in instance.paths], "    ")
+    except TypeError:
+        for x in chain(instance.nodes, *((e.id, e.tail, e.head) for e in instance.edges), *instance.paths):
+            if not isinstance(x, str):
+                raise InvalidInstanceError(f"id {x!r} is not a string") from None
+        raise
+    members = f'  "nodes": {nodes},\n  "edges": {edges},\n  "paths": {paths}'
     if extra:
-        doc.update(extra)
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        # json.dumps({...}, indent=2) is "{\n" + its members + "\n}"
+        members += ",\n" + json.dumps(extra, indent=2)[2:-2]
+    return f"{{\n{members}\n}}\n"
 
 
 def decode(text: str) -> Instance:
@@ -267,10 +300,20 @@ def generate_random_instance(
     """Random multigraph + per-packet self-avoiding edge walks.
 
     Shared edges (hence congestion) arise because all walks draw from one
-    modest edge pool. Every produced instance validates.
+    modest edge pool. Every produced instance validates. Bounds, which raise
+    ValueError below their least value rather than being clamped:
+    `max_packets >= 2` (the packet count is drawn from 2..max_packets),
+    `max_length >= 1` (each walk aims at 1..max_length edges and stops early
+    at a node with no unused out-edge) and `n_nodes >= 1` (drawn from 4..24
+    when None).
     """
+    if max_packets < 2 or max_length < 1 or (n_nodes is not None and n_nodes < 1):
+        raise ValueError(
+            f"need max_packets >= 2, max_length >= 1 and n_nodes >= 1, "
+            f"got {max_packets}, {max_length} and {n_nodes}"
+        )
     rng = random.Random(f"{seed}/instance")
-    k = rng.randint(2, max(2, max_packets))
+    k = rng.randint(2, max_packets)
     nn = n_nodes if n_nodes is not None else rng.randint(4, 24)
     node_ids = [f"n{i}" for i in range(nn)]
     n_edges = max(nn + 2, int(nn * rng.uniform(1.5, 3.0)))
@@ -284,7 +327,7 @@ def generate_random_instance(
     starts = [n for n in node_ids if out[n]]
     paths: list[list[str]] = []
     for _ in range(k):
-        target = rng.randint(1, max(1, max_length))
+        target = rng.randint(1, max_length)
         path: list[str] = []
         node = rng.choice(starts)
         used: set[str] = set()

@@ -1,18 +1,21 @@
-"""Golden outputs: schedules and reports pinned byte for byte.
+"""Golden outputs: schedules, reports and instance documents pinned byte for byte.
 
 Each case runs the whole pipeline and compares the sha256 of the encoded
 schedule and of the sorted-key report JSON with a digest frozen from an
 earlier commit. A refactor that changes any draw, float or tie-break shows
 up here; a deliberate change of output must update the digests and say why.
+The written instance documents (gadget files and `instance.encode` of the
+golden instances) are pinned the same way, with digests taken while
+`encode` still called `json.dumps(doc, indent=2)`.
 """
 import hashlib
 import json
 
 import pytest
 
-from cd_router import schedule
+from cd_router import lowerbound, schedule
 from cd_router.fixer import FixerConfig, run_pipeline
-from cd_router.instance import Edge, Instance, decode, generate_random_instance, shared_path_instance
+from cd_router.instance import Edge, Instance, decode, encode, generate_random_instance, shared_path_instance
 
 from conftest import fixture_text
 
@@ -206,7 +209,50 @@ def test_golden_output(case):
     assert _digests(case) == GOLDEN[_case_id(case)]
 
 
+def _document(name: str) -> str:
+    if name.startswith("lowerbound-"):
+        return lowerbound.serialize(lowerbound.generate(int(name.removeprefix("lowerbound-")), seed=0))
+    return encode(_instance(name))
+
+
+DOCUMENTS = {
+    'lowerbound-2': 'bc66d0f1138b3eb8',
+    'lowerbound-8': 'd094a99036f2318c',
+    'lowerbound-32': 'c1271d0c155dcd5b',
+    'lowerbound-64': 'a51b7ad4206b68b6',
+    'fig1': 'd9b0e54f4c9c6d9d',
+    'shared-64x1024': '389e36826259cc23',
+    'random-0': '7719c04a03e3c158',
+    'random-1': 'e29ee5dce07ba0c5',
+    'random-2': 'beed7fd496f555fb',
+    'random-3': '1a3b38875056d689',
+    'random-4': '88b5f7199c2910e8',
+    'random-5': '61f8170b0e09bc6e',
+    'random-6': 'a80285877bb8bb78',
+    'random-7': 'd7e2a46f7ef79b37',
+    'random-8': '80fe2960be4d2257',
+    'random-9': '346f17e375f8ddb7',
+    'random-10': 'bfae8810234be946',
+    'random-11': '02c1776d41b4407d',
+    'random-12': '6b4b7a4a201f9524',
+    'random-13': '7f6bead87b231368',
+    'random-14': 'ce92b46b181baada',
+    'random-15': 'c6d5aaa7b3d0a9b3',
+    'random-16': '503c8eeebf7f235e',
+    'random-17': '5ab6b2a1bcb67f97',
+    'random-18': 'e3386d0b5698cf2e',
+    'random-19': 'a77c16924570d4c4',
+}
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_golden_document(name):
+    assert hashlib.sha256(_document(name).encode()).hexdigest()[:16] == DOCUMENTS[name]
+
+
 if __name__ == "__main__":
-    # prints the GOLDEN table for the current code
+    # prints the GOLDEN and DOCUMENTS tables for the current code
     for case in CASES:
         print(f"    {_case_id(case)!r}: {_digests(case)!r},")
+    for name in DOCUMENTS:
+        print(f"    {name!r}: {hashlib.sha256(_document(name).encode()).hexdigest()[:16]!r},")

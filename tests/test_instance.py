@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cd_router import schedule
 from cd_router.fixer import FixerConfig, run_pipeline
 from cd_router.instance import (
     Edge,
@@ -183,6 +184,83 @@ def test_encode_extra_keys_survive_and_decode_ignores_them(fig1):
     assert decode(text) == fig1
 
 
+def _indented(instance: Instance, extra: dict | None = None) -> str:
+    """The document as `json.dumps(doc, indent=2)` writes it: what `encode` must equal byte for byte."""
+    doc = {
+        "nodes": sorted(instance.nodes),
+        "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in instance.edges],
+        "paths": [list(p) for p in instance.paths],
+        **(extra or {}),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# pieces that a naive writer would mistake for layout or fail to escape
+_ID_PIECES = [", ", '", "', '"', "\\", "]", "[", "\n", "\t", "\x00", "\u2028", "\u00e9", "\U0001f600", "a", "e1"]
+
+
+def test_encode_is_the_indented_layout_and_round_trips_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ids = st.lists(st.sampled_from(_ID_PIECES) | st.text(max_size=2), max_size=4).map("".join)
+    instances = st.builds(
+        Instance,
+        nodes=st.sets(ids, max_size=6),
+        edges=st.lists(st.builds(Edge, ids, ids, ids), max_size=5),
+        paths=st.lists(st.lists(ids, max_size=5), max_size=5),
+    )
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | ids,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ids, inner, max_size=3),
+        max_leaves=8,
+    )
+    extras = st.none() | st.dictionaries(ids.filter(lambda k: k not in ("nodes", "edges", "paths")), json_values)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(instances, extras)
+    @hypothesis.example(Instance(set(), [], []), None)
+    @hypothesis.example(Instance({"a"}, [Edge("e", "a", "a")], [[], ["e"], []]), {"permutations": [[], [1]]})
+    def prop(instance, extra):
+        text = encode(instance, extra)
+        assert text == _indented(instance, extra)
+        assert decode(text) == instance
+
+    prop()
+
+
+def test_encode_reaches_no_pure_python_json_encoder(monkeypatch, fig1):
+    # `json.dumps` with `indent` builds its writer with `_make_iterencode`; the C encoder does not
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    instances = [fig1, shared_path_instance(64, 1024), generate_random_instance(0, max_packets=24, max_length=64)]
+    expected = [_indented(inst) for inst in instances]
+    sched = run_pipeline(fig1, FixerConfig(variant="buffered")).schedule
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps([1], indent=2)
+    assert [encode(inst) for inst in instances] == expected
+    assert schedule.decode(schedule.encode(sched)) == sched
+
+
+def test_encode_refuses_an_id_that_decode_would_refuse():
+    # validate reports this instance as ok, yet decode rejects "id": 1
+    inst = Instance(nodes={"a", "b"}, edges=[Edge(1, "a", "b")], paths=[[1]])
+    assert validate(inst).ok
+    with pytest.raises(InvalidInstanceError, match="^id 1 is not a string$"):
+        encode(inst)
+    with pytest.raises(InvalidInstanceError, match="^id None is not a string$"):
+        encode(Instance(nodes={"a", "b"}, edges=[Edge("e", "a", None)], paths=[["e"]]))
+    with pytest.raises(InvalidInstanceError, match="^id 2 is not a string$"):
+        encode(Instance(nodes={"a", 2}, edges=[], paths=[]))
+
+
+@pytest.mark.parametrize("key", ["nodes", "edges", "paths"])
+def test_encode_refuses_an_extra_key_that_would_overwrite_an_array(fig1, key):
+    with pytest.raises(ValueError, match=f"^extra key '{key}' would overwrite"):
+        encode(fig1, extra={"permutations": [[1]], key: [["zzz"]]})
+
+
 def test_decode_rejects_garbage():
     with pytest.raises(InvalidInstanceError):
         decode("not json at all {")
@@ -248,6 +326,13 @@ def test_random_instances_valid_and_deterministic():
         assert validate(inst).ok, validate(inst).violations
         assert 1 <= inst.n_packets <= 8
         assert stats(inst).dilation <= 32
+
+
+@pytest.mark.parametrize("bounds", [{"max_packets": 1}, {"max_length": 0}, {"n_nodes": 0}])
+def test_random_instance_refuses_bounds_instead_of_clamping(bounds):
+    # at seed 1 these gave 2 packets, paths of length 1 and an IndexError
+    with pytest.raises(ValueError, match="^need max_packets >= 2, max_length >= 1 and n_nodes >= 1"):
+        generate_random_instance(1, **bounds)
 
 
 def test_random_instance_respects_bounds():
