@@ -52,9 +52,9 @@ class DelayAssignment:
     def __init__(self, tree: Tree, n_packets: int):
         self.tree = tree
         self.n_packets = n_packets
+        counts = [tree.n_blocks(level) for level in range(len(tree.ladder.levels))]
         self.values: list[list[list[int | None]]] = [
-            [[None] * tree.n_blocks(level) for level in range(len(tree.ladder.levels))]
-            for _ in range(n_packets)
+            [[None] * n for n in counts] for _ in range(n_packets)
         ]
         self.frontier = 0
 
@@ -71,37 +71,39 @@ class DelayAssignment:
         budget = self.tree.ladder.levels[level].wait_budget
         if len(per_packet) != self.n_packets:
             raise AssignmentError("value matrix has wrong packet count")
-        # the whole matrix is checked before any row is written
+        n_blocks = self.tree.n_blocks(level)
+        # the whole matrix is checked before any row is written; a row is
+        # searched for its first bad value only when its range is bad
         for packet, row in enumerate(per_packet):
-            if len(row) != self.tree.n_blocks(level):
+            if len(row) != n_blocks:
                 raise AssignmentError(f"packet {packet}: wrong block count at level {level}")
-            for v in row:
-                if not 1 <= v <= budget:
-                    raise AssignmentError(f"value {v} outside [1, {budget}] at level {level}")
+            if min(row) < 1 or max(row) > budget:
+                v = next(v for v in row if not 1 <= v <= budget)
+                raise AssignmentError(f"value {v} outside [1, {budget}] at level {level}")
         for values, row in zip(self.values, per_packet):
             values[level] = list(row)
         self.frontier = level + 1
 
     def fill_remaining(self, value: int = 1) -> None:
         while self.frontier < self.n_levels:
-            self.set_level(
-                self.frontier,
-                [[value] * self.tree.n_blocks(self.frontier) for _ in range(self.n_packets)],
-            )
+            row = [value] * self.tree.n_blocks(self.frontier)
+            self.set_level(self.frontier, [row] * self.n_packets)
 
     @property
     def fully_fixed(self) -> bool:
         return self.frontier == self.n_levels
 
-    def fixed_slots(self, packet: int, levels: int) -> Sequence[int]:
+    def fixed_slots(self, packet: int, levels: int, base: Sequence[int] | None = None) -> Sequence[int]:
         """The packet's slot at every position, shifted by its draws on the first `levels` levels.
 
-        Entry p is `fixed_slot(tree, values, levels, p + 1)`, summed a
-        level at a time over the tree's columns. With `levels` 0 it is the
-        shared, read-only `tree.columns.offsets` itself.
+        Entry p is `base[p]` plus those draws' delays at edge position
+        p + 1, summed a level at a time over the tree's columns. `base` is
+        the tree's `columns.offsets` unless given, and entry p is then
+        `fixed_slot(tree, values, levels, p + 1)`. With `levels` 0 it is
+        `base` itself, shared and read-only.
         """
         columns, values = self.tree.columns, self.values[packet]
-        slots = columns.offsets
+        slots = columns.offsets if base is None else base
         for level in range(levels):
             delays = map(values[level].__getitem__, columns.blocks[level])
             table = columns.tables[level]

@@ -8,19 +8,25 @@ integers, held per level by `_LevelWorkspace`, whose docstring gives their
 layout. Whatever stays random after the last fixed level is finalized
 arbitrarily.
 
-`finalize` turns each packet's slots at its real positions into waits
-(`waits_from_slots`, the inverse of `Schedule.crossing_slots`), ranks the
-crossings once (`realized_loads`: how many packets of lower id share each
-crossing's (edge, slot) cell), certifies the integral load c = 1 + the
-largest rank against the counting bound c <= gamma * prod(open budgets),
-and hands the ranks to `stretch`, which expands every slot into c slots to
-give a capacity-1 schedule. At load 1 `stretch` hands back the pre-stretch
-schedule, and its replay is also the capacity-1 check's.
+`finalize` builds each packet's crossing slots once, turns those at its
+real positions into waits (`waits_from_slots`, the inverse of
+`Schedule.crossing_slots`), ranks the crossings from the same slot lists
+(`realized_loads`: how many packets of lower id share each crossing's
+(edge, slot) cell), certifies the integral load c = 1 + the largest rank
+against the counting bound c <= gamma * prod(open budgets), and hands the
+slots and ranks to `stretch`, which expands every slot into c slots to give
+a capacity-1 schedule. No schedule is asked for its crossing slots again.
+`run_pipeline` stretches before the pre-stretch replay, so the slot lists
+are dropped before either replay runs. At load 1 `stretch` hands back the
+pre-stretch schedule, and its replay is also the capacity-1 check's.
 
 What is still random about a crossing depends on its position alone: the
 dissection and its per-position columns (`tree.columns`) are shared by every
 run on a ladder and variant, and a packet's fixed draws become its slot at
-every position in one column-wise pass (`DelayAssignment.fixed_slots`).
+every position in one column-wise pass (`DelayAssignment.fixed_slots`). An
+open level's draw 1 is a column too, so the levels `finalize` leaves at
+draw 1 are one per-run column, and a packet that fixed no level reads it
+without any work of its own.
 Every slot and crossing law here reads the assignment's tree
 (`assignment.tree`); no function takes the tree a second time. The
 crossings that share an edge, and every slot they could reach at any
@@ -31,11 +37,12 @@ from __future__ import annotations
 import logging
 import random
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, compress, pairwise, repeat
 from math import floor, inf, prod
-from operator import add, getitem, sub
+from operator import add, getitem, itemgetter, sub
 from typing import ClassVar
 
 from .delay_model import AssignmentError, DelayAssignment, Tree, residual_law
@@ -573,17 +580,19 @@ def schedule_from_assignment(padded: PaddedInstance, assignment: DelayAssignment
     ])
 
 
-def realized_loads(instance: Instance, schedule: Schedule) -> list[list[int]]:
+def realized_loads(instance: Instance, slots: list[Sequence[int]]) -> list[list[int]]:
     """Per packet and crossing, how many packets of lower id cross the same (edge, slot).
 
-    A cell holding k crossings ranks them 0 .. k - 1 in packet order, so the
-    realized load is 1 + the largest rank.
+    `slots[k]` holds packet k's crossing slots, one per edge of its path;
+    entries past the path's end are not read. A cell holding k crossings
+    ranks them 0 .. k - 1 in packet order, so the realized load is 1 + the
+    largest rank.
     """
     seen: dict[tuple[str, int], int] = {}  # crossings per cell so far
     ranks = []
-    for packet, path in enumerate(instance.paths):
+    for path, packet_slots in zip(instance.paths, slots):
         rank = []
-        for cell in zip(path, schedule.crossing_slots(packet)):
+        for cell in zip(path, packet_slots):
             r = seen.get(cell, 0)
             seen[cell] = r + 1
             rank.append(r)
@@ -599,21 +608,24 @@ def unpad_schedule(padded: PaddedInstance, schedule: Schedule) -> Schedule:
     return Schedule(waits=waits)
 
 
-def stretch(schedule: Schedule, load: int, ranks: list[list[int]]) -> Schedule:
+def stretch(
+    schedule: Schedule, slots: list[Sequence[int]], load: int, ranks: list[list[int]]
+) -> Schedule:
     """Expand each slot into `load` slots; sharers are ordered by packet id.
 
-    `ranks` are the schedule's `realized_loads`. A crossing at slot t with
-    rank r lands at load*(t-1) + 1 + r, so every original (edge, slot) group
+    `slots` are the schedule's crossing slots, as `realized_loads` reads
+    them, and `ranks` what it made of them. A crossing at slot t with rank r
+    lands at load*(t-1) + 1 + r, so every original (edge, slot) group
     spreads over the window [load*t-load+1, load*t] collision-free while
-    crossings stay strictly increasing along each path.
+    crossings stay strictly increasing along each path. At load 1 it hands
+    back `schedule` itself.
     """
     if load <= 1:
         return schedule
-    waits = []
-    for packet, rank in enumerate(ranks):
-        slots = schedule.crossing_slots(packet)
-        waits.append(waits_from_slots([load * (t - 1) + 1 + r for t, r in zip(slots, rank)], 0))
-    return Schedule(waits=waits)
+    return Schedule(waits=[
+        waits_from_slots([load * (t - 1) + 1 + r for t, r in zip(packet_slots, rank)], 0)
+        for packet_slots, rank in zip(slots, ranks)
+    ])
 
 
 def finalize(
@@ -622,14 +634,20 @@ def finalize(
     config: FixerConfig,
     report: FixReport,
     index: _CrossingIndex | None,
-) -> tuple[Schedule, list[list[int]]]:
-    """Fill whatever is still random, build the waits, certify the counting bound.
+) -> tuple[Schedule, list[Sequence[int]], list[list[int]]]:
+    """Fill whatever is still random, build the slots and waits, certify the counting bound.
 
-    Returns the pre-stretch schedule, on the real paths, and its
-    `realized_loads` ranks. Dummy positions are private and never raise a
-    rank, so the real paths, each a prefix of its padded one, give the load.
-    The greedy finalize fixes the open levels on the run's `index`, which
-    `ones` does not read. The slots and budgets read the assignment's tree.
+    Returns the pre-stretch schedule, on the real paths, each packet's
+    crossing slots over its padded path, and their `realized_loads` ranks;
+    `stretch` reads the same slot lists. Dummy positions are private and
+    never raise a rank, so the real paths, each a prefix of its padded one,
+    give the load.
+
+    The levels left open take draw 1, whose delay depends on the position
+    alone, so they are one column for the run; each packet adds only its
+    fixed levels, and one with none is the column itself. The greedy
+    finalize fixes the open levels on the run's `index`, which `ones` does
+    not read. The slots and budgets read the assignment's tree.
     """
     tree = assignment.tree
     open_levels = tuple(range(assignment.frontier, assignment.n_levels))
@@ -639,21 +657,26 @@ def finalize(
             level = assignment.frontier
             draws, _ = _greedy_fix(_LevelWorkspace(index, assignment, level, True))
             assignment.set_level(level, draws)
-    else:
-        assignment.fill_remaining(1)
+    fixed = assignment.frontier
+    assignment.fill_remaining(1)
+    # draw 1 delays by a table's first entry, or by 1 where a level has none
+    column = tree.columns.offsets
+    for table in tree.columns.tables[fixed:]:
+        column = list(map(add, column, repeat(1) if table is None else map(itemgetter(0), table)))
     budget = tree.ladder.total_wait_budget()
-    waits = []
+    slots, waits = [], []
     for packet, m in enumerate(padded.original_lengths):
-        slots = assignment.fixed_slots(packet, assignment.n_levels)
+        packet_slots = assignment.fixed_slots(packet, fixed, column)
         # plain policy conserves its waiting budget exactly: the waits before
         # the last padded crossing, plus what is parked at the sink
         if tree.kind == "plain":
-            got = slots[-1] - padded.length + _parking(tree, assignment.values[packet])
+            got = packet_slots[-1] - padded.length + _parking(tree, assignment.values[packet])
             if got != budget:
                 raise FixerError(f"packet {packet}: waiting {got} != budget {budget}", report)
-        waits.append(waits_from_slots(slots[:m], 0))
+        slots.append(packet_slots)
+        waits.append(waits_from_slots(packet_slots[:m], 0))
     schedule = Schedule(waits=waits)
-    ranks = realized_loads(padded.base, schedule)
+    ranks = realized_loads(padded.base, slots)
     load = 1 + max(map(max, ranks))
     report.residual_levels = open_levels
     report.residual_budget = residual
@@ -664,7 +687,7 @@ def finalize(
             f"counting bound violated: load {load} > "
             f"{report.gamma_final} * {residual}", report
         )
-    return schedule, ranks
+    return schedule, slots, ranks
 
 
 @dataclass
@@ -715,16 +738,16 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
         gamma = outcome.gamma_after
     report.gamma_final = gamma
 
-    prestretch, ranks = finalize(padded, assignment, config, report, index)
+    prestretch, slots, ranks = finalize(padded, assignment, config, report, index)
     del index  # not held through the replays
+    final_schedule = stretch(prestretch, slots, report.load, ranks)
+    del slots, ranks  # nor are the slots and their ranks, which only `stretch` reads
     trace = simulate(instance, prestretch, capacity=report.load)
     report.makespan_prestretch = trace.makespan
     if trace.max_load > report.load:
         raise FixerError("pre-stretch load exceeds the certified bound", report)
     report.prestretch_max_edge_wait = trace.max_edge_wait
 
-    final_schedule = stretch(prestretch, report.load, ranks)
-    del ranks
     # at load 1 `stretch` hands back the pre-stretch schedule, replayed
     # already; else its trace goes before the capacity-1 replay, so a run
     # holds one trace at a time

@@ -68,15 +68,17 @@ def encode(schedule: Schedule) -> str:
     """The schedule document, byte for byte as `json.dumps(doc, indent=2) + "\n"` writes it.
 
     `doc` is {"packets": [{"waits": [...], "arrival": a}, ...], "makespan": m}.
-    With `indent`, `json` falls back to its pure-Python encoder; here each
-    wait list is written by the C encoder with its default separators, and
-    each ", " becomes a newline and the indent, since in a list of integers
-    ", " occurs only between items.
+    With `indent`, `json` falls back to its pure-Python encoder; here every
+    wait list is written by one call of the C encoder with its default
+    separators. A wait list holds only integers, so "], [" occurs only
+    between two packets' lists and ", " only between two waits: the text is
+    split into packets at the one, and each of the other becomes a newline
+    and the indent.
     """
     arrivals = [schedule.arrival(i) for i in range(schedule.n_packets)]
     entries = []
-    for waits, arrival in zip(schedule.waits, arrivals):
-        items = json.dumps(waits)[1:-1].replace(", ", ",\n        ")
+    for items, arrival in zip(json.dumps(schedule.waits)[2:-2].split("], ["), arrivals):
+        items = items.replace(", ", ",\n        ")
         rows = f"[\n        {items}\n      ]" if items else "[]"
         entries.append(f'    {{\n      "waits": {rows},\n      "arrival": {arrival}\n    }}')
     body = ",\n".join(entries)

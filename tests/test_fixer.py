@@ -473,13 +473,19 @@ def test_only_a_greedy_sweep_computes_a_blur(monkeypatch, strategies, blurred):
 
 # --- stretching --------------------------------------------------------------
 
+def _slots(schedule: Schedule) -> list[list[int]]:
+    """The schedule's crossing slots per packet, as `realized_loads` and `stretch` read them."""
+    return [schedule.crossing_slots(packet) for packet in range(schedule.n_packets)]
+
+
 def test_stretch_orders_sharers_within_their_window():
     # both packets cross the one shared edge at slot 5; at load 2 the slot
     # expands to the window [9, 10] and packet order breaks the tie
     inst = shared_path_instance(2, 1)
     schedule = Schedule(waits=[[4, 0], [4, 0]])
     assert schedule.crossing_slots(0) == [5]
-    stretched = stretch(schedule, 2, realized_loads(inst, schedule))
+    slots = _slots(schedule)
+    stretched = stretch(schedule, slots, 2, realized_loads(inst, slots))
     assert stretched.crossing_slots(0) == [9]
     assert stretched.crossing_slots(1) == [10]
     trace = simulate(inst, stretched, capacity=1)
@@ -489,14 +495,16 @@ def test_stretch_orders_sharers_within_their_window():
 def test_stretch_is_identity_at_unit_load():
     inst = shared_path_instance(2, 3)
     schedule = Schedule(waits=[[0, 1, 0, 0], [2, 0, 0, 0]])
-    assert stretch(schedule, 1, realized_loads(inst, schedule)) is schedule
+    slots = _slots(schedule)
+    assert stretch(schedule, slots, 1, realized_loads(inst, slots)) is schedule
 
 
 def test_stretch_preserves_order_and_feasibility():
     inst = shared_path_instance(3, 4)
     schedule = Schedule(waits=[[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [2, 0, 0, 0, 0]])
     base = simulate(inst, schedule, capacity=3)
-    stretched = stretch(schedule, base.max_load, realized_loads(inst, schedule))
+    slots = _slots(schedule)
+    stretched = stretch(schedule, slots, base.max_load, realized_loads(inst, slots))
     trace = simulate(inst, stretched, capacity=1)
     assert trace.max_load == 1
     assert trace.makespan <= base.max_load * base.makespan
@@ -527,17 +535,38 @@ def test_pipeline_stretches_with_the_ranks_of_the_prestretch_schedule(kind):
     for index, inst in enumerate(_acceptance_small_suite()):
         result = run_pipeline(inst, FixerConfig(variant=kind, seed=f"accept2/{index}"))
         load = result.report.load
-        ranks = realized_loads(inst, result.prestretch)
-        assert result.schedule == stretch(result.prestretch, load, ranks), index
+        slots = _slots(result.prestretch)
+        ranks = realized_loads(inst, slots)
+        assert result.schedule == stretch(result.prestretch, slots, load, ranks), index
 
 
 def test_pipeline_ranks_the_crossings_once(monkeypatch):
     calls = []
     rank = fixer_mod.realized_loads
-    monkeypatch.setattr(fixer_mod, "realized_loads", lambda inst, sched: calls.append(inst) or rank(inst, sched))
+    monkeypatch.setattr(fixer_mod, "realized_loads", lambda inst, slots: calls.append(inst) or rank(inst, slots))
     result = run_pipeline(shared_path_instance(8, 32), FixerConfig(seed=0))
     assert result.report.load == 2  # so stretch has work to do
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+def test_a_run_derives_each_crossing_slot_once(monkeypatch, kind):
+    # finalize builds the slots that the ranking and stretch read, so no
+    # schedule is asked for its crossing slots again
+    cases = [
+        shared_path_instance(8, 32),
+        generate_random_instance("0/random-mix/0", max_packets=24, max_length=64),
+    ]
+    config = FixerConfig(variant=kind, seed=0)
+    expected = [encode(run_pipeline(inst, config).schedule) for inst in cases]
+
+    def rederived(self, packet):
+        raise AssertionError("a crossing slot was derived again from a schedule")
+
+    monkeypatch.setattr(Schedule, "crossing_slots", rederived)
+    results = [run_pipeline(inst, config) for inst in cases]
+    assert [encode(result.schedule) for result in results] == expected
+    assert all(result.report.load >= 2 for result in results)  # so stretch has work to do
 
 
 def _count_replays(monkeypatch) -> list:
@@ -579,7 +608,7 @@ def test_a_stretched_run_replays_twice(monkeypatch):
 
 def test_the_capacity_1_check_reads_the_reused_replay(monkeypatch):
     # an unstretched load-2 schedule must still fail the final check
-    monkeypatch.setattr(fixer_mod, "stretch", lambda schedule, load, ranks: schedule)
+    monkeypatch.setattr(fixer_mod, "stretch", lambda schedule, slots, load, ranks: schedule)
     calls = _count_replays(monkeypatch)
     with pytest.raises(FixerError, match="capacity-1") as caught:
         run_pipeline(shared_path_instance(8, 32), FixerConfig(seed=0))
@@ -592,7 +621,7 @@ def _misranked(monkeypatch, shift):
     rank = fixer_mod.realized_loads
     monkeypatch.setattr(
         fixer_mod, "realized_loads",
-        lambda inst, sched: [[shift(r) for r in ranks] for ranks in rank(inst, sched)],
+        lambda inst, slots: [[shift(r) for r in ranks] for ranks in rank(inst, slots)],
     )
 
 
@@ -1050,9 +1079,9 @@ def test_pipeline_refuses_a_plain_schedule_that_breaks_its_budget(monkeypatch):
     inst = shared_path_instance(3, 13)  # pads to 16: the last padded slot is a dummy's
     fixed_slots = DelayAssignment.fixed_slots
 
-    def late(self, packet, levels):
-        slots = fixed_slots(self, packet, levels)
-        if levels == self.n_levels:  # the realized slots: one more slot of waiting
+    def late(self, packet, levels, base=None):
+        slots = fixed_slots(self, packet, levels, base)
+        if base is not None:  # finalize's slots, over its column: one more slot of waiting
             slots = [*slots[:-1], slots[-1] + 1]
         return slots
 

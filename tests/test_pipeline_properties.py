@@ -4,8 +4,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from cd_router.fixer import FixerConfig, run_pipeline  # noqa: E402
-from cd_router.instance import generate_random_instance  # noqa: E402
+from cd_router import fixer as fixer_mod  # noqa: E402
+from cd_router.fixer import FixerConfig, realized_loads, run_pipeline, stretch  # noqa: E402
+from cd_router.instance import generate_random_instance, shared_path_instance  # noqa: E402
 from cd_router.simulator import CheckRequirements, check, simulate  # noqa: E402
 
 
@@ -26,3 +27,60 @@ def test_a_run_is_deterministic_feasible_and_within_its_counting_cap(seed, varia
     assert check(replay, CheckRequirements(capacity=1, makespan_bound=report.makespan)).ok
     assert replay.makespan == report.makespan
     assert report.load <= report.counting_cap
+
+
+def _finalize_slots(instance, config):
+    """Run the pipeline; check the slots `finalize` built, and return how many levels it fixed.
+
+    A packet's slots are those its draws give on every level, open levels
+    at draw 1; the ranks and the stretched schedule are those rebuilt from
+    the pre-stretch schedule's own crossing slots.
+    """
+    built = []
+    finalize = fixer_mod.finalize
+
+    def kept(*args):
+        out = finalize(*args)
+        built.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixer_mod, "finalize", kept)
+        result = run_pipeline(instance, config)
+    [(prestretch, slots, ranks)] = built
+    assert prestretch is result.prestretch
+    assignment = result.assignment
+    for packet, m in enumerate(result.padded.original_lengths):
+        expected = assignment.fixed_slots(packet, assignment.n_levels)[:m]
+        assert list(slots[packet][:m]) == list(expected), packet
+    fixed = assignment.n_levels if config.finalize_strategy == "greedy" else len(result.report.levels)
+    if fixed == 0:  # every packet reads the one column
+        assert all(packet_slots is slots[0] for packet_slots in slots)
+    rebuilt = [prestretch.crossing_slots(packet) for packet in range(instance.n_packets)]
+    assert ranks == realized_loads(instance, rebuilt)
+    assert result.schedule == stretch(prestretch, rebuilt, result.report.load, ranks)
+    return fixed, assignment.n_levels
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    variant=st.sampled_from(["plain", "buffered"]),
+    finalize_strategy=st.sampled_from(["ones", "greedy"]),
+    max_length=st.sampled_from([16, 64]),
+)
+def test_finalize_builds_each_packets_slots_over_the_open_levels_column_property(
+    seed, variant, finalize_strategy, max_length
+):
+    instance = generate_random_instance(seed, max_packets=24, max_length=max_length)
+    _finalize_slots(instance, FixerConfig(variant=variant, finalize_strategy=finalize_strategy, seed=seed))
+
+
+@pytest.mark.parametrize("variant, finalize_strategy, fixed, n_levels", [
+    ("buffered", "ones", 0, 2),  # no level fixed: every packet is the column
+    ("plain", "ones", 1, 2),     # level 0 fixed, level 1 in the column
+    ("plain", "greedy", 2, 2),   # every level fixed: the column is the offsets
+])
+def test_finalize_slots_with_no_some_and_every_level_fixed(variant, finalize_strategy, fixed, n_levels):
+    config = FixerConfig(variant=variant, finalize_strategy=finalize_strategy, seed=0)
+    assert _finalize_slots(shared_path_instance(8, 32), config) == (fixed, n_levels)
