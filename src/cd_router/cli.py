@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 validation or feasibility failure or a file that
 cannot be read or written, 2 search or fixing capacity exhausted, 64 usage
-error. `CD_ROUTER_LOG` (error, info, debug) controls logging; all
-randomness derives from --seed sub-streams.
+error. `CD_ROUTER_LOG` (error, info, debug; any other value is a usage
+error) controls logging; all randomness derives from --seed sub-streams.
 """
 from __future__ import annotations
 
@@ -356,14 +356,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _configure_logging() -> None:
+def _configure_logging() -> str | None:
+    """Set the level named by `CD_ROUTER_LOG` (unset or empty: error); an unknown name is refused."""
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    name = os.environ.get("CD_ROUTER_LOG", "error").lower()
-    logging.basicConfig(level=levels.get(name, logging.ERROR), format="%(message)s")
+    name = os.environ.get("CD_ROUTER_LOG") or "error"
+    level = levels.get(name.lower())
+    if level is None:
+        return f"CD_ROUTER_LOG must be error, info or debug, not {name!r}"
+    logging.basicConfig(level=level, format="%(message)s")
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
+    problem = _configure_logging()
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, islice
-from operator import add
+from operator import add, itemgetter
 
 from .instance import Instance
 from .schedule import Schedule
@@ -133,16 +133,26 @@ class CheckReport:
 
 
 def check(trace: SimulationTrace, requirements: CheckRequirements | None = None) -> CheckReport:
+    """Per-check verdicts of a trace against the requirements.
+
+    The load and edge-wait checks read their bound's maximum first
+    (`max_load`, `max_edge_wait`) and look for an offender only when that
+    maximum breaks the bound; a failing check names the least offending
+    (edge, slot) cell or (packet, edge) pair, so a passing one reads no cell.
+    """
     req = requirements or CheckRequirements()
     results: list[CheckResult] = []
 
     cap = req.capacity if req.capacity is not None else trace.capacity
-    cell = min((et for et, v in trace.loads.items() if v > cap), default=None)
+    top = trace.max_load
+    cell = None
+    if top > cap:
+        cell = min(et for et, v in trace.loads.items() if v > cap)
     if cell is not None:
         edge, slot = cell
         detail = f"edge {edge} carries {trace.loads[cell]} packets at slot {slot}"
     else:
-        detail = f"max load {trace.max_load} <= {cap}"
+        detail = f"max load {top} <= {cap}"
     results.append(CheckResult("load", cell is None, detail))
 
     if req.makespan_bound is not None:
@@ -156,19 +166,31 @@ def check(trace: SimulationTrace, requirements: CheckRequirements | None = None)
             CheckResult("buffer", worst <= req.buffer_bound, f"max occupancy {worst}")
         )
     if req.edge_wait_bound is not None:
-        bad = min((ie for ie, v in trace.edge_waits.items() if v > req.edge_wait_bound), default=None)
+        bound = req.edge_wait_bound
+        top = trace.max_edge_wait
+        bad = None
+        if top > bound:  # a negative bound with no waits at all has no offender
+            bad = min((ie for ie, v in trace.edge_waits.items() if v > bound), default=None)
         if bad is not None:
             packet, edge = bad
             detail = f"packet {packet} waits {trace.edge_waits[bad]} slots before edge {edge}"
         else:
-            detail = f"max per-edge wait {trace.max_edge_wait} <= {req.edge_wait_bound}"
+            detail = f"max per-edge wait {top} <= {bound}"
         results.append(CheckResult("edge_wait", bad is None, detail))
 
     return CheckReport(results=tuple(results))
 
 
 def loads_csv_rows(trace: SimulationTrace) -> list[tuple[str, int, int]]:
-    return sorted((edge, slot, v) for (edge, slot), v in trace.loads.items())
+    """(edge, slot, load) rows ordered by edge id as a string, then by slot (`e10` before `e2`).
+
+    Two stable in-place sorts, by slot and then by edge; the (edge, slot)
+    keys are unique, so this is the order of sorting the whole tuples.
+    """
+    rows = [(edge, slot, v) for (edge, slot), v in trace.loads.items()]
+    rows.sort(key=itemgetter(1))
+    rows.sort(key=itemgetter(0))
+    return rows
 
 
 def arrivals_csv_rows(trace: SimulationTrace) -> list[tuple[int, int]]:

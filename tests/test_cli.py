@@ -517,6 +517,24 @@ def test_log_env_is_honored(monkeypatch, capsys):
     assert "C=2 D=4 ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["", "DEBUG", "info"])
+def test_log_env_accepts_a_level_or_nothing(monkeypatch, capsys, value):
+    monkeypatch.setenv("CD_ROUTER_LOG", value)
+    assert main(["analyze", FIG1]) == EXIT_OK
+    assert capsys.readouterr().out == "C=2 D=4 ok\n"
+
+
+@pytest.mark.parametrize("value", ["verbose", "warning", "0"])
+def test_an_unknown_log_level_is_a_usage_error(monkeypatch, tmp_path, capsys, value):
+    monkeypatch.setenv("CD_ROUTER_LOG", value)
+    out = tmp_path / "s.json"
+    assert main(["schedule", FIG1, "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: CD_ROUTER_LOG must be error, info or debug, not {value!r}\n"
+    assert not out.exists()  # refused before any work
+
+
 def test_console_entry_point():
     # the child imports the package under test, wherever it was found
     src = str(Path(cd_router.__file__).resolve().parents[1])

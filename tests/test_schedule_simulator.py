@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import time
@@ -9,6 +10,8 @@ from cd_router.oracle import stepped_simulation
 from cd_router.schedule import Schedule, ScheduleError, decode, encode, waits_from_slots
 from cd_router.simulator import (
     CheckRequirements,
+    CheckResult,
+    SimulationTrace,
     arrivals_csv_rows,
     check,
     loads_csv_rows,
@@ -359,3 +362,101 @@ def test_huge_wait_replays_in_path_length_time():
         f"max per-edge wait {HUGE} <= {HUGE}",
     ]
     assert elapsed < 0.5
+
+
+# --- check and the CSV rows against full scans --------------------------------
+
+def _full_scan_results(trace: SimulationTrace, req: CheckRequirements) -> dict[str, CheckResult]:
+    """The load and edge-wait verdicts as a scan of every cell and every wait finds them."""
+    cap = req.capacity if req.capacity is not None else trace.capacity
+    cell = min((et for et, v in trace.loads.items() if v > cap), default=None)
+    if cell is not None:
+        detail = f"edge {cell[0]} carries {trace.loads[cell]} packets at slot {cell[1]}"
+    else:
+        detail = f"max load {max(trace.loads.values())} <= {cap}"
+    results = {"load": CheckResult("load", cell is None, detail)}
+    if req.edge_wait_bound is not None:
+        bad = min((ie for ie, v in trace.edge_waits.items() if v > req.edge_wait_bound), default=None)
+        if bad is not None:
+            detail = f"packet {bad[0]} waits {trace.edge_waits[bad]} slots before edge {bad[1]}"
+        else:
+            top = max(trace.edge_waits.values(), default=0)
+            detail = f"max per-edge wait {top} <= {req.edge_wait_bound}"
+        results["edge_wait"] = CheckResult("edge_wait", bad is None, detail)
+    return results
+
+
+def _serialized_waits(rng: random.Random, instance: Instance) -> list[list[int]]:
+    """Random waits, each packet leaving after the one before arrives: load 1 everywhere."""
+    rows, free = [], 0
+    for path in instance.paths:
+        row = [free] + [rng.choice((0, 0, 1, 4)) for _ in path]
+        rows.append(row)
+        free += sum(row) + len(path)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_check_and_csv_rows_match_full_scans(seed):
+    rng = random.Random(f"{seed}/full-scan")
+    instances = [
+        _loops_instance(),
+        generate_random_instance(f"{seed}/full-scan", max_packets=8, max_length=16),
+        shared_path_instance(rng.randint(2, 5), rng.randint(11, 14)),  # e10 sorts before e2
+    ]
+    seen = set()
+    for instance in instances:
+        for waits in (_random_waits(rng, instance), _serialized_waits(rng, instance), zero_wait(instance).waits):
+            trace = simulate(instance, Schedule(waits=waits))
+            rows = loads_csv_rows(trace)
+            assert rows == sorted((edge, slot, v) for (edge, slot), v in trace.loads.items())
+            top = trace.max_edge_wait
+            for capacity in (1, 2, 3):
+                for bound in (top - 1, top, top + 1):
+                    req = CheckRequirements(capacity=capacity, edge_wait_bound=bound)
+                    results = {r.name: r for r in check(trace, req).results}
+                    assert results == _full_scan_results(trace, req)
+                    seen.update((name, r.passed) for name, r in results.items())
+    # both verdicts of both checks were compared
+    assert seen == {("load", True), ("load", False), ("edge_wait", True), ("edge_wait", False)}
+
+
+class _CountingDict(dict):
+    """A dict that counts its `items()` calls: a scan of every cell calls it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.items_calls = 0
+
+    def items(self):
+        self.items_calls += 1
+        return super().items()
+
+
+def _counted_trace(instance: Instance, waits: list[list[int]]) -> SimulationTrace:
+    trace = simulate(instance, Schedule(waits=waits))
+    counted = dataclasses.replace(trace, loads=_CountingDict(trace.loads))
+    vars(counted)["edge_waits"] = _CountingDict(trace.edge_waits)
+    return counted
+
+
+def test_a_passing_check_reads_no_cell():
+    instance = shared_path_instance(2, 12)
+    waits = [[0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0], [30] + [0] * 12]
+    trace = _counted_trace(instance, waits)
+    report = check(trace, CheckRequirements(capacity=1, edge_wait_bound=3))
+    assert report.ok
+    assert [r.detail for r in report.results] == ["max load 1 <= 1", "max per-edge wait 3 <= 3"]
+    assert (trace.loads.items_calls, trace.edge_waits.items_calls) == (0, 0)
+
+    # one bound broken: only its own scan runs, and it names the least offender
+    _, wait = check(trace, CheckRequirements(capacity=1, edge_wait_bound=1)).results
+    assert (wait.passed, wait.detail) == (False, "packet 0 waits 3 slots before edge e10")
+    assert (trace.loads.items_calls, trace.edge_waits.items_calls) == (0, 1)
+
+    # the packets meet on e2 at slot 5 and ride together to the end
+    trace = _counted_trace(instance, [[0, 0, 2] + [0] * 10, [2] + [0] * 12])
+    load, wait = check(trace, CheckRequirements(capacity=1, edge_wait_bound=3)).results
+    assert (load.passed, load.detail) == (False, "edge e10 carries 2 packets at slot 13")
+    assert wait.passed
+    assert (trace.loads.items_calls, trace.edge_waits.items_calls) == (1, 0)
