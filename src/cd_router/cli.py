@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 validation or feasibility failure or a file that
 cannot be read or written, 2 search or fixing capacity exhausted, 64 usage
 error. `CD_ROUTER_LOG` (error, info, debug; any other value is a usage
 error) controls logging; all randomness derives from --seed sub-streams.
+Output paths are probed before any work, and a failure removes each file
+that the probe made and nothing then wrote.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from pathlib import Path
 
 from . import lowerbound as lb_mod
@@ -108,16 +111,22 @@ def _invalid(violations: tuple[str, ...]) -> bool:
     return bool(violations)
 
 
-def _check_writable(*paths: str | None) -> None:
+def _check_writable(paths: list[str | None], created: list[str]) -> None:
     """Raise, before any work, the OSError that writing a path would.
 
     `-` is stdout for `schedule --out` and `lowerbound gen --out`, and is
-    skipped; the other output flags refuse it while parsing. Opening to
-    append makes a missing file empty and leaves an existing one as it is.
+    skipped; the other output flags refuse it while parsing. A missing file
+    is made empty and its path appended to `created`; an existing one is
+    opened to append, which leaves it as it is.
     """
     for path in paths:
         if path is not None and path != "-":
-            open(path, "a").close()
+            try:
+                open(path, "x").close()
+            except FileExistsError:
+                open(path, "a").close()
+            else:
+                created.append(path)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -142,7 +151,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    _check_writable(args.out, args.report)
     instance = _load_instance(args.instance)
     config = FixerConfig(
         variant=args.variant,
@@ -172,7 +180,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_writable(args.trace_csv, args.arrivals_csv)
     instance = _load_instance(args.instance)
     if _invalid(validate(instance).violations):
         return EXIT_FAILURE
@@ -207,7 +214,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_lowerbound_gen(args: argparse.Namespace) -> int:
-    _check_writable(args.out)
     lb = lb_mod.generate(args.n, args.seed)
     _write_or_print(lb_mod.serialize(lb), args.out)
     return EXIT_OK
@@ -259,7 +265,6 @@ def _bench_one(job: tuple[int, str, str, int]) -> tuple[dict | None, str | None]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    _check_writable(args.out)
     jobs = [
         (i, f"{args.seed}/bench{i}", variant, args.delta)
         for i in range(args.count)
@@ -315,7 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--finalize", choices=("ones", "greedy"), default="ones")
     p.add_argument("--out", default=None)
     p.add_argument("--report", type=_output_file, default=None)
-    p.set_defaults(func=cmd_schedule)
+    p.set_defaults(func=cmd_schedule, outputs=("out", "report"))
 
     p = sub.add_parser("simulate", help="replay a schedule and check feasibility")
     p.add_argument("instance")
@@ -325,7 +330,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-wait", type=_int_at_least(0), default=None)
     p.add_argument("--trace-csv", type=_output_file, default=None)
     p.add_argument("--arrivals-csv", type=_output_file, default=None)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, outputs=("trace_csv", "arrivals_csv"))
 
     p = sub.add_parser("lowerbound", help="hard-instance experiments")
     lb_sub = p.add_subparsers(dest="lb_command", required=True)
@@ -334,7 +339,7 @@ def build_parser() -> _Parser:
     q.add_argument("--n", type=_int_at_least(1), required=True)
     q.add_argument("--seed", default="0")
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_lowerbound_gen)
+    q.set_defaults(func=cmd_lowerbound_gen, outputs=("out",))
 
     q = lb_sub.add_parser("solve", help="exact optimal makespan (small n)")
     q.add_argument("instance")
@@ -351,7 +356,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", default="0")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--out", type=_output_file, required=True)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, outputs=("out",))
 
     return parser
 
@@ -377,7 +382,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    created: list[str] = []
     try:
+        _check_writable([getattr(args, name) for name in getattr(args, "outputs", ())], created)
         return args.func(args)
     except (InvalidInstanceError, schedule_mod.ScheduleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -385,6 +392,13 @@ def main(argv: list[str] | None = None) -> int:
     except (FixerError, OracleCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    finally:
+        # every command writes at least a line to each output it finishes,
+        # so a file the probe made that is still empty is a failure's leftover
+        for path in created:
+            with suppress(OSError):
+                if os.path.getsize(path) == 0:
+                    os.remove(path)
 
 
 def entry() -> None:

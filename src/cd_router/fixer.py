@@ -1,23 +1,25 @@
 """Turning random waiting into concrete schedules, level by level.
 
-Each level's draws are pinned so that no (edge, slot) cell's conditional
-expected load exceeds the running target plus a per-level slack: by a
-resampling loop that redraws exactly the variables a bad cell depends on,
-the default, or by a greedy min-max sweep. The expected loads are exact
-integers, held per level by `_LevelWorkspace`, whose docstring gives their
-layout. Whatever stays random after the last fixed level is finalized
-arbitrarily.
+`run_pipeline` decides every level's draws. It pins levels 0 .. the last
+fixed one so that no (edge, slot) cell's conditional expected load exceeds
+the running target plus a per-level slack: by a resampling loop that
+redraws exactly the variables a bad cell depends on, the default, or by a
+greedy min-max sweep. The expected loads are exact integers, held per level
+by `_LevelWorkspace`, whose docstring gives their layout. The levels after
+the last fixed one stay open, or the greedy finalize sets them by the same
+sweep with no target.
 
-`finalize` builds each packet's crossing slots once, turns those at its
-real positions into waits (`waits_from_slots`, the inverse of
-`Schedule.crossing_slots`), ranks the crossings from the same slot lists
-(`realized_loads`: how many packets of lower id share each crossing's
-(edge, slot) cell), certifies the integral load c = 1 + the largest rank
-against the counting bound c <= gamma * prod(open budgets), and hands the
-slots and ranks to `stretch`, which expands every slot into c slots to give
-a capacity-1 schedule. No schedule is asked for its crossing slots again.
-`run_pipeline` stretches before the pre-stretch replay, so the slot lists
-are dropped before either replay runs. At load 1 `stretch` hands back the
+`finalize` only realizes and delivers. It builds each packet's crossing
+slots once, open levels at draw 1, turns those at its real positions into
+waits (`waits_from_slots`, the inverse of `Schedule.crossing_slots`), ranks
+the crossings from the same slot lists (`realized_loads`: how many packets
+of lower id share each crossing's (edge, slot) cell), certifies the
+integral load c = 1 + the largest rank against the counting bound
+c <= gamma * prod(residual budgets), and hands the slots and ranks to
+`stretch`, which expands every slot into c slots to give a capacity-1
+schedule. It returns the pre-stretch and the stretched schedule, so the
+slot lists are dropped before either replay runs, and no schedule is asked
+for its crossing slots again. At load 1 `stretch` hands back the
 pre-stretch schedule, and its replay is also the capacity-1 check's.
 
 What is still random about a crossing depends on its position alone: the
@@ -84,6 +86,8 @@ def _validated(config: FixerConfig) -> None:
         raise ValueError(f"unknown strategy {config.strategy!r}")
     if config.finalize_strategy not in ("ones", "greedy"):
         raise ValueError(f"unknown finalize strategy {config.finalize_strategy!r}")
+    if type(config.delta) is not int:  # a float or bool would run, and reach the report
+        raise ValueError(f"delta must be an integer, got {config.delta!r}")
     if config.delta < 2:
         raise ValueError(f"delta must be at least 2, got {config.delta}")
 
@@ -629,34 +633,25 @@ def stretch(
 
 
 def finalize(
-    padded: PaddedInstance,
-    assignment: DelayAssignment,
-    config: FixerConfig,
-    report: FixReport,
-    index: _CrossingIndex | None,
-) -> tuple[Schedule, list[Sequence[int]], list[list[int]]]:
-    """Fill whatever is still random, build the slots and waits, certify the counting bound.
+    padded: PaddedInstance, assignment: DelayAssignment, report: FixReport
+) -> tuple[Schedule, Schedule]:
+    """Realize the draws, certify the counting bound, and stretch to capacity 1.
 
-    Returns the pre-stretch schedule, on the real paths, each packet's
-    crossing slots over its padded path, and their `realized_loads` ranks;
-    `stretch` reads the same slot lists. Dummy positions are private and
-    never raise a rank, so the real paths, each a prefix of its padded one,
-    give the load.
+    Returns the pre-stretch and the stretched schedule, on the real paths.
+    Each packet's crossing slots over its padded path are built once, and
+    `realized_loads` and `stretch` read the same lists, which never leave
+    here. Dummy positions are private and never raise a rank, so the real
+    paths, each a prefix of its padded one, give the load. The residual is
+    the levels the fixer's record leaves open, whatever draws they hold now.
 
-    The levels left open take draw 1, whose delay depends on the position
+    The levels still open take draw 1, whose delay depends on the position
     alone, so they are one column for the run; each packet adds only its
-    fixed levels, and one with none is the column itself. The greedy
-    finalize fixes the open levels on the run's `index`, which `ones` does
-    not read. The slots and budgets read the assignment's tree.
+    fixed levels, and one with none is the column itself. The slots and
+    budgets read the assignment's tree.
     """
     tree = assignment.tree
-    open_levels = tuple(range(assignment.frontier, assignment.n_levels))
+    open_levels = tuple(range(len(report.levels), assignment.n_levels))
     residual = prod(tree.ladder.levels[level].wait_budget for level in open_levels)
-    if config.finalize_strategy == "greedy":
-        while not assignment.fully_fixed:
-            level = assignment.frontier
-            draws, _ = _greedy_fix(_LevelWorkspace(index, assignment, level, True))
-            assignment.set_level(level, draws)
     fixed = assignment.frontier
     assignment.fill_remaining(1)
     # draw 1 delays by a table's first entry, or by 1 where a level has none
@@ -687,7 +682,7 @@ def finalize(
             f"counting bound violated: load {load} > "
             f"{report.gamma_final} * {residual}", report
         )
-    return schedule, slots, ranks
+    return schedule, stretch(schedule, slots, load, ranks)
 
 
 @dataclass
@@ -705,7 +700,7 @@ class PipelineResult:
 
 
 def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> PipelineResult:
-    """pad -> dissect -> fix levels (relax ladder) -> finalize -> stretch -> verify."""
+    """pad -> dissect -> fix levels (relax ladder, greedy finalize) -> finalize (stretches) -> verify."""
     config = config or FixerConfig()
     _validated(config)
     padded = pad(instance)  # validates once
@@ -737,11 +732,14 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
         report.levels.append(outcome)
         gamma = outcome.gamma_after
     report.gamma_final = gamma
+    if config.finalize_strategy == "greedy":
+        while not assignment.fully_fixed:
+            level = assignment.frontier
+            draws, _ = _greedy_fix(_LevelWorkspace(index, assignment, level, True))
+            assignment.set_level(level, draws)
+    del index  # not held through finalize and the replays
 
-    prestretch, slots, ranks = finalize(padded, assignment, config, report, index)
-    del index  # not held through the replays
-    final_schedule = stretch(prestretch, slots, report.load, ranks)
-    del slots, ranks  # nor are the slots and their ranks, which only `stretch` reads
+    prestretch, final_schedule = finalize(padded, assignment, report)
     trace = simulate(instance, prestretch, capacity=report.load)
     report.makespan_prestretch = trace.makespan
     if trace.max_load > report.load:

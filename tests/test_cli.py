@@ -132,6 +132,62 @@ def test_schedule_refuses_an_invalid_instance(tmp_path, capsys):
     assert "repeated" in captured.err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["schedule", "{bad}", "--out", "{a}", "--report", "{b}"], EXIT_FAILURE),
+    (["schedule", FIG1, "--out", "{a}", "--report", "{b}"], EXIT_CAPACITY),
+    (["simulate", "{bad}", "{schedule}", "--trace-csv", "{a}", "--arrivals-csv", "{b}"], EXIT_FAILURE),
+    (["simulate", FIG1, "{missing}", "--trace-csv", "{a}", "--arrivals-csv", "{b}"], EXIT_FAILURE),
+], ids=["schedule-invalid", "schedule-fixer-error", "simulate-invalid", "simulate-unreadable"])
+@pytest.mark.parametrize("existing", [(), ("a",), ("a", "b")], ids=["none", "one", "both"])
+def test_a_failed_command_leaves_its_outputs_as_they_were(monkeypatch, tmp_path, capsys, argv, code, existing):
+    doc = json.loads(fixture_text("fig1.json"))
+    doc["paths"][1][-1] = "e6"  # repeat an edge within the path
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    schedule = tmp_path / "schedule.json"
+    assert main(["schedule", FIG1, "--out", str(schedule)]) == EXIT_OK
+    capsys.readouterr()
+    if code == EXIT_CAPACITY:
+        def exhausted(*args):
+            raise FixerError("level 0: all relax factors exhausted")
+
+        monkeypatch.setattr(cli, "run_pipeline", exhausted)
+    # an existing file keeps its bytes, an empty one included; a missing one
+    # that the command fails before writing is not left behind
+    before = {"a": b"kept\n", "b": b""}
+    outputs = {name: tmp_path / f"{name}.out" for name in before}
+    for name in existing:
+        outputs[name].write_bytes(before[name])
+    paths = {"bad": bad, "schedule": schedule, "missing": tmp_path / "nope.json", **outputs}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    for name, path in outputs.items():
+        if name in existing:
+            assert path.read_bytes() == before[name]
+        else:
+            assert not path.exists()
+
+
+def test_an_output_made_before_an_unwritable_one_is_not_left_behind(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    bad = tmp_path / "missing" / "report.json"
+    assert main(["schedule", FIG1, "--out", str(out), "--report", str(bad)]) == EXIT_FAILURE
+    assert not out.exists()
+
+
+def test_a_failing_replay_keeps_its_csvs(tmp_path, capsys):
+    # a FAIL verdict is a finished command: its load rows are what shows the collision
+    sched = tmp_path / "zero.json"
+    sched.write_text(json.dumps({
+        "packets": [{"waits": [0, 0, 0, 0]}, {"waits": [0, 0, 0, 0, 0]}, {"waits": [0, 0, 0, 0]}]
+    }))
+    trace_csv = tmp_path / "loads.csv"
+    assert main(["simulate", FIG1, str(sched), "--trace-csv", str(trace_csv)]) == EXIT_FAILURE
+    with open(trace_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["edge", "slot", "load"]
+    assert any(int(r[2]) > 1 for r in rows[1:])
+
+
 def test_simulate_cannot_read_the_schedule(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["simulate", FIG1, str(missing)]) == EXIT_FAILURE

@@ -91,6 +91,13 @@ def test_config_rejects_bad_values():
             run_pipeline(shared_path_instance(1, 2), FixerConfig(delta=delta))
 
 
+@pytest.mark.parametrize("delta", [2.5, 4.0, "4", True])
+def test_config_rejects_a_delta_that_is_not_an_int(delta):
+    # neither coerced nor run: 4.0 would otherwise reach the report as 4.0
+    with pytest.raises(ValueError, match=f"delta must be an integer, got {delta!r}"):
+        run_pipeline(shared_path_instance(1, 2), FixerConfig(delta=delta))
+
+
 # --- level workspace ---------------------------------------------------------
 
 def _workspace_instance(name: str):
@@ -538,6 +545,34 @@ def test_pipeline_stretches_with_the_ranks_of_the_prestretch_schedule(kind):
         slots = _slots(result.prestretch)
         ranks = realized_loads(inst, slots)
         assert result.schedule == stretch(result.prestretch, slots, load, ranks), index
+
+
+@pytest.mark.parametrize("variant", ["plain", "buffered"])
+@pytest.mark.parametrize("finalize_strategy", ["ones", "greedy"])
+def test_run_pipeline_sets_every_level_and_finalize_delivers(monkeypatch, variant, finalize_strategy):
+    # the run decides every level's draws before finalize; finalize keeps
+    # the fixer's residual, and hands back the pre-stretch and the stretched
+    # schedule, so no slot list or rank leaves it
+    seen = []
+    finalize = fixer_mod.finalize
+
+    def recorded(padded, assignment, report):
+        seen.append((assignment.frontier, assignment.fully_fixed))
+        seen.append(finalize(padded, assignment, report))
+        return seen[-1]
+
+    monkeypatch.setattr(fixer_mod, "finalize", recorded)
+    config = FixerConfig(variant=variant, finalize_strategy=finalize_strategy, seed=0)
+    result = run_pipeline(shared_path_instance(8, 32), config)
+    [(frontier, fully_fixed), (prestretch, schedule)] = seen
+    report = result.report
+    if finalize_strategy == "greedy":
+        assert fully_fixed
+    else:
+        assert frontier == len(report.levels)
+    assert report.residual_levels == tuple(range(len(report.levels), result.assignment.n_levels))
+    assert prestretch is result.prestretch
+    assert schedule is result.schedule
 
 
 def test_pipeline_ranks_the_crossings_once(monkeypatch):

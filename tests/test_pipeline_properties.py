@@ -30,24 +30,22 @@ def test_a_run_is_deterministic_feasible_and_within_its_counting_cap(seed, varia
 
 
 def _finalize_slots(instance, config):
-    """Run the pipeline; check the slots `finalize` built, and return how many levels it fixed.
+    """Run the pipeline; check the slots `finalize` hands `stretch`, and return how many levels it fixed.
 
     A packet's slots are those its draws give on every level, open levels
     at draw 1; the ranks and the stretched schedule are those rebuilt from
     the pre-stretch schedule's own crossing slots.
     """
     built = []
-    finalize = fixer_mod.finalize
 
     def kept(*args):
-        out = finalize(*args)
-        built.append(out)
-        return out
+        built.append(args)
+        return stretch(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fixer_mod, "finalize", kept)
+        patch.setattr(fixer_mod, "stretch", kept)
         result = run_pipeline(instance, config)
-    [(prestretch, slots, ranks)] = built
+    [(prestretch, slots, _, ranks)] = built
     assert prestretch is result.prestretch
     assignment = result.assignment
     for packet, m in enumerate(result.padded.original_lengths):
