@@ -96,12 +96,16 @@ def _sci(x: float) -> str:
     return f"{mantissa}e{int(exponent)}"
 
 
-def _load_instance(path: str) -> Instance:
+def _read(path: str) -> str:
+    """The file's text; one that cannot be read as text is one `error: cannot read` line (exit 1)."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidInstanceError(f"cannot read {path}: {exc}") from exc
-    return decode(text)
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_instance(path: str) -> Instance:
+    return decode(_read(path))
 
 
 def _invalid(violations: tuple[str, ...]) -> bool:
@@ -156,7 +160,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         variant=args.variant,
         delta=args.delta,
         strategy=args.strategy,
-        finalize_strategy=args.finalize,
         seed=args.seed,
     )
     try:
@@ -183,11 +186,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     if _invalid(validate(instance).violations):
         return EXIT_FAILURE
-    try:
-        sched = schedule_mod.decode(Path(args.schedule).read_text())
-    except OSError as exc:
-        print(f"cannot read {args.schedule}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    sched = schedule_mod.decode(_read(args.schedule))
     trace = simulate(instance, sched, capacity=args.capacity)
     requirements = CheckRequirements(
         capacity=args.capacity,
@@ -317,7 +316,6 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=_int_at_least(2), default=4)
     p.add_argument("--seed", default="0")
     p.add_argument("--strategy", choices=("resample", "greedy"), default="resample")
-    p.add_argument("--finalize", choices=("ones", "greedy"), default="ones")
     p.add_argument("--out", default=None)
     p.add_argument("--report", type=_output_file, default=None)
     p.set_defaults(func=cmd_schedule, outputs=("out", "report"))

@@ -6,8 +6,7 @@ the running target plus a per-level slack: by a resampling loop that
 redraws exactly the variables a bad cell depends on, the default, or by a
 greedy min-max sweep. The expected loads are exact integers, held per level
 by `_LevelWorkspace`, whose docstring gives their layout. The levels after
-the last fixed one stay open, or the greedy finalize sets them by the same
-sweep with no target.
+the last fixed one stay open, and `finalize` takes them at draw 1.
 
 `finalize` only realizes and delivers. It builds each packet's crossing
 slots once, open levels at draw 1, turns those at its real positions into
@@ -67,7 +66,6 @@ class FixerConfig:
     variant: str = "plain"  # "plain" | "buffered"
     delta: int = 4
     strategy: str = "resample"  # "resample" | "greedy"
-    finalize_strategy: str = "ones"  # "ones" | "greedy"
     seed: int | str = 0
     # the resampling loop's bounds: redraws per restart and restarts per
     # relax factor; the relax factors scale the slack, tried in this order
@@ -84,12 +82,13 @@ def _validated(config: FixerConfig) -> None:
         raise ValueError(f"unknown variant {config.variant!r}")
     if config.strategy not in ("resample", "greedy"):
         raise ValueError(f"unknown strategy {config.strategy!r}")
-    if config.finalize_strategy not in ("ones", "greedy"):
-        raise ValueError(f"unknown finalize strategy {config.finalize_strategy!r}")
     if type(config.delta) is not int:  # a float or bool would run, and reach the report
         raise ValueError(f"delta must be an integer, got {config.delta!r}")
     if config.delta < 2:
         raise ValueError(f"delta must be at least 2, got {config.delta}")
+    # the seed is formatted into every RNG tag, so any value would run
+    if type(config.seed) not in (int, str):
+        raise ValueError(f"seed must be an integer or a string, got {config.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -134,9 +133,9 @@ class _CrossingIndex:
 
     Pinning a level only narrows what is still random, so which crossings
     share an edge, and every slot each could reach under any draws, are
-    known before level 0 is fixed. `run_pipeline` builds one index and
-    hands it to every level's workspace, relax attempts and the greedy
-    finalize included.
+    known before level 0 is fixed. `run_pipeline` builds one index when it
+    fixes a level, and hands it to every level's workspace, relax attempts
+    included.
 
     `edges[r]` is row r's edge, in ascending edge id order. Item i, a
     (packet, position) crossing of a shared edge, is `rows[i]` and `pos[i]`
@@ -199,17 +198,17 @@ class _LevelWorkspace:
     """Y(edge, slot) as a function of this level's draws, updated in place.
 
     Y is held in exact integers, in units of 1/`scale`. A `blurred`
-    workspace, which the greedy sweep and the greedy finalize build, can
-    hold open variables: its `scale` is the product of the budgets of this
-    level and of every deeper level, and each crossing adds its deeper law
-    at `weight` = `budget`. One that resampling builds holds every crossing
-    at a draw: its `scale` is the product of the deeper budgets alone, and
-    `weight` is 1, so its cells are small counts (at most the deeper
-    budgets' product per crossing). Every budget is a power of two, so both
-    units give the same bad cells and the same maximum over `scale`. Y is a
-    list of slot rows, one per edge that two or more padded paths use, laid
-    out by the run's `_CrossingIndex`: cell (index.edges[r], index.lo[r] + i)
-    is `y[r][i]`, and every level's rows have the same `lo` and length.
+    workspace, which the greedy sweep builds, can hold open variables: its
+    `scale` is the product of the budgets of this level and of every deeper
+    level, and each crossing adds its deeper law at `weight` = `budget`.
+    One that resampling builds holds every crossing at a draw: its `scale`
+    is the product of the deeper budgets alone, and `weight` is 1, so its
+    cells are small counts (at most the deeper budgets' product per
+    crossing). Every budget is a power of two, so both units give the same
+    bad cells and the same maximum over `scale`. Y is a list of slot rows,
+    one per edge that two or more padded paths use, laid out by the run's
+    `_CrossingIndex`: cell (index.edges[r], index.lo[r] + i) is `y[r][i]`,
+    and every level's rows have the same `lo` and length.
 
     Item i, a (packet, position) crossing of a shared edge, is four flat
     ints: `rows[i]` and `pos[i]` from the index, `bases[i]` (its slot before
@@ -642,17 +641,17 @@ def finalize(
     `realized_loads` and `stretch` read the same lists, which never leave
     here. Dummy positions are private and never raise a rank, so the real
     paths, each a prefix of its padded one, give the load. The residual is
-    the levels the fixer's record leaves open, whatever draws they hold now.
+    the levels after the assignment's frontier, the ones the fixer left open.
 
-    The levels still open take draw 1, whose delay depends on the position
-    alone, so they are one column for the run; each packet adds only its
-    fixed levels, and one with none is the column itself. The slots and
-    budgets read the assignment's tree.
+    The open levels take draw 1, whose delay depends on the position alone,
+    so they are one column for the run; each packet adds only its fixed
+    levels, and one with none is the column itself. The slots and budgets
+    read the assignment's tree.
     """
     tree = assignment.tree
-    open_levels = tuple(range(len(report.levels), assignment.n_levels))
-    residual = prod(tree.ladder.levels[level].wait_budget for level in open_levels)
     fixed = assignment.frontier
+    open_levels = tuple(range(fixed, assignment.n_levels))
+    residual = prod(tree.ladder.levels[level].wait_budget for level in open_levels)
     assignment.fill_remaining(1)
     # draw 1 delays by a table's first entry, or by 1 where a level has none
     column = tree.columns.offsets
@@ -700,7 +699,7 @@ class PipelineResult:
 
 
 def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> PipelineResult:
-    """pad -> dissect -> fix levels (relax ladder, greedy finalize) -> finalize (stretches) -> verify."""
+    """pad -> dissect -> fix levels (relax ladder) -> finalize (open levels at draw 1, stretches) -> verify."""
     config = config or FixerConfig()
     _validated(config)
     padded = pad(instance)  # validates once
@@ -712,10 +711,8 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
 
     depth = ladder.depth
     last_fixed = depth - 1 if config.variant == "plain" else depth - 2
-    # one index serves every level fixed here and the greedy finalize
-    index = None
-    if last_fixed >= 0 or config.finalize_strategy == "greedy":
-        index = _CrossingIndex(padded, assignment)
+    # one index serves every level fixed here
+    index = _CrossingIndex(padded, assignment) if last_fixed >= 0 else None
     gamma = 1.0
     for level in range(0, last_fixed + 1):
         outcome = None
@@ -732,11 +729,6 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
         report.levels.append(outcome)
         gamma = outcome.gamma_after
     report.gamma_final = gamma
-    if config.finalize_strategy == "greedy":
-        while not assignment.fully_fixed:
-            level = assignment.frontier
-            draws, _ = _greedy_fix(_LevelWorkspace(index, assignment, level, True))
-            assignment.set_level(level, draws)
     del index  # not held through finalize and the replays
 
     prestretch, final_schedule = finalize(padded, assignment, report)

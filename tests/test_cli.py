@@ -188,12 +188,27 @@ def test_a_failing_replay_keeps_its_csvs(tmp_path, capsys):
     assert any(int(r[2]) > 1 for r in rows[1:])
 
 
-def test_simulate_cannot_read_the_schedule(tmp_path, capsys):
-    missing = tmp_path / "nope.json"
-    assert main(["simulate", FIG1, str(missing)]) == EXIT_FAILURE
+def _assert_cannot_read(argv, path, capsys):
+    # one `error:` line, as for an instance that cannot be read
+    assert main(argv) == EXIT_FAILURE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"cannot read {missing}: ")
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_simulate_cannot_read_the_schedule(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    _assert_cannot_read(["simulate", FIG1, str(missing)], missing, capsys)
+    _assert_cannot_read(["simulate", str(missing), str(missing)], missing, capsys)
+
+
+def test_simulate_cannot_read_a_schedule_that_is_a_directory_or_not_text(tmp_path, capsys):
+    _assert_cannot_read(["simulate", FIG1, str(tmp_path)], tmp_path, capsys)
+    binary = tmp_path / "schedule.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    _assert_cannot_read(["simulate", FIG1, str(binary)], binary, capsys)
+    _assert_cannot_read(["analyze", str(binary)], binary, capsys)
 
 
 def test_simulate_rejects_malformed_schedules(tmp_path, capsys):
@@ -422,6 +437,12 @@ def test_usage_errors_exit_64(capsys):
     assert main(["schedule", FIG1, "--variant", "imaginary"]) == EXIT_USAGE
     assert main(["bench"]) == EXIT_USAGE  # --out is required
     capsys.readouterr()
+
+
+def test_schedule_takes_no_finalize_rule(capsys):
+    # the levels a run leaves open always take draw 1
+    assert main(["schedule", FIG1, "--finalize", "greedy"]) == EXIT_USAGE
+    assert "unrecognized arguments: --finalize greedy" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("delta", ["0", "-3", "1", "two"])

@@ -1,7 +1,9 @@
 """Level fixing, finalization, stretching, and the end-to-end pipeline."""
 import dataclasses
+import hashlib
 import json
 import random
+import re
 import sys
 import weakref
 from collections import Counter
@@ -52,11 +54,9 @@ def test_slack_scales_with_block_length():
     assert buffered.slack(256, 2.0) == pytest.approx(2 * 256 ** (-1 / 64))
 
 
-def test_config_sets_five_fields_and_reads_the_loop_bounds():
-    assert [f.name for f in dataclasses.fields(FixerConfig)] == [
-        "variant", "delta", "strategy", "finalize_strategy", "seed",
-    ]
-    for name in ("resample_budget", "restart_budget", "relax_ladder", "slack_exponent"):
+def test_config_sets_four_fields_and_reads_the_loop_bounds():
+    assert [f.name for f in dataclasses.fields(FixerConfig)] == ["variant", "delta", "strategy", "seed"]
+    for name in ("resample_budget", "restart_budget", "relax_ladder", "slack_exponent", "finalize_strategy"):
         with pytest.raises(TypeError):
             FixerConfig(**{name: 1})
     config = FixerConfig(variant="buffered")
@@ -84,8 +84,6 @@ def test_config_rejects_bad_values():
         run_pipeline(shared_path_instance(1, 2), FixerConfig(variant="diagonal"))
     with pytest.raises(ValueError, match="strategy"):
         run_pipeline(shared_path_instance(1, 2), FixerConfig(strategy="anneal"))
-    with pytest.raises(ValueError, match="unknown finalize strategy 'zeros'"):
-        run_pipeline(shared_path_instance(1, 2), FixerConfig(finalize_strategy="zeros"))
     for delta in (1, 0, -3):
         with pytest.raises(ValueError, match="delta"):
             run_pipeline(shared_path_instance(1, 2), FixerConfig(delta=delta))
@@ -96,6 +94,21 @@ def test_config_rejects_a_delta_that_is_not_an_int(delta):
     # neither coerced nor run: 4.0 would otherwise reach the report as 4.0
     with pytest.raises(ValueError, match=f"delta must be an integer, got {delta!r}"):
         run_pipeline(shared_path_instance(1, 2), FixerConfig(delta=delta))
+
+
+@pytest.mark.parametrize("seed", [1.0, True, [1], None])
+def test_config_rejects_a_seed_that_is_not_an_int_or_a_str(seed):
+    # each of these used to run, as the seed its text names, and give a schedule of its own
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer or a string, got {seed!r}")):
+        run_pipeline(shared_path_instance(8, 32), FixerConfig(seed=seed))
+
+
+def test_an_int_seed_and_its_text_give_the_same_schedule():
+    inst = shared_path_instance(8, 32)
+    schedules = {encode(run_pipeline(inst, FixerConfig(seed=seed)).schedule) for seed in (1, "1")}
+    assert len(schedules) == 1
+    # the digest these seeds gave before other types were refused
+    assert hashlib.sha256(schedules.pop().encode()).hexdigest()[:16] == "7de5a673b2a83ff6"
 
 
 # --- level workspace ---------------------------------------------------------
@@ -455,9 +468,10 @@ def test_peak_reads_an_empty_plan_and_a_plan_of_several_groups(name, kind):
 
 
 @pytest.mark.parametrize("strategies, blurred", [
-    (("resample", "ones"), False),
-    (("greedy", "ones"), True),
-    (("resample", "greedy"), True),
+    ({"strategy": "resample"}, False),
+    ({"strategy": "greedy"}, True),
+    # plain fixes two levels of the three, the second with one open below it
+    ({"strategy": "greedy", "variant": "plain"}, True),
 ])
 def test_only_a_greedy_sweep_computes_a_blur(monkeypatch, strategies, blurred):
     # a workspace reads the deeper law for every level; its own level's
@@ -470,9 +484,8 @@ def test_only_a_greedy_sweep_computes_a_blur(monkeypatch, strategies, blurred):
         return law(tree, from_level, pos)
 
     monkeypatch.setattr(fixer_mod, "residual_law", spy)
-    strategy, finalize = strategies
     # a ladder of three levels, of which a buffered run fixes level 0
-    config = FixerConfig(variant="buffered", delta=2, strategy=strategy, finalize_strategy=finalize)
+    config = FixerConfig(**{"variant": "buffered", "delta": 2, **strategies})
     run_pipeline(shared_path_instance(8, 32), config)
     assert 1 in calls
     assert set(calls) == ({0, 1} if blurred else {1})
@@ -548,11 +561,11 @@ def test_pipeline_stretches_with_the_ranks_of_the_prestretch_schedule(kind):
 
 
 @pytest.mark.parametrize("variant", ["plain", "buffered"])
-@pytest.mark.parametrize("finalize_strategy", ["ones", "greedy"])
-def test_run_pipeline_sets_every_level_and_finalize_delivers(monkeypatch, variant, finalize_strategy):
-    # the run decides every level's draws before finalize; finalize keeps
-    # the fixer's residual, and hands back the pre-stretch and the stretched
-    # schedule, so no slot list or rank leaves it
+def test_run_pipeline_sets_every_level_and_finalize_delivers(monkeypatch, variant):
+    # the run pins its levels before finalize and leaves the rest open;
+    # finalize's residual is the levels the fixer left, and it hands back
+    # the pre-stretch and the stretched schedule, so no slot list or rank
+    # leaves it
     seen = []
     finalize = fixer_mod.finalize
 
@@ -562,14 +575,11 @@ def test_run_pipeline_sets_every_level_and_finalize_delivers(monkeypatch, varian
         return seen[-1]
 
     monkeypatch.setattr(fixer_mod, "finalize", recorded)
-    config = FixerConfig(variant=variant, finalize_strategy=finalize_strategy, seed=0)
+    config = FixerConfig(variant=variant, seed=0)
     result = run_pipeline(shared_path_instance(8, 32), config)
     [(frontier, fully_fixed), (prestretch, schedule)] = seen
     report = result.report
-    if finalize_strategy == "greedy":
-        assert fully_fixed
-    else:
-        assert frontier == len(report.levels)
+    assert frontier == len(report.levels) and not fully_fixed
     assert report.residual_levels == tuple(range(len(report.levels), result.assignment.n_levels))
     assert prestretch is result.prestretch
     assert schedule is result.schedule
@@ -768,10 +778,12 @@ def test_pipeline_keeps_a_restart_whose_last_resample_succeeds(monkeypatch, pack
 
 
 def test_pipeline_greedy_paths():
-    inst = shared_path_instance(6, 16)
-    cfg = FixerConfig(delta=2, strategy="greedy", finalize_strategy="greedy")
+    inst = shared_path_instance(6, 32)
+    cfg = FixerConfig(delta=2, strategy="greedy")
     result = run_pipeline(inst, cfg)
     rep = result.report
+    # the sweep fixes two levels, the second with one open below it
+    assert [lf.level for lf in rep.levels] == [0, 1] and rep.residual_levels == (2,)
     assert all(lf.strategy == "greedy" for lf in rep.levels)
     assert all(lf.resamples == 0 for lf in rep.levels)
     assert rep.load <= rep.counting_cap
@@ -865,10 +877,9 @@ def _tree_cases():
     cases = []
     for i in range(40):
         inst = generate_random_instance(f"shared-trees/{i}", max_packets=24, max_length=64)
-        strategy, finalize = ("resample", "ones") if i % 4 < 2 else ("greedy", "greedy")
         config = FixerConfig(
             variant=("plain", "buffered")[i % 2], delta=2 + i // 4 % 4,
-            strategy=strategy, finalize_strategy=finalize, seed=i,
+            strategy="resample" if i % 4 < 2 else "greedy", seed=i,
         )
         cases.append((inst, config))
     return cases
@@ -905,8 +916,8 @@ def test_shared_trees_give_the_outputs_of_fresh_ones_in_any_order():
     # one resample and one restart fail level 0 at relax 1
     (shared_path_instance(30, 32), (FixerConfig(seed=0), {"resample_budget": 1, "restart_budget": 1}),
      lambda rep: rep.relax_max > 1),
-    # the greedy sweep fixes two levels and finalizes the third
-    (shared_path_instance(8, 32), (FixerConfig(delta=2, strategy="greedy", finalize_strategy="greedy"), {}),
+    # the greedy sweep fixes two levels and leaves the third open
+    (shared_path_instance(8, 32), (FixerConfig(delta=2, strategy="greedy"), {}),
      lambda rep: len(rep.levels) == 2 and rep.residual_levels == (2,)),
 ])
 def test_pipeline_indexes_the_crossings_once(monkeypatch, inst, config, check):
@@ -961,13 +972,18 @@ def test_pipeline_builds_no_index_when_nothing_is_fixed(monkeypatch):
         raise AssertionError("built an index that no level reads")
 
     monkeypatch.setattr(fixer_mod, "_CrossingIndex", refuse)
-    result = run_pipeline(shared_path_instance(4, 16))  # depth 0
-    assert result.report.levels == [] and result.report.load == 4
+    for strategy in ("resample", "greedy"):
+        for variant in ("plain", "buffered"):
+            result = run_pipeline(shared_path_instance(4, 16), FixerConfig(variant=variant, strategy=strategy))
+            assert result.report.levels == [] and result.report.load == 4  # depth 0
+        # a buffered ladder of depth 1 fixes no level either
+        result = run_pipeline(shared_path_instance(4, 32), FixerConfig(variant="buffered", strategy=strategy))
+        assert result.report.levels == [] and result.report.residual_levels == (0, 1)
 
 
 @pytest.mark.parametrize("kind", ["plain", "buffered"])
 @pytest.mark.parametrize("strategies", [
-    {}, {"strategy": "greedy", "finalize_strategy": "greedy"},
+    {}, {"strategy": "greedy"},
 ])
 def test_pipeline_builds_no_dummy_chain(monkeypatch, kind, strategies):
     ladder = shared_path_instance(6, 140)  # D' 256: both variants fix levels
@@ -996,6 +1012,16 @@ def test_pipeline_builds_no_dummy_chain(monkeypatch, kind, strategies):
     assert len(dummies) == sum(padded.length - m for m in padded.original_lengths) > 0
 
 
+def _virtual_equals_explicit(inst, config):
+    virtual = run_pipeline(inst, config)
+    explicit = run_pipeline(pad(inst).padded, config)
+    assert explicit.padded.length == virtual.padded.length
+    assert (explicit.report.load, explicit.report.levels) == (virtual.report.load, virtual.report.levels)
+    for packet, path in enumerate(inst.paths):
+        assert (virtual.schedule.crossing_slots(packet)
+                == explicit.schedule.crossing_slots(packet)[:len(path)])
+
+
 def test_virtual_padding_equals_explicit_padding_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -1006,21 +1032,17 @@ def test_virtual_padding_equals_explicit_padding_property():
         kind=st.sampled_from(["plain", "buffered"]),
         greedy=st.booleans(),
     )
-    # the greedy sweep reads the dummy positions' largest counts here
-    @hypothesis.example(seed=16, kind="buffered", greedy=True)
     def agree(seed, kind, greedy):
         inst = generate_random_instance(seed, max_packets=24, max_length=64)
-        strategies = {"strategy": "greedy", "finalize_strategy": "greedy"} if greedy else {}
-        config = FixerConfig(variant=kind, seed=seed, **strategies)
-        virtual = run_pipeline(inst, config)
-        explicit = run_pipeline(pad(inst).padded, config)
-        assert explicit.padded.length == virtual.padded.length
-        assert (explicit.report.load, explicit.report.levels) == (virtual.report.load, virtual.report.levels)
-        for packet, path in enumerate(inst.paths):
-            assert (virtual.schedule.crossing_slots(packet)
-                    == explicit.schedule.crossing_slots(packet)[:len(path)])
+        _virtual_equals_explicit(inst, FixerConfig(variant=kind, seed=seed, strategy="greedy" if greedy else "resample"))
 
     agree()
+    # the greedy sweep reads the dummy positions' largest counts here: packet
+    # 1 crosses one edge of the shared path, and 127 of its 128 positions
+    # are dummies
+    short = shared_path_instance(2, 100)
+    short.paths[1] = short.paths[1][:1]
+    _virtual_equals_explicit(short, FixerConfig(variant="buffered", delta=2, strategy="greedy"))
 
 
 def test_pipeline_reports_exhausted_budgets(monkeypatch):
