@@ -4,8 +4,17 @@ Ground truth for everything the closed-form machinery claims: packets follow
 their wait lists literally (wait, then cross one edge per slot), so a
 packet's crossing slots are the prefix sums of its waits plus one slot per
 edge. One pass over the paths yields per-(edge, slot) loads, arrivals and
-crossing slots, in O(total path length) whatever the size of the waits. A
-packet occupies no buffer while at a node equal to its own source or sink;
+crossing slots, in O(total path length) whatever the size of the waits.
+
+The loads are tallied one of two ways, chosen from the instance alone. A
+busy instance, whose paths cross each edge `BUSY_CROSSINGS_PER_EDGE` times or
+more on average, is tallied per edge as {edge: {slot: load}}: no key tuple is
+allocated per crossing, so the garbage collector has nothing to churn, and
+the CSV rows need no global sort. Any other instance keeps the flat
+{(edge, slot): load} tally, which is cheaper when most edges hold one or two
+cells. `SimulationTrace.loads` is the flat view of either.
+
+A packet occupies no buffer while at a node equal to its own source or sink;
 everywhere else it sits in its next edge's buffer. The waiting charged per
 (packet, edge) is derived from the trace when first read, and the largest
 buffer occupancy at a slot boundary, the buffer size the paper bounds, from
@@ -15,18 +24,29 @@ checked against.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, islice, repeat
 from operator import add, itemgetter
 
 from .instance import Instance
 from .schedule import Schedule
 
 
+# Average crossings per edge from which `simulate` tallies loads per edge.
+# Measured crossover (per-edge time over flat time of simulate, check and the
+# CSV rows, on capacity-1 shared-path schedules, CPython 3.11): 1.02 at 6
+# and 0.90 at 8 crossings per edge on 1024 edges, 1.10 at 8 and 0.85 at 10
+# on 256 edges, 0.65 at 64 on either. A replay that reads only `max_load`
+# breaks even later, near 30 per edge on instances of about 1,000
+# crossings, and gains 21% at 64 x 1024. Small random instances stay
+# cheaper flat at every density; under 3% of perfbench's random-mix reach 8.
+BUSY_CROSSINGS_PER_EDGE = 8
+
+
 @dataclass
 class SimulationTrace:
-    loads: dict[tuple[str, int], int]
     arrivals: list[int]
     capacity: int
     crossing_slots: list[list[int]]
@@ -34,6 +54,16 @@ class SimulationTrace:
     instance: Instance = field(repr=False, compare=False)
     # the replayed schedule, whose waits are charged to edges
     schedule: Schedule = field(repr=False, compare=False)
+    # simulate's tally: {edge: {slot: load}} if `_per_edge`, else {(edge, slot): load}
+    _tally: dict = field(repr=False)
+    _per_edge: bool
+
+    @cached_property
+    def loads(self) -> dict[tuple[str, int], int]:
+        """(edge, slot) -> packets crossing; a per-edge tally is flattened when first read."""
+        if not self._per_edge:
+            return self._tally
+        return {(edge, slot): v for edge, cells in self._tally.items() for slot, v in cells.items()}
 
     @property
     def makespan(self) -> int:
@@ -41,7 +71,9 @@ class SimulationTrace:
 
     @property
     def max_load(self) -> int:
-        return max(self.loads.values())
+        if self._per_edge:
+            return max(map(max, map(dict.values, self._tally.values())))
+        return max(self._tally.values())
 
     @cached_property
     def edge_waits(self) -> dict[tuple[int, str], int]:
@@ -86,25 +118,45 @@ class SimulationTrace:
 
 
 def simulate(instance: Instance, schedule: Schedule, capacity: int = 1) -> SimulationTrace:
-    """Run the schedule to completion; never enforces anything, only measures."""
+    """Run the schedule to completion; never enforces anything, only measures.
+
+    The capacity must be an `int` of at least 1 (`bool` refused): `check`
+    compares loads with it, so 1.5 would pass a load of 1 and 0 fail every load.
+    """
+    if type(capacity) is not int or capacity < 1:
+        raise ValueError(f"capacity must be an integer of at least 1, got {capacity!r}")
     schedule.validate_shape(instance.paths)
-    loads: dict[tuple[str, int], int] = {}
     arrivals: list[int] = []
     crossing: list[list[int]] = []
-    for path, waits in zip(instance.paths, schedule.waits):
-        n = len(path)
-        slots = list(map(add, accumulate(islice(waits, n)), range(1, n + 1)))
-        crossing.append(slots)
-        arrivals.append(slots[-1])
-        for key in zip(path, slots):
-            loads[key] = loads.get(key, 0) + 1
+    per_edge = sum(map(len, instance.paths)) >= BUSY_CROSSINGS_PER_EDGE * len(instance.edges)
+    if per_edge:
+        tally: dict = defaultdict(dict)
+        for path, waits in zip(instance.paths, schedule.waits):
+            n = len(path)
+            slots = list(map(add, accumulate(islice(waits, n)), range(1, n + 1)))
+            crossing.append(slots)
+            arrivals.append(slots[-1])
+            for edge, slot in zip(path, slots):
+                cells = tally[edge]
+                cells[slot] = cells.get(slot, 0) + 1
+    else:
+        loads: dict[tuple[str, int], int] = {}
+        for path, waits in zip(instance.paths, schedule.waits):
+            n = len(path)
+            slots = list(map(add, accumulate(islice(waits, n)), range(1, n + 1)))
+            crossing.append(slots)
+            arrivals.append(slots[-1])
+            for key in zip(path, slots):
+                loads[key] = loads.get(key, 0) + 1
+        tally = loads
     return SimulationTrace(
-        loads=loads,
         arrivals=arrivals,
         capacity=capacity,
         crossing_slots=crossing,
         instance=instance,
         schedule=schedule,
+        _tally=tally,
+        _per_edge=per_edge,
     )
 
 
@@ -184,9 +236,19 @@ def check(trace: SimulationTrace, requirements: CheckRequirements | None = None)
 def loads_csv_rows(trace: SimulationTrace) -> list[tuple[str, int, int]]:
     """(edge, slot, load) rows ordered by edge id as a string, then by slot (`e10` before `e2`).
 
-    Two stable in-place sorts, by slot and then by edge; the (edge, slot)
-    keys are unique, so this is the order of sorting the whole tuples.
+    A per-edge tally is walked edge by edge in order, each edge's slots in
+    order. A flat one takes two stable in-place sorts, by slot and then by
+    edge; the (edge, slot) keys are unique, so either gives the order of
+    sorting the whole tuples.
     """
+    if trace._per_edge:
+        rows: list[tuple[str, int, int]] = []
+        tally = trace._tally
+        for edge in sorted(tally):
+            cells = tally[edge]
+            slots = sorted(cells)
+            rows += zip(repeat(edge, len(slots)), slots, map(cells.__getitem__, slots))
+        return rows
     rows = [(edge, slot, v) for (edge, slot), v in trace.loads.items()]
     rows.sort(key=itemgetter(1))
     rows.sort(key=itemgetter(0))

@@ -6,14 +6,17 @@ earlier commit. A refactor that changes any draw, float or tie-break shows
 up here; a deliberate change of output must update the digests and say why.
 The written instance documents (gadget files and `instance.encode` of the
 golden instances) are pinned the same way, with digests taken while
-`encode` still called `json.dumps(doc, indent=2)`.
+`encode` still called `json.dumps(doc, indent=2)`. Two busy replays pin the
+simulator's CSV rows, check details and arrivals, with digests taken while
+`simulate` still tallied every crossing under an (edge, slot) key.
 """
 import hashlib
 import json
+import random
 
 import pytest
 
-from cd_router import lowerbound, schedule
+from cd_router import lowerbound, schedule, simulator
 from cd_router.fixer import FixerConfig, run_pipeline
 from cd_router.instance import Edge, Instance, decode, encode, generate_random_instance, shared_path_instance
 
@@ -233,9 +236,58 @@ def test_golden_document(name):
     assert hashlib.sha256(_document(name).encode()).hexdigest()[:16] == DOCUMENTS[name]
 
 
+def _dense_waits(c: int, d: int, steps: int) -> list[list[int]]:
+    """Capacity 1 on a shared path: packet j leaves at slot j, and each wait is c slots."""
+    rng = random.Random(f"golden/dense/{c}x{d}")
+    waits = []
+    for j in range(c):
+        row = [j] + [0] * d
+        for _ in range(steps):
+            row[rng.randint(1, d - 1)] += c
+        waits.append(row)
+    return waits
+
+
+def _replay(name: str):
+    if name == "dense-64x1024":
+        return shared_path_instance(64, 1024), schedule.Schedule(waits=_dense_waits(64, 1024, 58))
+    instance = shared_path_instance(16, 64)
+    return instance, run_pipeline(instance, FixerConfig(seed="golden/stretched")).schedule
+
+
+def _replay_digests(name: str) -> tuple[str, str, str]:
+    """sha256 of the CSV rows, of the check details (passing and failing) and of the arrivals."""
+    trace = simulator.simulate(*_replay(name), capacity=1)
+    rows = "".join(f"{e},{s},{v}\n" for e, s, v in simulator.loads_csv_rows(trace))
+    details = []
+    for req in (
+        simulator.CheckRequirements(
+            makespan_bound=trace.makespan, buffer_bound=trace.max_occupancy,
+            edge_wait_bound=trace.max_edge_wait,
+        ),
+        simulator.CheckRequirements(capacity=0, makespan_bound=0, buffer_bound=0, edge_wait_bound=0),
+    ):
+        details += [f"{r.name} {r.passed} {r.detail}\n" for r in simulator.check(trace, req).results]
+    arrivals = "".join(f"{i},{a}\n" for i, a in simulator.arrivals_csv_rows(trace))
+    return tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in (rows, "".join(details), arrivals))
+
+
+REPLAYS = {
+    'dense-64x1024': ('1da65419ffcbc5f2', 'aaa7a213361d6e97', 'a49c25942a03fc0c'),
+    'stretched-16x64': ('f8c7498b2d1eb84e', 'bf3ea72c2ad3df06', 'cfe3d2b40d787a82'),
+}
+
+
+@pytest.mark.parametrize("name", REPLAYS)
+def test_golden_replay(name):
+    assert _replay_digests(name) == REPLAYS[name]
+
+
 if __name__ == "__main__":
-    # prints the GOLDEN and DOCUMENTS tables for the current code
+    # prints the GOLDEN, DOCUMENTS and REPLAYS tables for the current code
     for case in CASES:
         print(f"    {_case_id(case)!r}: {_digests(case)!r},")
     for name in DOCUMENTS:
         print(f"    {name!r}: {hashlib.sha256(_document(name).encode()).hexdigest()[:16]!r},")
+    for name in REPLAYS:
+        print(f"    {name!r}: {_replay_digests(name)!r},")

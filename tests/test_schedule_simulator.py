@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from cd_router.instance import Edge, Instance, generate_random_instance, shared_path_instance, stats
+from cd_router import simulator
+from cd_router.instance import Edge, Instance, decode as decode_instance, generate_random_instance, shared_path_instance, stats
 from cd_router.oracle import stepped_simulation
 from cd_router.schedule import Schedule, ScheduleError, decode, encode, waits_from_slots
 from cd_router.simulator import (
@@ -17,6 +18,8 @@ from cd_router.simulator import (
     loads_csv_rows,
     simulate,
 )
+
+from conftest import fixture_text
 
 
 def zero_wait(instance):
@@ -434,29 +437,126 @@ class _CountingDict(dict):
 
 
 def _counted_trace(instance: Instance, waits: list[list[int]]) -> SimulationTrace:
+    """A trace whose tally and edge waits count their `items()` calls.
+
+    A scan of every cell reads the tally's items once: a flat tally is the
+    `loads` dict itself, and a per-edge one is read once to build `loads`.
+    """
     trace = simulate(instance, Schedule(waits=waits))
-    counted = dataclasses.replace(trace, loads=_CountingDict(trace.loads))
+    counted = dataclasses.replace(trace, _tally=_CountingDict(trace._tally))
     vars(counted)["edge_waits"] = _CountingDict(trace.edge_waits)
     return counted
 
 
-def test_a_passing_check_reads_no_cell():
-    instance = shared_path_instance(2, 12)
-    waits = [[0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0], [30] + [0] * 12]
-    trace = _counted_trace(instance, waits)
-    report = check(trace, CheckRequirements(capacity=1, edge_wait_bound=3))
-    assert report.ok
-    assert [r.detail for r in report.results] == ["max load 1 <= 1", "max per-edge wait 3 <= 3"]
-    assert (trace.loads.items_calls, trace.edge_waits.items_calls) == (0, 0)
+def test_a_passing_check_reads_no_cell(monkeypatch):
+    instance = shared_path_instance(2, 12)  # 2 crossings per edge: flat unless forced
+    for busy_from, per_edge in ((simulator.BUSY_CROSSINGS_PER_EDGE, False), (0, True)):
+        monkeypatch.setattr(simulator, "BUSY_CROSSINGS_PER_EDGE", busy_from)
+        waits = [[0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0], [30] + [0] * 12]
+        trace = _counted_trace(instance, waits)
+        assert trace._per_edge is per_edge
+        report = check(trace, CheckRequirements(capacity=1, edge_wait_bound=3))
+        assert report.ok
+        assert [r.detail for r in report.results] == ["max load 1 <= 1", "max per-edge wait 3 <= 3"]
+        assert (trace._tally.items_calls, trace.edge_waits.items_calls) == (0, 0)
+        assert "loads" not in vars(trace)
 
-    # one bound broken: only its own scan runs, and it names the least offender
-    _, wait = check(trace, CheckRequirements(capacity=1, edge_wait_bound=1)).results
-    assert (wait.passed, wait.detail) == (False, "packet 0 waits 3 slots before edge e10")
-    assert (trace.loads.items_calls, trace.edge_waits.items_calls) == (0, 1)
+        # one bound broken: only its own scan runs, and it names the least offender
+        _, wait = check(trace, CheckRequirements(capacity=1, edge_wait_bound=1)).results
+        assert (wait.passed, wait.detail) == (False, "packet 0 waits 3 slots before edge e10")
+        assert (trace._tally.items_calls, trace.edge_waits.items_calls) == (0, 1)
 
-    # the packets meet on e2 at slot 5 and ride together to the end
-    trace = _counted_trace(instance, [[0, 0, 2] + [0] * 10, [2] + [0] * 12])
-    load, wait = check(trace, CheckRequirements(capacity=1, edge_wait_bound=3)).results
-    assert (load.passed, load.detail) == (False, "edge e10 carries 2 packets at slot 13")
-    assert wait.passed
-    assert (trace.loads.items_calls, trace.edge_waits.items_calls) == (1, 0)
+        # the packets meet on e2 at slot 5 and ride together to the end
+        trace = _counted_trace(instance, [[0, 0, 2] + [0] * 10, [2] + [0] * 12])
+        load, wait = check(trace, CheckRequirements(capacity=1, edge_wait_bound=3)).results
+        assert (load.passed, load.detail) == (False, "edge e10 carries 2 packets at slot 13")
+        assert wait.passed
+        assert (trace._tally.items_calls, trace.edge_waits.items_calls) == (1, 0)
+
+
+# --- the two tallies -------------------------------------------------------------
+
+def _hub_instance(k: int, tail: int) -> Instance:
+    """k packets that share one edge, `hub`, each with a private in-edge and tail."""
+    nodes, edges, paths = {"a", "b"}, [Edge("hub", "a", "b")], []
+    for i in range(k):
+        nodes |= {f"s{i}"} | {f"t{i}_{t}" for t in range(tail)}
+        edges.append(Edge(f"in{i}", f"s{i}", "a"))
+        chain = ["b"] + [f"t{i}_{t}" for t in range(tail)]
+        edges += [Edge(f"out{i}_{t}", u, v) for t, (u, v) in enumerate(zip(chain, chain[1:]))]
+        paths.append([f"in{i}", "hub"] + [f"out{i}_{t}" for t in range(tail)])
+    return Instance(nodes=nodes, edges=edges, paths=paths)
+
+
+@pytest.mark.parametrize("instance, per_edge", [
+    pytest.param(lambda: shared_path_instance(64, 1024), True, id="shared-64x1024"),  # 64 crossings per edge
+    pytest.param(lambda: shared_path_instance(30, 32), True, id="shared-30x32"),  # 30 per edge
+    pytest.param(lambda: decode_instance(fixture_text("fig1.json")), False, id="fig1"),  # 10 on 7 edges
+    pytest.param(
+        lambda: generate_random_instance("1/random-mix/0", max_packets=24, max_length=64), False, id="random-mix",
+    ),
+    pytest.param(lambda: _hub_instance(8, 30), False, id="sparse-hub"),  # under 1 per edge
+])
+def test_simulate_picks_the_tally_from_the_instance(instance, per_edge):
+    instance = instance()
+    trace = simulate(instance, zero_wait(instance))
+    assert trace._per_edge is per_edge
+    assert type(trace.loads) is dict
+    assert trace.max_load == max(trace.loads.values())
+
+
+def test_both_tallies_match_the_stepper_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        instance=st.one_of(
+            st.builds(shared_path_instance, st.integers(2, 24), st.integers(1, 12)),
+            st.builds(generate_random_instance, st.integers(0, 10**6), max_packets=st.just(8), max_length=st.just(12)),
+        ),
+        data=st.data(),
+    )
+    def agree(instance, data):
+        waits = [
+            data.draw(st.lists(st.integers(0, 6), min_size=len(p) + 1, max_size=len(p) + 1))
+            for p in instance.paths
+        ]
+        schedule = Schedule(waits=waits)
+        slow = stepped_simulation(instance, schedule)
+        for busy_from, per_edge in ((10**9, False), (0, True)):
+            monkeypatch.setattr(simulator, "BUSY_CROSSINGS_PER_EDGE", busy_from)
+            fast = simulate(instance, schedule)
+            assert fast._per_edge is per_edge
+            for name in ("loads", "max_load", "arrivals", "edge_waits"):
+                assert getattr(fast, name) == getattr(slow, name), name
+            assert type(fast.loads) is dict
+            assert loads_csv_rows(fast) == sorted((edge, slot, v) for (edge, slot), v in fast.loads.items())
+
+    agree()
+
+
+def test_an_instance_with_no_crossings_replays_as_before():
+    empty = Instance(nodes=set(), edges=[], paths=[])  # 0 >= K * 0 edges: the per-edge tally
+    idle = Instance(nodes={"a", "b"}, edges=[Edge("ab", "a", "b")], paths=[])  # flat
+    for instance, per_edge in ((empty, True), (idle, False)):
+        trace = simulate(instance, Schedule(waits=[]))
+        assert trace._per_edge is per_edge
+        assert (trace.loads, trace.arrivals, loads_csv_rows(trace)) == ({}, [], [])
+        with pytest.raises(ValueError):
+            trace.max_load
+        with pytest.raises(ValueError):
+            check(trace)
+
+
+@pytest.mark.parametrize("capacity", [1.5, 1.0, 0, -1, True, False, "1", None])
+def test_simulate_refuses_a_capacity_that_is_not_a_positive_int(fig1, capacity):
+    with pytest.raises(ValueError, match="capacity must be an integer of at least 1"):
+        simulate(fig1, zero_wait(fig1), capacity=capacity)
+
+
+def test_simulate_keeps_an_int_capacity(fig1):
+    for capacity in (1, 2, 10**12):
+        trace = simulate(fig1, zero_wait(fig1), capacity=capacity)
+        assert trace.capacity == capacity
+        assert check(trace).ok is (capacity >= 2)
