@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 validation or feasibility failure or a file that
 cannot be read or written, 2 search or fixing capacity exhausted, 64 usage
-error. `CD_ROUTER_LOG` (error, info, debug; any other value is a usage
-error) controls logging; all randomness derives from --seed sub-streams.
+error. An instance that decodes but does not validate exits 1 with one
+`invalid:` line per violation on stderr, from `main` for every command but
+`analyze`, whose answer they are. `CD_ROUTER_LOG` (error, info, debug; any
+other value is a usage error) controls logging; all randomness derives
+from --seed sub-streams.
 Output paths are probed before any work, and a failure removes each file
 that the probe made and nothing then wrote.
 """
@@ -30,6 +33,7 @@ from .instance import (
     decode,
     generate_random_instance,
     measure,
+    stats,
     validate,
 )
 from .oracle import OracleCapacityError, optimal_makespan
@@ -108,13 +112,6 @@ def _load_instance(path: str) -> Instance:
     return decode(_read(path))
 
 
-def _invalid(violations: tuple[str, ...]) -> bool:
-    """Print each violation as `invalid: <reason>` on stderr; True when there is one."""
-    for violation in violations:
-        print(f"invalid: {violation}", file=sys.stderr)
-    return bool(violations)
-
-
 def _check_writable(paths: list[str | None], created: list[str]) -> None:
     """Raise, before any work, the OSError that writing a path would.
 
@@ -162,11 +159,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         seed=args.seed,
     )
-    try:
-        result = run_pipeline(instance, config)  # validates once
-    except InvalidInstanceError as exc:
-        _invalid(exc.violations)
-        return EXIT_FAILURE
+    result = run_pipeline(instance, config)  # validates once
     _write_or_print(schedule_mod.encode(result.schedule), args.out)
     if args.report is not None:
         Path(args.report).write_text(
@@ -184,8 +177,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    if _invalid(validate(instance).violations):
-        return EXIT_FAILURE
+    stats(instance)  # validates before the schedule is read
     sched = schedule_mod.decode(_read(args.schedule))
     trace = simulate(instance, sched, capacity=args.capacity)
     requirements = CheckRequirements(
@@ -384,7 +376,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_writable([getattr(args, name) for name in getattr(args, "outputs", ())], created)
         return args.func(args)
-    except (InvalidInstanceError, schedule_mod.ScheduleError, ValueError, OSError) as exc:
+    except InvalidInstanceError as exc:
+        # one `invalid:` line per violation; a document that does not decode has none
+        lines = [f"invalid: {v}" for v in exc.violations] or [f"error: {exc}"]
+        print(*lines, sep="\n", file=sys.stderr)
+        return EXIT_FAILURE
+    except (schedule_mod.ScheduleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except (FixerError, OracleCapacityError) as exc:

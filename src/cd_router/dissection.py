@@ -63,8 +63,11 @@ def build_ladder(length: int, delta: int) -> LevelLadder:
 
     Exponent recurrence e -> ceil(e/2), stopping at the first level whose
     block length is at most delta^2. Budgets: root = length, deeper levels
-    2^ceil(e/4) (fourth root rounded up to a power of two).
+    2^ceil(e/4) (fourth root rounded up to a power of two). Both arguments
+    must be `int` (`bool` refused).
     """
+    if type(length) is not int or type(delta) is not int:
+        raise LadderError(f"length and delta must be integers, got {length!r} and {delta!r}")
     if length < 1 or length & (length - 1):
         raise LadderError(f"path length {length} is not a power of two")
     if delta < 1:

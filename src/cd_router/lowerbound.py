@@ -45,8 +45,8 @@ def _gadget_path(perm: tuple[int, ...]) -> list[str]:
 
 def generate(n: int, seed: int | str = 0) -> LowerBoundInstance:
     """Gadget with n critical edges; each packet visits them in random order."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     nodes = {"s", "sp", "t"}
     nodes.update(f"u{i}" for i in range(1, n + 2))
     nodes.update(f"v{i}" for i in range(1, n + 1))
@@ -202,6 +202,6 @@ def counting_bound(n: int, eps: float) -> float:
     log2 3.32 against 3.21) and n = 2 at horizon 15 (148,698 candidates,
     log2 17.18 against 16.54).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     return phi(eps) * n * n + 2.0 * n * math.log2(2.0 * n)

@@ -33,8 +33,11 @@ def optimal_makespan(
 
     Depth-first over per-slot move/wait decisions, move tried first; a state
     reached again no earlier than before is pruned, as is any branch whose
-    remaining path or per-edge demand cannot beat the incumbent.
+    remaining path or per-edge demand cannot beat the incumbent. A given
+    horizon must be an `int` of at least 0 (`bool` refused).
     """
+    if horizon is not None and (type(horizon) is not int or horizon < 0):
+        raise ValueError(f"horizon must be an integer of at least 0, got {horizon!r}")
     s = stats(instance)  # raises on invalid
     if horizon is None:
         horizon = s.congestion + s.dilation + s.congestion * s.dilation
@@ -250,8 +253,11 @@ def stepped_simulation(instance: Instance, schedule: Schedule, capacity: int = 1
     Packets follow their wait lists literally (wait, then cross one edge per
     slot). A packet occupies no buffer while at a node equal to its own source
     or sink; everywhere else it sits in its next edge's buffer, and occupancy
-    is recorded at every slot boundary.
+    is recorded at every slot boundary. The capacity is refused as
+    `simulate` refuses it: anything but an `int` of at least 1 (`bool` too).
     """
+    if type(capacity) is not int or capacity < 1:
+        raise ValueError(f"capacity must be an integer of at least 1, got {capacity!r}")
     schedule.validate_shape(instance.paths)
     emap = instance.edge_map()
     paths = instance.paths

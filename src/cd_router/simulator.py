@@ -191,21 +191,27 @@ def check(trace: SimulationTrace, requirements: CheckRequirements | None = None)
     (`max_load`, `max_edge_wait`) and look for an offender only when that
     maximum breaks the bound; a failing check names the least offending
     (edge, slot) cell or (packet, edge) pair, so a passing one reads no cell.
+    A per-edge tally is searched edge by edge and never flattened; any
+    other trace (the stepper's `SteppedTrace`) is scanned by its `loads`.
     """
     req = requirements or CheckRequirements()
     results: list[CheckResult] = []
 
     cap = req.capacity if req.capacity is not None else trace.capacity
     top = trace.max_load
-    cell = None
     if top > cap:
-        cell = min(et for et, v in trace.loads.items() if v > cap)
-    if cell is not None:
-        edge, slot = cell
-        detail = f"edge {edge} carries {trace.loads[cell]} packets at slot {slot}"
+        if isinstance(trace, SimulationTrace) and trace._per_edge:
+            edge = min(e for e, cells in trace._tally.items() if max(cells.values()) > cap)
+            cells = trace._tally[edge]
+            slot = min(t for t, v in cells.items() if v > cap)
+            load = cells[slot]
+        else:
+            edge, slot = min(et for et, v in trace.loads.items() if v > cap)
+            load = trace.loads[edge, slot]
+        detail = f"edge {edge} carries {load} packets at slot {slot}"
     else:
         detail = f"max load {top} <= {cap}"
-    results.append(CheckResult("load", cell is None, detail))
+    results.append(CheckResult("load", top <= cap, detail))
 
     if req.makespan_bound is not None:
         ok = trace.makespan <= req.makespan_bound

@@ -197,6 +197,25 @@ def _assert_cannot_read(argv, path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, err", [
+    (
+        json.dumps({"nodes": ["a", "b"], "edges": [{"id": "e", "tail": "a", "head": "b"}], "paths": [["e", "e"]]}),
+        "invalid: path 0: edge e repeated\ninvalid: path 0: edge e tail a does not continue from b\n",
+    ),
+    ("nope {", "error: not valid JSON: Expecting value: line 1 column 1 (char 0)\n"),
+], ids=["invalid", "not-json"])
+def test_every_command_reports_a_bad_instance_alike(tmp_path, capsys, text, err):
+    # `main` owns the report: one `invalid:` line per violation, one `error:`
+    # line for a document that does not decode; validation comes before the
+    # schedule is read, so a missing one is never named
+    inst = tmp_path / "bad.json"
+    inst.write_text(text)
+    for argv in (["schedule"], ["simulate"], ["lowerbound", "solve"]):
+        extra = [str(tmp_path / "missing.json")] if argv == ["simulate"] else []
+        assert main([*argv, str(inst), *extra]) == EXIT_FAILURE
+        assert capsys.readouterr() == ("", err)
+
+
 def test_simulate_cannot_read_the_schedule(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     _assert_cannot_read(["simulate", FIG1, str(missing)], missing, capsys)
@@ -296,8 +315,13 @@ def test_lowerbound_solve_the_fixture(capsys):
     (["analyze", FIG1], "C=2 D=4 ok\n"),
     (["lowerbound", "solve", str(FIXTURES / "lb-n2.json")], "optimal_makespan=8 C=2 D=7\n"),
     (["schedule", FIG1, "--out", os.devnull], ""),
+    (["simulate", FIG1, "{schedule}"], "load: PASS (max load 1 <= 1)\nload=1 makespan=9 PASS\n"),
 ])
-def test_a_command_validates_its_instance_once(monkeypatch, capsys, argv, out):
+def test_a_command_validates_its_instance_once(monkeypatch, tmp_path, capsys, argv, out):
+    schedule = tmp_path / "schedule.json"
+    assert main(["schedule", FIG1, "--out", str(schedule)]) == EXIT_OK
+    capsys.readouterr()
+    argv = [arg.format(schedule=schedule) for arg in argv]
     calls = []
     validate = instance_mod.validate
 
@@ -516,7 +540,7 @@ def test_bad_values_exit_1_cleanly(tmp_path, capsys):
         "nodes": ["a", "b"], "edges": [{"id": "e", "tail": "a", "head": "b"}], "paths": [["e", "e"]],
     }))
     assert main(["lowerbound", "solve", str(looped)]) == EXIT_FAILURE
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("invalid:")
 
 
 @pytest.mark.parametrize("argv", [

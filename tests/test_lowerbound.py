@@ -6,6 +6,7 @@ from itertools import permutations as all_permutations
 import pytest
 
 from cd_router import lowerbound as lb
+from cd_router.dissection import build_ladder
 from cd_router.instance import decode, stats
 from cd_router.oracle import OracleCapacityError, optimal_makespan
 from cd_router.simulator import simulate
@@ -235,3 +236,25 @@ def test_counting_bound_frozen_values():
     assert lb.counting_bound(4, 0.25) == pytest.approx(lb.phi(0.25) * 16 + 8 * math.log2(8))
     with pytest.raises(ValueError):
         lb.counting_bound(0, 0.1)
+
+
+# --- argument refusals ---------------------------------------------------------
+
+_ENTRY_POINTS = {
+    "build_ladder-length": lambda x: build_ladder(x, 4),
+    "build_ladder-delta": lambda x: build_ladder(16, x),
+    "generate-n": lambda x: lb.generate(x),
+    "counting_bound-n": lambda x: lb.counting_bound(x, 0.1),
+    "optimal_makespan-horizon": lambda x: optimal_makespan(lb.generate(2, seed=0).instance, horizon=x),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry in _ENTRY_POINTS
+    for value in (16.0, 3.5, True, False, "16", None, -1, -16)
+    if not (entry.endswith("horizon") and value is None)  # None is the default horizon
+])
+def test_entry_points_refuse_what_is_not_an_int_in_range(entry, value):
+    with pytest.raises(ValueError):
+        _ENTRY_POINTS[entry](value)

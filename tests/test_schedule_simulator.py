@@ -474,6 +474,29 @@ def test_a_passing_check_reads_no_cell(monkeypatch):
         assert (trace._tally.items_calls, trace.edge_waits.items_calls) == (1, 0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_a_failing_busy_check_names_the_full_scans_cell_without_flattening(seed):
+    rng = random.Random(f"{seed}/busy-fail")
+    instance = shared_path_instance(16, 12)  # 16 crossings per edge; e10 sorts before e2
+    waits = [[i] + [0] * 12 for i in range(16)]  # one packet per slot: load 1 everywhere
+    if seed == 0:
+        waits[1][0] = 0  # packet 1 leaves with packet 0
+    else:
+        for i in rng.sample(range(16), 3):  # packets bunch up at random edges
+            waits[i][rng.randrange(13)] += rng.randint(1, 3)
+    trace = simulate(instance, Schedule(waits=waits))
+    assert trace._per_edge
+    details = []
+    for capacity in (1, 2):
+        req = CheckRequirements(capacity=capacity)
+        (load,) = check(trace, req).results
+        assert "loads" not in vars(trace)
+        assert {"load": load} == _full_scan_results(dataclasses.replace(trace), req)
+        details.append(load.detail)
+    assert details[1] == "max load 2 <= 2"
+    assert seed or details[0] == "edge e0 carries 2 packets at slot 1"
+
+
 # --- the two tallies -------------------------------------------------------------
 
 def _hub_instance(k: int, tail: int) -> Instance:
@@ -553,6 +576,13 @@ def test_an_instance_with_no_crossings_replays_as_before():
 def test_simulate_refuses_a_capacity_that_is_not_a_positive_int(fig1, capacity):
     with pytest.raises(ValueError, match="capacity must be an integer of at least 1"):
         simulate(fig1, zero_wait(fig1), capacity=capacity)
+
+
+@pytest.mark.parametrize("capacity", [1.5, 0, True])
+def test_the_stepper_refuses_what_simulate_refuses(fig1, capacity):
+    with pytest.raises(ValueError, match="capacity must be an integer of at least 1"):
+        stepped_simulation(fig1, zero_wait(fig1), capacity=capacity)
+    assert stepped_simulation(fig1, zero_wait(fig1), capacity=2).capacity == 2
 
 
 def test_simulate_keeps_an_int_capacity(fig1):
