@@ -29,6 +29,13 @@ class InvalidInstanceError(ValueError):
         self.violations = violations
 
 
+def require_int(name: str, value: object, least: int | None = None) -> None:
+    """Refuse, with ValueError, a value that is not an `int` (`bool` too) or is below `least`."""
+    if type(value) is not int or least is not None and value < least:
+        floor = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str
@@ -284,7 +291,12 @@ def decode(text: str) -> Instance:
 # --- generators used by bench and the test suites -------------------------
 
 def shared_path_instance(congestion: int, dilation: int) -> Instance:
-    """All packets ride one common path: the classic capacity-1 bottleneck."""
+    """All packets ride one common path: the classic capacity-1 bottleneck.
+
+    Both sizes must be an `int` of at least 1 (`bool` refused).
+    """
+    require_int("congestion", congestion, 1)
+    require_int("dilation", dilation, 1)
     nodes = {f"n{i}" for i in range(dilation + 1)}
     edges = [Edge(f"e{i}", f"n{i}", f"n{i + 1}") for i in range(dilation)]
     path = [e.id for e in edges]
@@ -305,8 +317,12 @@ def generate_random_instance(
     `max_packets >= 2` (the packet count is drawn from 2..max_packets),
     `max_length >= 1` (each walk aims at 1..max_length edges and stops early
     at a node with no unused out-edge) and `n_nodes >= 1` (drawn from 4..24
-    when None).
+    when None). A bound that is not an `int` (`bool` too) is refused first.
     """
+    require_int("max_packets", max_packets)
+    require_int("max_length", max_length)
+    if n_nodes is not None:
+        require_int("n_nodes", n_nodes)
     if max_packets < 2 or max_length < 1 or (n_nodes is not None and n_nodes < 1):
         raise ValueError(
             f"need max_packets >= 2, max_length >= 1 and n_nodes >= 1, "

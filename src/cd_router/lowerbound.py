@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from numbers import Real
 
 from . import oracle
-from .instance import Edge, Instance, encode, stats
+from .instance import Edge, Instance, encode, require_int, stats
 from .schedule import Schedule
 
 # Per-cell collision probability decays like (15/16)^(n^2/128); this is the
@@ -45,8 +46,7 @@ def _gadget_path(perm: tuple[int, ...]) -> list[str]:
 
 def generate(n: int, seed: int | str = 0) -> LowerBoundInstance:
     """Gadget with n critical edges; each packet visits them in random order."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
+    require_int("n", n, 1)
     nodes = {"s", "sp", "t"}
     nodes.update(f"u{i}" for i in range(1, n + 2))
     nodes.update(f"v{i}" for i in range(1, n + 1))
@@ -81,6 +81,9 @@ def _check_matrix(lb: LowerBoundInstance, matrix: list[list[int]]) -> None:
     n = lb.n
     if len(matrix) != n or any(len(row) != n + 2 for row in matrix):
         raise ValueError(f"matrix must be {n} x {n + 2}")
+    for row in matrix:
+        for w in row:
+            require_int("a wait", w)
     if any(w < 0 for row in matrix for w in row):
         raise ValueError("waits must be nonnegative")
 
@@ -108,6 +111,7 @@ def matrix_to_schedule(lb: LowerBoundInstance, matrix: list[list[int]]) -> Sched
 
 def is_candidate(lb: LowerBoundInstance, matrix: list[list[int]], horizon: int) -> bool:
     """Arrives by the horizon with no collision on the entry or exit edge."""
+    require_int("horizon", horizon, 0)
     _check_matrix(lb, matrix)
     entry = [row[0] + 1 for row in matrix]
     arrivals = [sum(row) + lb.path_length for row in matrix]
@@ -124,8 +128,10 @@ def count_candidates(lb: LowerBoundInstance, horizon: int, cap: int = 10**7) -> 
     permutations. So a candidate is a placement of n non-attacking rooks on
     the cells a <= s, each weighted by its rows, in one of n! packet orders.
     A DP over a, with the set of used sums as a bitmask, sums the weights;
-    `cap` bounds its steps, which are counted before any work.
+    `cap` bounds its steps, which are counted before any work. The horizon
+    must be an `int` of at least 0 (`bool` refused).
     """
+    require_int("horizon", horizon, 0)
     n = lb.n
     slack = horizon - lb.path_length
     if slack < 0:
@@ -167,8 +173,11 @@ def phi(eps: float) -> float:
     It is computed in closed form, (eps * ln(1 + 1/eps) + ln(1 + eps)) / ln 2,
     with ln(1 + 1/eps) taken as ln(1 + eps) - ln(eps) below eps = 1, where
     1/eps can overflow. For eps in (0, 0.1] a convenient upper bound is
-    1.5 * eps * log2(1/eps).
+    1.5 * eps * log2(1/eps). It refuses a `bool` and anything that is not a
+    real number; `margin` and `counting_bound` refuse them through it.
     """
+    if isinstance(eps, bool) or not isinstance(eps, Real):
+        raise ValueError(f"eps must be a real number other than a bool, got {eps!r}")
     if not 0 <= eps < math.inf:
         raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     if eps == 0:
@@ -202,6 +211,5 @@ def counting_bound(n: int, eps: float) -> float:
     log2 3.32 against 3.21) and n = 2 at horizon 15 (148,698 candidates,
     log2 17.18 against 16.54).
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
+    require_int("n", n, 1)
     return phi(eps) * n * n + 2.0 * n * math.log2(2.0 * n)

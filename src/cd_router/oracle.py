@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .delay_model import DelayAssignment, Tree
-from .instance import Instance, PaddedInstance, stats
+from .instance import Instance, PaddedInstance, require_int, stats
 from .schedule import Schedule
 
 
@@ -36,8 +36,8 @@ def optimal_makespan(
     remaining path or per-edge demand cannot beat the incumbent. A given
     horizon must be an `int` of at least 0 (`bool` refused).
     """
-    if horizon is not None and (type(horizon) is not int or horizon < 0):
-        raise ValueError(f"horizon must be an integer of at least 0, got {horizon!r}")
+    if horizon is not None:
+        require_int("horizon", horizon, 0)
     s = stats(instance)  # raises on invalid
     if horizon is None:
         horizon = s.congestion + s.dilation + s.congestion * s.dilation
@@ -256,8 +256,7 @@ def stepped_simulation(instance: Instance, schedule: Schedule, capacity: int = 1
     is recorded at every slot boundary. The capacity is refused as
     `simulate` refuses it: anything but an `int` of at least 1 (`bool` too).
     """
-    if type(capacity) is not int or capacity < 1:
-        raise ValueError(f"capacity must be an integer of at least 1, got {capacity!r}")
+    require_int("capacity", capacity, 1)
     schedule.validate_shape(instance.paths)
     emap = instance.edge_map()
     paths = instance.paths

@@ -25,12 +25,12 @@ checked against.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, compress, islice, repeat
 from operator import add, itemgetter
 
-from .instance import Instance
+from .instance import Instance, require_int
 from .schedule import Schedule
 
 
@@ -123,32 +123,24 @@ def simulate(instance: Instance, schedule: Schedule, capacity: int = 1) -> Simul
     The capacity must be an `int` of at least 1 (`bool` refused): `check`
     compares loads with it, so 1.5 would pass a load of 1 and 0 fail every load.
     """
-    if type(capacity) is not int or capacity < 1:
-        raise ValueError(f"capacity must be an integer of at least 1, got {capacity!r}")
+    require_int("capacity", capacity, 1)
     schedule.validate_shape(instance.paths)
     arrivals: list[int] = []
     crossing: list[list[int]] = []
     per_edge = sum(map(len, instance.paths)) >= BUSY_CROSSINGS_PER_EDGE * len(instance.edges)
-    if per_edge:
-        tally: dict = defaultdict(dict)
-        for path, waits in zip(instance.paths, schedule.waits):
-            n = len(path)
-            slots = list(map(add, accumulate(islice(waits, n)), range(1, n + 1)))
-            crossing.append(slots)
-            arrivals.append(slots[-1])
+    tally: dict = defaultdict(dict) if per_edge else {}
+    for path, waits in zip(instance.paths, schedule.waits):
+        n = len(path)
+        slots = list(map(add, accumulate(islice(waits, n)), range(1, n + 1)))
+        crossing.append(slots)
+        arrivals.append(slots[-1])
+        if per_edge:
             for edge, slot in zip(path, slots):
                 cells = tally[edge]
                 cells[slot] = cells.get(slot, 0) + 1
-    else:
-        loads: dict[tuple[str, int], int] = {}
-        for path, waits in zip(instance.paths, schedule.waits):
-            n = len(path)
-            slots = list(map(add, accumulate(islice(waits, n)), range(1, n + 1)))
-            crossing.append(slots)
-            arrivals.append(slots[-1])
+        else:
             for key in zip(path, slots):
-                loads[key] = loads.get(key, 0) + 1
-        tally = loads
+                tally[key] = tally.get(key, 0) + 1
     return SimulationTrace(
         arrivals=arrivals,
         capacity=capacity,
@@ -162,10 +154,17 @@ def simulate(instance: Instance, schedule: Schedule, capacity: int = 1) -> Simul
 
 @dataclass(frozen=True)
 class CheckRequirements:
+    """Each field is None or an `int` (`bool` refused); any int, 0 and below too, is a bound."""
+
     capacity: int | None = None       # default: the trace's own capacity
     makespan_bound: int | None = None
     buffer_bound: int | None = None
     edge_wait_bound: int | None = None
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) is not None:
+                require_int(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)

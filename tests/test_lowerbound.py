@@ -7,9 +7,10 @@ import pytest
 
 from cd_router import lowerbound as lb
 from cd_router.dissection import build_ladder
-from cd_router.instance import decode, stats
-from cd_router.oracle import OracleCapacityError, optimal_makespan
-from cd_router.simulator import simulate
+from cd_router.instance import decode, generate_random_instance, shared_path_instance, stats
+from cd_router.oracle import OracleCapacityError, optimal_makespan, stepped_simulation
+from cd_router.schedule import Schedule
+from cd_router.simulator import CheckRequirements, simulate
 
 
 @pytest.fixture()
@@ -240,21 +241,75 @@ def test_counting_bound_frozen_values():
 
 # --- argument refusals ---------------------------------------------------------
 
+_VALUES = (16.0, 3.5, True, False, "16", None, -1, -16)
+_GOOD = [[0, 0, 0, 0], [1, 0, 0, 0]]  # a candidate on `generate(2)` by horizon 8
+
+
+def _with_wait(x):
+    return [[x, 0, 0, 0], [1, 0, 0, 0]]
+
+
+# entry -> (a call of it with the value in one argument, the values of _VALUES it accepts)
 _ENTRY_POINTS = {
-    "build_ladder-length": lambda x: build_ladder(x, 4),
-    "build_ladder-delta": lambda x: build_ladder(16, x),
-    "generate-n": lambda x: lb.generate(x),
-    "counting_bound-n": lambda x: lb.counting_bound(x, 0.1),
-    "optimal_makespan-horizon": lambda x: optimal_makespan(lb.generate(2, seed=0).instance, horizon=x),
+    "build_ladder-length": (lambda x: build_ladder(x, 4), ()),
+    "build_ladder-delta": (lambda x: build_ladder(16, x), ()),
+    "generate-n": (lambda x: lb.generate(x), ()),
+    "counting_bound-n": (lambda x: lb.counting_bound(x, 0.1), ()),
+    # None is the default horizon
+    "optimal_makespan-horizon": (lambda x: optimal_makespan(lb.generate(2, seed=0).instance, horizon=x), (None,)),
+    "count_candidates-horizon": (lambda x: lb.count_candidates(lb.generate(2, seed=0), horizon=x), ()),
+    "is_candidate-horizon": (lambda x: lb.is_candidate(lb.generate(2, seed=0), _GOOD, x), ()),
+    "is_candidate-wait": (lambda x: lb.is_candidate(lb.generate(2, seed=0), _with_wait(x), 20), ()),
+    "matrix_to_schedule-wait": (lambda x: lb.matrix_to_schedule(lb.generate(2, seed=0), _with_wait(x)), ()),
+    # eps is a real number: a float is in range
+    "phi-eps": (lb.phi, (16.0, 3.5)),
+    "margin-eps": (lb.margin, (16.0, 3.5)),
+    "counting_bound-eps": (lambda x: lb.counting_bound(3, x), (16.0, 3.5)),
+    "shared_path_instance-congestion": (lambda x: shared_path_instance(x, 3), ()),
+    "shared_path_instance-dilation": (lambda x: shared_path_instance(2, x), ()),
+    "generate_random_instance-max_packets": (lambda x: generate_random_instance(0, max_packets=x), ()),
+    "generate_random_instance-max_length": (lambda x: generate_random_instance(0, max_length=x), ()),
+    # None draws the node count
+    "generate_random_instance-n_nodes": (lambda x: generate_random_instance(0, n_nodes=x), (None,)),
+    # a requirement checks the type only: a bound of 0 or below stays a bound
+    **{
+        f"CheckRequirements-{name}": (lambda x, name=name: CheckRequirements(**{name: x}), (None, -1, -16))
+        for name in ("capacity", "makespan_bound", "buffer_bound", "edge_wait_bound")
+    },
 }
 
 
 @pytest.mark.parametrize("entry, value", [
     pytest.param(entry, value, id=f"{entry}-{value!r}")
-    for entry in _ENTRY_POINTS
-    for value in (16.0, 3.5, True, False, "16", None, -1, -16)
-    if not (entry.endswith("horizon") and value is None)  # None is the default horizon
+    for entry, (_, accepted) in _ENTRY_POINTS.items()
+    for value in _VALUES
+    if value not in accepted
 ])
 def test_entry_points_refuse_what_is_not_an_int_in_range(entry, value):
     with pytest.raises(ValueError):
-        _ENTRY_POINTS[entry](value)
+        _ENTRY_POINTS[entry][0](value)
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry, (_, accepted) in _ENTRY_POINTS.items()
+    for value in accepted
+])
+def test_entry_points_take_the_values_they_accept(entry, value):
+    _ENTRY_POINTS[entry][0](value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: simulate(shared_path_instance(2, 3), Schedule(waits=[[0] * 4] * 2), capacity=1.5),
+     "capacity must be an integer of at least 1, got 1.5"),
+    (lambda: stepped_simulation(shared_path_instance(2, 3), Schedule(waits=[[0] * 4] * 2), capacity=True),
+     "capacity must be an integer of at least 1, got True"),
+    (lambda: optimal_makespan(lb.generate(2, seed=0).instance, horizon=-1),
+     "horizon must be an integer of at least 0, got -1"),
+    (lambda: lb.generate("3"), "n must be an integer of at least 1, got '3'"),
+    (lambda: lb.counting_bound(0, 0.1), "n must be an integer of at least 1, got 0"),
+], ids=["simulate", "stepped_simulation", "optimal_makespan", "generate", "counting_bound"])
+def test_the_integer_rule_keeps_each_old_message(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message

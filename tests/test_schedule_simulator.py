@@ -551,7 +551,8 @@ def test_both_tallies_match_the_stepper_property(monkeypatch):
             monkeypatch.setattr(simulator, "BUSY_CROSSINGS_PER_EDGE", busy_from)
             fast = simulate(instance, schedule)
             assert fast._per_edge is per_edge
-            for name in ("loads", "max_load", "arrivals", "edge_waits"):
+            # the slots and arrivals are derived by the one walk both tallies share
+            for name in ("loads", "max_load", "arrivals", "crossing_slots", "makespan", "edge_waits"):
                 assert getattr(fast, name) == getattr(slow, name), name
             assert type(fast.loads) is dict
             assert loads_csv_rows(fast) == sorted((edge, slot, v) for (edge, slot), v in fast.loads.items())
@@ -583,6 +584,20 @@ def test_the_stepper_refuses_what_simulate_refuses(fig1, capacity):
     with pytest.raises(ValueError, match="capacity must be an integer of at least 1"):
         stepped_simulation(fig1, zero_wait(fig1), capacity=capacity)
     assert stepped_simulation(fig1, zero_wait(fig1), capacity=2).capacity == 2
+
+
+@pytest.mark.parametrize("name", ["capacity", "makespan_bound", "buffer_bound", "edge_wait_bound"])
+def test_check_requirements_refuse_what_is_not_an_int(name):
+    # a capacity of 1.5 or True used to pass `max load 1 <= 1.5` and print `<= True`
+    for value in (1.5, True, "1"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            CheckRequirements(**{name: value})
+    # the type only: 0 and -1 stay bounds, which this replay fails but for its
+    # per-edge wait, since it waits nowhere but at a source
+    trace = simulate(shared_path_instance(2, 3), Schedule(waits=[[0, 0, 0, 0], [1, 0, 0, 0]]))
+    for value in (0, -1):
+        *_, result = check(trace, CheckRequirements(**{name: value})).results
+        assert result.passed is (name == "edge_wait_bound")
 
 
 def test_simulate_keeps_an_int_capacity(fig1):
