@@ -98,8 +98,7 @@ class DelayAssignment:
 
         Entry p is `base[p]` plus those draws' delays at edge position
         p + 1, summed a level at a time over the tree's columns. `base` is
-        the tree's `columns.offsets` unless given, and entry p is then
-        `fixed_slot(tree, values, levels, p + 1)`. With `levels` 0 it is
+        the tree's `columns.offsets` unless given. With `levels` 0 it is
         `base` itself, shared and read-only.
         """
         columns, values = self.tree.columns, self.values[packet]
@@ -135,13 +134,11 @@ def _contribution(tree: Tree, level: int, pos: int) -> tuple[int, tuple[int, ...
     the shifted tree's source level).
     """
     lv = tree.ladder.levels[level]
-    if tree.kind == "plain":
-        return ((pos - 1) // lv.block_len) * lv.wait_budget, None
-    if level == 0:
-        return 0, None
     idx = tree.block_index(level, pos)
-    block = tree.blocks(level)[idx]
-    return idx * lv.wait_budget, duty_count_table(block, lv.wait_budget, pos)
+    table = None
+    if tree.kind != "plain" and level > 0:
+        table = duty_count_table(tree.blocks(level)[idx], lv.wait_budget, pos)
+    return idx * lv.wait_budget, table
 
 
 class PositionColumns(NamedTuple):
@@ -173,17 +170,6 @@ def position_columns(tree: Tree) -> PositionColumns:
     return PositionColumns(tuple(offsets), tuple(blocks), tuple(tables))
 
 
-def fixed_slot(tree: Tree, values: list[list[int | None]], levels: int, pos: int) -> int:
-    """Slot at `pos` shifted by one packet's fixed draws on the first `levels` levels."""
-    columns, p = tree.columns, pos - 1
-    slot = columns.offsets[p]
-    for level in range(levels):
-        draw = values[level][columns.blocks[level][p]]
-        table = columns.tables[level]
-        slot += draw if table is None else table[p][draw - 1]
-    return slot
-
-
 def residual_law(tree: Tree, from_level: int, pos: int) -> list[tuple[int, int]]:
     """Law of the delay that levels from_level.. add at pos while all are open.
 
@@ -211,7 +197,7 @@ def crossing_time(assignment: DelayAssignment, packet: int, pos: int) -> int:
     """Slot in which `packet` crosses edge position `pos` (fully fixed only)."""
     if not assignment.fully_fixed:
         raise AssignmentError("assignment incomplete: crossing_time needs all levels fixed")
-    return fixed_slot(assignment.tree, assignment.values[packet], assignment.n_levels, pos)
+    return assignment.fixed_slots(packet, assignment.n_levels)[pos - 1]
 
 
 def crossing_distribution(assignment: DelayAssignment, packet: int, pos: int) -> dict[int, float]:
@@ -222,7 +208,7 @@ def crossing_distribution(assignment: DelayAssignment, packet: int, pos: int) ->
     tree, frontier = assignment.tree, assignment.frontier
     law = residual_law(tree, frontier, pos)
     total = sum(c for _, c in law)
-    base = fixed_slot(tree, assignment.values[packet], frontier, pos)
+    base = assignment.fixed_slots(packet, frontier)[pos - 1]
     return {base + t: c / total for t, c in law}
 
 

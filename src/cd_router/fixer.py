@@ -48,7 +48,7 @@ from typing import ClassVar
 
 from .delay_model import AssignmentError, DelayAssignment, Tree, residual_law
 from .dissection import build_ladder, dissect_plain, dissect_shifted
-from .instance import Instance, PaddedInstance, pad, stats  # noqa: F401  (perfbench/tracing.py patches fixer.stats)
+from .instance import Instance, PaddedInstance, pad, require_int, stats  # noqa: F401  (perfbench/tracing.py patches fixer.stats)
 from .schedule import Schedule, waits_from_slots
 from .simulator import simulate
 
@@ -621,9 +621,10 @@ def stretch(
     lands at load*(t-1) + 1 + r, so every original (edge, slot) group
     spreads over the window [load*t-load+1, load*t] collision-free while
     crossings stay strictly increasing along each path. At load 1 it hands
-    back `schedule` itself.
+    back `schedule` itself. `load` must be an `int` of at least 1.
     """
-    if load <= 1:
+    require_int("load", load, 1)
+    if load == 1:
         return schedule
     return Schedule(waits=[
         waits_from_slots([load * (t - 1) + 1 + r for t, r in zip(packet_slots, rank)], 0)

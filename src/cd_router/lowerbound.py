@@ -129,9 +129,11 @@ def count_candidates(lb: LowerBoundInstance, horizon: int, cap: int = 10**7) -> 
     the cells a <= s, each weighted by its rows, in one of n! packet orders.
     A DP over a, with the set of used sums as a bitmask, sums the weights;
     `cap` bounds its steps, which are counted before any work. The horizon
-    must be an `int` of at least 0 (`bool` refused).
+    must be an `int` of at least 0 (`bool` refused), and `cap` an `int` of
+    any value.
     """
     require_int("horizon", horizon, 0)
+    require_int("cap", cap)
     n = lb.n
     slack = horizon - lb.path_length
     if slack < 0:

@@ -34,8 +34,10 @@ def optimal_makespan(
     Depth-first over per-slot move/wait decisions, move tried first; a state
     reached again no earlier than before is pruned, as is any branch whose
     remaining path or per-edge demand cannot beat the incumbent. A given
-    horizon must be an `int` of at least 0 (`bool` refused).
+    horizon must be an `int` of at least 0 (`bool` refused), and `state_cap`
+    an `int` of any value.
     """
+    require_int("state_cap", state_cap)
     if horizon is not None:
         require_int("horizon", horizon, 0)
     s = stats(instance)  # raises on invalid
@@ -170,8 +172,9 @@ def exhaustive_expectation(
     tree are grouped; only the group's blocks are enumerated (other blocks
     cannot influence those positions, which the walker realizes without
     being told). Fixed levels keep their values; with nothing fixed, pass
-    `DelayAssignment(tree, n_packets)`.
+    `DelayAssignment(tree, n_packets)`. `cap` must be an `int` of any value.
     """
+    require_int("cap", cap)
     tree = assignment.tree
     levels = tree.ladder.levels
     n_levels = len(levels)

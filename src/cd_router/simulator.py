@@ -226,14 +226,14 @@ def check(trace: SimulationTrace, requirements: CheckRequirements | None = None)
         bound = req.edge_wait_bound
         top = trace.max_edge_wait
         bad = None
-        if top > bound:  # a negative bound with no waits at all has no offender
+        if top > bound:  # a negative bound with no waits at all fails with no offender
             bad = min((ie for ie, v in trace.edge_waits.items() if v > bound), default=None)
         if bad is not None:
             packet, edge = bad
             detail = f"packet {packet} waits {trace.edge_waits[bad]} slots before edge {edge}"
         else:
-            detail = f"max per-edge wait {top} <= {bound}"
-        results.append(CheckResult("edge_wait", bad is None, detail))
+            detail = f"max per-edge wait {top} {'<=' if top <= bound else '>'} {bound}"
+        results.append(CheckResult("edge_wait", top <= bound, detail))
 
     return CheckReport(results=tuple(results))
 

@@ -6,9 +6,11 @@ from itertools import permutations as all_permutations
 import pytest
 
 from cd_router import lowerbound as lb
-from cd_router.dissection import build_ladder
-from cd_router.instance import decode, generate_random_instance, shared_path_instance, stats
-from cd_router.oracle import OracleCapacityError, optimal_makespan, stepped_simulation
+from cd_router.delay_model import DelayAssignment
+from cd_router.dissection import build_ladder, dissect_plain
+from cd_router.fixer import realized_loads, stretch
+from cd_router.instance import decode, generate_random_instance, pad, shared_path_instance, stats
+from cd_router.oracle import OracleCapacityError, exhaustive_expectation, optimal_makespan, stepped_simulation
 from cd_router.schedule import Schedule
 from cd_router.simulator import CheckRequirements, simulate
 
@@ -249,6 +251,26 @@ def _with_wait(x):
     return [[x, 0, 0, 0], [1, 0, 0, 0]]
 
 
+def _stretch_at(load):
+    instance, schedule = shared_path_instance(2, 3), Schedule(waits=_GOOD)
+    slots = [schedule.crossing_slots(p) for p in range(schedule.n_packets)]
+    return stretch(schedule, slots, load, realized_loads(instance, slots))
+
+
+def _capped(call):
+    """A cap is an int of any value: one that is too small is no refusal of its type."""
+    try:
+        call()
+    except OracleCapacityError:
+        pass
+
+
+def _expectation_capped(cap):
+    padded = pad(shared_path_instance(2, 3))
+    tree = dissect_plain(build_ladder(padded.length, 2))
+    _capped(lambda: exhaustive_expectation(padded, DelayAssignment(tree, 2), cap=cap))
+
+
 # entry -> (a call of it with the value in one argument, the values of _VALUES it accepts)
 _ENTRY_POINTS = {
     "build_ladder-length": (lambda x: build_ladder(x, 4), ()),
@@ -271,6 +293,14 @@ _ENTRY_POINTS = {
     "generate_random_instance-max_length": (lambda x: generate_random_instance(0, max_length=x), ()),
     # None draws the node count
     "generate_random_instance-n_nodes": (lambda x: generate_random_instance(0, n_nodes=x), (None,)),
+    # `stretch` multiplies slots by its load, which `realized_loads` makes at least 1
+    "stretch-load": (_stretch_at, ()),
+    # a cap checks the type only: 0 and below stay caps, which every instance exceeds
+    "optimal_makespan-state_cap": (
+        lambda x: _capped(lambda: optimal_makespan(lb.generate(2, seed=0).instance, state_cap=x)), (-1, -16),
+    ),
+    "exhaustive_expectation-cap": (_expectation_capped, (-1, -16)),
+    "count_candidates-cap": (lambda x: _capped(lambda: lb.count_candidates(lb.generate(2, seed=0), 8, cap=x)), (-1, -16)),
     # a requirement checks the type only: a bound of 0 or below stays a bound
     **{
         f"CheckRequirements-{name}": (lambda x, name=name: CheckRequirements(**{name: x}), (None, -1, -16))

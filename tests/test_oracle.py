@@ -143,6 +143,9 @@ def assert_closed_form_matches_exhaustive(padded, assignment):
 
     for (packet, pos), law in table.crossing.items():
         assert law == crossing_distribution(assignment, packet, pos), (packet, pos)
+        # at the full frontier the walker's point mass is the crossing slot
+        if assignment.fully_fixed:
+            assert law == {crossing_time(assignment, packet, pos): 1.0}, (packet, pos)
     assert expected_load(padded, assignment) == table.load
 
     # the fixer's level workspace must rebuild the same table, in exact

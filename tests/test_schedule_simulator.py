@@ -379,13 +379,16 @@ def _full_scan_results(trace: SimulationTrace, req: CheckRequirements) -> dict[s
         detail = f"max load {max(trace.loads.values())} <= {cap}"
     results = {"load": CheckResult("load", cell is None, detail)}
     if req.edge_wait_bound is not None:
+        # the verdict is the maximum's, as for every bound: a negative bound
+        # fails a schedule with no interior wait, which has no pair to name
+        top = max(trace.edge_waits.values(), default=0)
+        passed = top <= req.edge_wait_bound
         bad = min((ie for ie, v in trace.edge_waits.items() if v > req.edge_wait_bound), default=None)
         if bad is not None:
             detail = f"packet {bad[0]} waits {trace.edge_waits[bad]} slots before edge {bad[1]}"
         else:
-            top = max(trace.edge_waits.values(), default=0)
-            detail = f"max per-edge wait {top} <= {req.edge_wait_bound}"
-        results["edge_wait"] = CheckResult("edge_wait", bad is None, detail)
+            detail = f"max per-edge wait {top} {'<=' if passed else '>'} {req.edge_wait_bound}"
+        results["edge_wait"] = CheckResult("edge_wait", passed, detail)
     return results
 
 
@@ -560,6 +563,28 @@ def test_both_tallies_match_the_stepper_property(monkeypatch):
     agree()
 
 
+def test_a_negative_edge_wait_bound_fails_on_both_tallies_and_the_stepper(monkeypatch):
+    instance = shared_path_instance(2, 3)
+    schedule = Schedule(waits=[[0, 0, 0, 0], [1, 0, 0, 0]])  # a source wait only: no edge wait
+    slow = stepped_simulation(instance, schedule)
+    expected = {
+        -1: (False, "max per-edge wait 0 > -1"),
+        0: (True, "max per-edge wait 0 <= 0"),
+    }
+    for busy_from, per_edge in ((10**9, False), (0, True)):
+        monkeypatch.setattr(simulator, "BUSY_CROSSINGS_PER_EDGE", busy_from)
+        fast = simulate(instance, schedule)
+        assert fast._per_edge is per_edge
+        assert fast.edge_waits == slow.edge_waits == {}
+        for bound, verdict in expected.items():
+            req = CheckRequirements(edge_wait_bound=bound)
+            for trace in (fast, slow):
+                report = check(trace, req)
+                _, wait = report.results
+                assert (wait.passed, wait.detail) == verdict
+                assert report.ok is verdict[0]
+
+
 def test_an_instance_with_no_crossings_replays_as_before():
     empty = Instance(nodes=set(), edges=[], paths=[])  # 0 >= K * 0 edges: the per-edge tally
     idle = Instance(nodes={"a", "b"}, edges=[Edge("ab", "a", "b")], paths=[])  # flat
@@ -592,12 +617,12 @@ def test_check_requirements_refuse_what_is_not_an_int(name):
     for value in (1.5, True, "1"):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             CheckRequirements(**{name: value})
-    # the type only: 0 and -1 stay bounds, which this replay fails but for its
-    # per-edge wait, since it waits nowhere but at a source
+    # the type only: 0 and -1 stay bounds, which this replay fails but for a
+    # per-edge wait of 0, since it waits nowhere but at a source
     trace = simulate(shared_path_instance(2, 3), Schedule(waits=[[0, 0, 0, 0], [1, 0, 0, 0]]))
     for value in (0, -1):
         *_, result = check(trace, CheckRequirements(**{name: value})).results
-        assert result.passed is (name == "edge_wait_bound")
+        assert result.passed is (name == "edge_wait_bound" and value == 0)
 
 
 def test_simulate_keeps_an_int_capacity(fig1):
