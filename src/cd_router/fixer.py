@@ -31,7 +31,9 @@ without any work of its own.
 Every slot and crossing law here reads the assignment's tree
 (`assignment.tree`); no function takes the tree a second time. The
 crossings that share an edge, and every slot they could reach at any
-level, are indexed once per run (`_CrossingIndex`).
+level, are indexed once per run (`_CrossingIndex`), and twin edges, whose
+crossings move alike at every level the run fixes, share one row of
+expected loads.
 """
 from __future__ import annotations
 
@@ -40,10 +42,10 @@ import random
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
-from itertools import chain, compress, pairwise, repeat
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, compress, count, pairwise, repeat
 from math import floor, inf, prod
-from operator import add, getitem, itemgetter, sub
+from operator import add, eq, getitem, itemgetter, sub
 from typing import ClassVar
 
 from .delay_model import AssignmentError, DelayAssignment, Tree, residual_law
@@ -128,6 +130,17 @@ class FixReport:
 
 # --- incremental conditional-expectation table for one level ----------------
 
+@lru_cache(maxsize=32)  # as many trees as `dissect_plain` and `dissect_shifted` keep together
+def _position_classes(tree: Tree, levels: int) -> tuple[int, ...]:
+    """Per position, its class: positions alike in their block at each of the
+    first `levels` levels and in their delay table at every level.
+    """
+    columns = tree.columns
+    ids: dict[tuple, int] = {}
+    keys = zip(*columns.blocks[:levels], *filter(None, columns.tables))
+    return tuple(ids.setdefault(key, len(ids)) for key in keys)
+
+
 class _CrossingIndex:
     """The crossings of shared edges, and every slot they can reach: what no level changes.
 
@@ -135,38 +148,45 @@ class _CrossingIndex:
     share an edge, and every slot each could reach under any draws, are
     known before level 0 is fixed. `run_pipeline` builds one index when it
     fixes a level, and hands it to every level's workspace, relax attempts
-    included.
+    included. The index serves levels 0 .. `levels` - 1, the ones the run
+    fixes.
 
-    `edges[r]` is row r's edge, in ascending edge id order. Item i, a
-    (packet, position) crossing of a shared edge, is `rows[i]` and `pos[i]`
-    (position index p, for edge position p + 1); items go in packet order
-    and, within a packet, in position order. `shared[k]` masks packet k's
-    real positions that are items.
+    Two shared edges are twins when their crossings match one for one in
+    packet, position class (`_position_classes`) and offset from the
+    edge's `lo`. Then every level served gives their crossings the same
+    variables, bases and laws, so their rows are equal cell for cell, and
+    a class of twins keeps one row: on a shared path under the plain tree,
+    one per block of the deepest level served.
+
+    `edges[r]` is row r's edge, the least of its class, in ascending edge
+    id order; `row_of[e]` is (row, `lo`) of every shared edge e.
+    `shared[k]` masks packet k's real positions on a shared edge. The
+    shared crossings, in packet order and, within a packet, in position
+    order, are items where `kept` holds, on an edge that keeps its row:
+    item i is `rows[i]` and `pos[i]` (position index p, for edge position
+    p + 1). `by_row[r]`, row r's items, is built on first read from the
+    grouping that found the twins.
 
     Row r spans slots `lo[r]` .. `lo[r] + widths[r] - 1`, the ladder-wide
     reach of its items: each position's offset plus the least and the
-    largest delay of the whole ladder, taken over the distinct (row,
-    position) pairs. At level 0 that is exactly the reach under any draw;
-    a deeper level reaches a subset, so its rows only hold more cells that
-    stay 0. `by_row`, the items per row, is built on first read.
+    largest delay of the whole ladder. At level 0 that is exactly the reach
+    under any draw; a deeper level reaches a subset, so its rows only hold
+    more cells that stay 0.
 
     `ints` is one int object per value, 0 upward, extended by each
     workspace to its variable count: `pos` and every workspace's `var`
     refer to these instead of minting an int per item.
     """
 
-    def __init__(self, padded: PaddedInstance, assignment: DelayAssignment):
+    def __init__(self, padded: PaddedInstance, assignment: DelayAssignment, levels: int):
         tree, columns = assignment.tree, assignment.tree.columns
-        self.length = padded.length
-        self.edges = sorted(e for e, load in padded.stats.edge_loads.items() if load > 1)
-        row_of = {e: r for r, e in enumerate(self.edges)}
+        self.length, self.levels = padded.length, levels
+        loads = padded.stats.edge_loads
+        shared = sorted(e for e, load in loads.items() if load > 1)
+        number = {e: n for n, e in enumerate(shared)}
         paths = padded.base.paths
-        self.shared = [list(map(row_of.__contains__, path)) for path in paths]
-        self.rows = list(chain.from_iterable(
-            map(row_of.__getitem__, compress(path, mask)) for path, mask in zip(paths, self.shared)
-        ))
-        self.ints = list(range(padded.length))
-        self.pos = list(chain.from_iterable(compress(self.ints, mask) for mask in self.shared))
+        self.shared = [list(map(number.__contains__, path)) for path in paths]
+        self.ints = ints = list(range(padded.length))
         # a level delays by its table, or by its draw 1 .. budget where it has none
         least = most = columns.offsets
         for lv, table in zip(tree.ladder.levels, columns.tables):
@@ -176,22 +196,51 @@ class _CrossingIndex:
             else:
                 least = list(map(add, least, map(min, table)))
                 most = list(map(add, most, map(max, table)))
-        lo = [inf] * len(self.edges)
-        hi = [-inf] * len(self.edges)
-        for r, p in set(zip(self.rows, self.pos)):
-            if least[p] < lo[r]:
-                lo[r] = least[p]
-            if most[p] > hi[r]:
-                hi[r] = most[p]
-        self.lo = lo
-        self.widths = [b - a + 1 for a, b in zip(lo, hi)]
+        # the shared crossings, numbered in packet order: each one's edge
+        # number and position
+        on = list(chain.from_iterable(
+            map(number.__getitem__, compress(path, mask)) for path, mask in zip(paths, self.shared)
+        ))
+        pos = list(chain.from_iterable(compress(ints, mask) for mask in self.shared))
+        # each edge's crossings, in packet order, and the slots they reach
+        crossings: list[list[int]] = [[] for _ in shared]
+        lo = [inf] * len(shared)
+        hi = [-inf] * len(shared)
+        for j, n, p in zip(count(), on, pos):
+            crossings[n].append(j)
+            if least[p] < lo[n]:
+                lo[n] = least[p]
+            if most[p] > hi[n]:
+                hi[n] = most[p]
+        # an edge's key is one int per crossing, packet * stride + class *
+        # span + its offset from the edge's lo: an offset and a lo differ by
+        # less than max(least), half of span, and stride is span times the
+        # classes, so two such ints are equal only if all three are
+        classes = _position_classes(tree, levels)
+        span = 2 * max(least)
+        place = [span * c + offset for c, offset in zip(classes, columns.offsets)]
+        stride = span * (max(classes) + 1)
+        packets = chain.from_iterable(map(repeat, count(0, stride), map(sum, self.shared)))
+        code = list(map(add, packets, map(place.__getitem__, pos)))
+        heads: dict[tuple, int] = {}  # the least edge of each key
+        head = [
+            heads.setdefault(tuple([code[j] - a for j in c]), n) for n, (c, a) in enumerate(zip(crossings, lo))
+        ]
+        keep = list(map(eq, head, count()))  # edge n is the least of its key, so holds its row
+        row_at = list(accumulate(keep, initial=0))  # rows before edge n's
+        self.edges = list(compress(shared, keep))
+        self.lo = list(compress(lo, keep))
+        self.widths = [b - a + 1 for a, b in zip(self.lo, compress(hi, keep))]
+        self.row_of = dict(zip(shared, zip(map(row_at.__getitem__, head), lo)))
+        self.kept = list(map(keep.__getitem__, on))
+        self.rows = list(map(row_at.__getitem__, compress(on, self.kept)))
+        self.pos = list(compress(pos, self.kept))
+        self._crossings = list(compress(crossings, keep))
 
     @cached_property
-    def by_row(self) -> list[list[int]]:
-        by_row: list[list[int]] = [[] for _ in self.edges]
-        for i, r in enumerate(self.rows):
-            by_row[r].append(i)
-        return by_row
+    def by_row(self) -> list[tuple[int, ...]]:
+        item = list(accumulate(self.kept, initial=0))  # item number of shared crossing j
+        return [itemgetter(*c)(item) for c in self._crossings]  # two or more crossings: a tuple
 
 
 class _LevelWorkspace:
@@ -206,17 +255,22 @@ class _LevelWorkspace:
     cells are small counts (at most the deeper budgets' product per
     crossing). Every budget is a power of two, so both units give the same
     bad cells and the same maximum over `scale`. Y is a list of slot rows,
-    one per edge that two or more padded paths use, laid out by the run's
-    `_CrossingIndex`: cell (index.edges[r], index.lo[r] + i) is `y[r][i]`,
-    and every level's rows have the same `lo` and length.
+    one per class of twin edges that two or more padded paths use, laid out
+    by the run's `_CrossingIndex`: cell (index.edges[r], index.lo[r] + i) is
+    `y[r][i]`, and so is the cell i slots after its own `lo` of every twin
+    of that edge (`index.row_of`). Every level's rows have the same `lo` and
+    length. A level the index does not serve is refused: its twins could
+    differ.
 
-    Item i, a (packet, position) crossing of a shared edge, is four flat
-    ints: `rows[i]` and `pos[i]` from the index, `bases[i]` (its slot before
-    this level's delay, relative to its row's `lo`) and `var[i]` (packet *
-    n_blocks + block, the variable whose draw moves it). Items go in packet
-    order and, within a packet, in position order, and a block index never
-    falls as the position grows, so a variable's items are contiguous:
-    `by_var[v]` is a range, found by bisection.
+    Item i, a (packet, position) crossing of an edge that holds a row, is
+    four flat ints: `rows[i]` and `pos[i]` from the index, `bases[i]` (its
+    slot before this level's delay, relative to its row's `lo`) and
+    `var[i]` (packet * n_blocks + block, the variable whose draw moves it).
+    `bases` and `var` are built for every shared crossing and kept where
+    the index keeps it. Items go in packet order and, within a packet, in
+    position order, and a block index never falls as the position grows,
+    so a variable's items are contiguous: `by_var[v]` is a range, found by
+    bisection.
 
     A draw is 1 .. `budget`, and draw 0 means the variable is still open,
     which only a blurred workspace takes.
@@ -271,6 +325,8 @@ class _LevelWorkspace:
     def __init__(
         self, index: _CrossingIndex, assignment: DelayAssignment, level: int, blurred: bool = True
     ):
+        if level >= index.levels:  # twins are twins only at the levels the index serves
+            raise ValueError(f"the index serves levels 0 .. {index.levels - 1}, not level {level}")
         tree, columns = assignment.tree, assignment.tree.columns
         self.index, self.tree, self.level, self.blurred = index, tree, level, blurred
         self.rows, self.pos = index.rows, index.pos
@@ -316,8 +372,8 @@ class _LevelWorkspace:
             first = packet * n_blocks
             bases.extend(compress(assignment.fixed_slots(packet, level), mask))
             var.extend(compress(map(ints[first:first + n_blocks].__getitem__, block_of), mask))
-        self.var = var
-        self.bases = list(map(sub, bases, map(index.lo.__getitem__, index.rows)))
+        self.var = var = list(compress(var, index.kept))
+        self.bases = list(map(sub, compress(bases, index.kept), map(index.lo.__getitem__, index.rows)))
         bounds = [bisect_left(var, v) for v in range(n_vars + 1)]
         self.by_var = [range(a, b) for a, b in pairwise(bounds)]
         self.y: list[list[int]] = [[0] * width for width in index.widths]
@@ -419,8 +475,11 @@ class _LevelWorkspace:
     def first_bad_cell(self, limit: int) -> tuple[tuple[int, int] | None, int]:
         """(row, index) of the least (edge id, slot) cell above `limit`, and a maximum.
 
-        The scan stops at the first bad row, whose maximum comes second;
-        with no bad cell it reads every row, and max Y comes second.
+        The least is over every shared edge: a twin's cells are its row's,
+        and the row's edge is the least of its class, so a bad twin comes
+        after its row's edge. The scan stops at the first bad row, whose
+        maximum comes second; with no bad cell it reads every row, and max
+        Y comes second.
         """
         peak = self.unshared_max
         for r, row in enumerate(self.y):
@@ -713,7 +772,7 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
     depth = ladder.depth
     last_fixed = depth - 1 if config.variant == "plain" else depth - 2
     # one index serves every level fixed here
-    index = _CrossingIndex(padded, assignment) if last_fixed >= 0 else None
+    index = _CrossingIndex(padded, assignment, last_fixed + 1) if last_fixed >= 0 else None
     gamma = 1.0
     for level in range(0, last_fixed + 1):
         outcome = None

@@ -121,26 +121,52 @@ def _workspace_instance(name: str):
     return shared_path_instance(int(c), int(d))
 
 
+_ROWS_AT_DELTA_2 = {
+    ("shared-30x32", "plain", "every level"): 8, ("shared-30x32", "plain", "the run's levels"): 4,
+    ("shared-30x32", "buffered", "every level"): 24, ("shared-30x32", "buffered", "the run's levels"): 5,
+    ("accept2/8", "plain", "every level"): 10, ("accept2/8", "plain", "the run's levels"): 10,
+    ("accept2/8", "buffered", "every level"): 11,
+    **{("shared-1x64", kind, served): 0 for kind in ("plain", "buffered")
+       for served in ("every level", "the run's levels")},
+}
+
+
+@pytest.mark.parametrize("served", ["every level", "the run's levels"])
 @pytest.mark.parametrize("kind", ["plain", "buffered"])
 @pytest.mark.parametrize("name", ["shared-30x32", "accept2/8", "shared-1x64"])
-def test_workspace_rows_match_a_table_rebuilt_from_the_draws(monkeypatch, name, kind):
+def test_workspace_rows_match_a_table_rebuilt_from_the_draws(monkeypatch, name, kind, served):
     _set_constants(monkeypatch, resample_budget=300)
     padded = pad(_workspace_instance(name))
     ladder = build_ladder(padded.length, 2)
     tree = dissect_plain(ladder) if kind == "plain" else dissect_shifted(ladder)
+    # the index serves every level, or those `run_pipeline` fixes, which
+    # leave fewer blocks, and so more twins
+    levels = len(ladder.levels) if served == "every level" else ladder.depth - (kind == "buffered")
+    if not levels:  # a buffered run on a ladder of depth 1 fixes no level, and builds no index
+        assert (name, kind) == ("accept2/8", "buffered")
+        return
     uses = Counter(eid for path in padded.padded.paths for eid in path)
     shared = sorted(eid for eid, n in uses.items() if n >= 2)
+    rows = set()
     for seed in range(3):
         for strategy in ("resample", "greedy"):
             assignment = DelayAssignment(tree, padded.padded.n_packets)
-            index = _CrossingIndex(padded, assignment)
+            index = _CrossingIndex(padded, assignment, levels)
             config = FixerConfig(variant=kind, seed=seed)
-            # every level, built on the draws fixed at the levels before it
-            for level in range(len(ladder.levels)):
+            # every level served, built on the draws fixed at the levels before it
+            for level in range(levels):
                 ws = _LevelWorkspace(index, assignment, level)
-                # one row per edge that two or more padded paths use, in edge id order
-                assert len(ws.y) == len(shared)
-                assert ws.index.edges == shared
+                # every edge that two or more padded paths use reads one row,
+                # from a slot of its own; a row is held by the least edge
+                # that reads it, in edge id order
+                row_of = ws.index.row_of
+                assert sorted(row_of) == shared
+                assert sorted({row for row, _ in row_of.values()}) == list(range(len(ws.y)))
+                assert ws.index.edges == [
+                    min(edge for edge in shared if row_of[edge][0] == row) for row in range(len(ws.y))
+                ]
+                assert [row_of[edge] for edge in ws.index.edges] == list(enumerate(ws.index.lo))
+                rows.add(len(ws.y))
                 # each row spans the ladder-wide reach, the same at every level
                 if level == 0:
                     reach = (ws.index.lo, list(map(len, ws.y)))
@@ -160,13 +186,12 @@ def test_workspace_rows_match_a_table_rebuilt_from_the_draws(monkeypatch, name, 
                 table = {
                     key: p * ws.scale for key, p in expected_load(padded, assignment).items()
                 }
-                rebuilt = [
-                    [table.get((edge, lo + index), 0) for index in range(len(row))]
-                    for edge, lo, row in zip(ws.index.edges, ws.index.lo, ws.y)
-                ]
-                assert ws.y == rebuilt, level
-                # every shared-edge cell of the table lies inside its row
-                assert sum(map(sum, ws.y)) == sum(
+                # each shared edge's cells are its row's, twins included
+                for edge, (row, lo) in row_of.items():
+                    cells = [table.get((edge, lo + index), 0) for index in range(len(ws.y[row]))]
+                    assert ws.y[row] == cells, (level, edge)
+                # and every shared-edge cell of the table lies inside its row
+                assert sum(sum(ws.y[row]) for row, _ in row_of.values()) == sum(
                     v for (edge, _), v in table.items() if uses[edge] >= 2
                 )
                 assert ws.max_y() == max(table.values())
@@ -174,12 +199,52 @@ def test_workspace_rows_match_a_table_rebuilt_from_the_draws(monkeypatch, name, 
                     assert strategy == "resample" and peak <= ws.max_y()
                 else:
                     assert peak == ws.max_y()
+                # the first bad cell is the least over every edge, twins included
                 for lim in sorted({limit, ws.scale} | {v - 1 for v in table.values() if v > ws.scale}):
                     cell, top = ws.first_bad_cell(lim)
                     found = None if cell is None else (ws.index.edges[cell[0]], ws.index.lo[cell[0]] + cell[1])
                     assert found == min((key for key, v in table.items() if v > lim), default=None)
                     # with no bad cell, the one scan has read max Y
                     assert cell is not None or top == ws.max_y()
+    # twins share a row: on the 30x32 path at delta 2, plain positions alike
+    # in their blocks of 4 (of 8 at the run's levels), buffered ones also in
+    # their duty tables; two of accept2/8's 11 shared edges are twins under
+    # the plain tree
+    assert rows == {_ROWS_AT_DELTA_2[name, kind, served]}
+
+
+@pytest.mark.parametrize("kind, rows", [("plain", 32), ("buffered", 19)])
+def test_twin_rows_hold_every_twins_loads_on_the_deep_shared_ladder(kind, rows):
+    # D' 1024 at delta 4 has three levels; at the levels a run fixes, its
+    # 1,024 edges are twins in 32 rows (plain) or 19 (buffered), and every
+    # edge's cells are still its own expected loads
+    padded = pad(shared_path_instance(2, 1024))
+    ladder = build_ladder(padded.length, 4)
+    tree = dissect_plain(ladder) if kind == "plain" else dissect_shifted(ladder)
+    levels = ladder.depth - (kind == "buffered")
+    assignment = DelayAssignment(tree, 2)
+    index = _CrossingIndex(padded, assignment, levels)
+    assert (len(index.edges), len(index.row_of)) == (rows, 1024)
+    rng = random.Random(f"deep-twins/{kind}")
+    for level in range(levels):
+        ws = _LevelWorkspace(index, assignment, level, False)
+        draws = [rng.randint(1, ws.budget) for _ in ws.by_var]
+        ws.fill(draws)
+        assignment.set_level(level, ws.per_packet(draws))
+        table = expected_load(padded, assignment)
+        for edge, (row, lo) in index.row_of.items():
+            assert ws.y[row] == [table.get((edge, lo + i), 0) * ws.scale for i in range(len(ws.y[row]))], edge
+
+
+def test_a_workspace_refuses_a_level_its_index_does_not_serve():
+    # twins are found over the levels the index serves; past them they can differ
+    padded = pad(shared_path_instance(8, 32))
+    tree = dissect_plain(build_ladder(padded.length, 2))
+    assignment = DelayAssignment(tree, padded.padded.n_packets)
+    index = _CrossingIndex(padded, assignment, 1)
+    _LevelWorkspace(index, assignment, 0)
+    with pytest.raises(ValueError, match="serves levels 0 .. 0, not level 1"):
+        _LevelWorkspace(index, assignment, 1)
 
 
 def _level_workspace_args(name: str, kind: str, rng: random.Random):
@@ -187,7 +252,7 @@ def _level_workspace_args(name: str, kind: str, rng: random.Random):
     padded = pad(_workspace_instance(name))
     tree = (dissect_plain if kind == "plain" else dissect_shifted)(build_ladder(padded.length, 2))
     assignment = DelayAssignment(tree, padded.padded.n_packets)
-    index = _CrossingIndex(padded, assignment)
+    index = _CrossingIndex(padded, assignment, len(tree.ladder.levels))
     while not assignment.fully_fixed:
         level = assignment.frontier
         yield index, assignment, level
@@ -939,15 +1004,46 @@ def test_pipeline_indexes_the_crossings_once(monkeypatch, inst, config, check):
     assert len(builds) == 1
     assert len(workspaces) > 1
     assert all(isinstance(a[0], Counted) for a in workspaces)
-    # a fresh index for every workspace fixes the same draws
+    # a fresh index for every workspace, serving no level past its own, so
+    # with twins of its own, fixes the same draws
     builds.clear()
     padded = pad(inst)
     monkeypatch.setattr(fixer_mod, "_LevelWorkspace",
                         lambda _, assignment, level, blurred: workspace(
-                            Counted(padded, assignment), assignment, level, blurred))
+                            Counted(padded, assignment, level + 1), assignment, level, blurred))
     alone = run_pipeline(inst, config)
     assert len(builds) == 1 + len(workspaces)
     assert (alone.schedule, alone.report) == (result.schedule, result.report)
+
+
+def _rows_kept(monkeypatch, inst, config):
+    """(rows, shared edges) of the one index the run builds."""
+    kept = []
+
+    class Recorded(fixer_mod._CrossingIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append((len(self.edges), len(self.row_of)))
+
+    monkeypatch.setattr(fixer_mod, "_CrossingIndex", Recorded)
+    run_pipeline(inst, config)
+    [rows] = kept
+    return rows
+
+
+@pytest.mark.parametrize("inst, variant, rows", [
+    # one path: twins are the edges of a block at the deepest level fixed,
+    # and under the shifted tree also of a duty table at every level
+    (shared_path_instance(30, 32), "plain", (1, 32)),
+    (shared_path_instance(64, 1024), "plain", (32, 1024)),
+    (shared_path_instance(64, 1024), "buffered", (19, 1024)),
+    (shared_path_instance(16, 4096), "plain", (64, 4096)),
+    (generate_random_instance("twins/6", max_packets=24, max_length=64), "plain", (7, 10)),
+    # no two of these edges carry the same crossings
+    (generate_random_instance("twins/28", max_packets=24, max_length=64), "plain", (60, 60)),
+])
+def test_twin_edges_share_one_row(monkeypatch, inst, variant, rows):
+    assert _rows_kept(monkeypatch, inst, FixerConfig(variant=variant)) == rows
 
 
 def test_a_run_holds_one_replay_trace_at_a_time(monkeypatch):

@@ -151,31 +151,34 @@ def assert_closed_form_matches_exhaustive(padded, assignment):
     # the fixer's level workspace must rebuild the same table, in exact
     # integer units of 1/scale: blurred over the frontier level while it is
     # open, else pinned to the last level's draws
+    index = _CrossingIndex(padded, assignment, assignment.n_levels)
     if not assignment.fully_fixed:
-        ws = _LevelWorkspace(_CrossingIndex(padded, assignment), assignment, assignment.frontier)
+        ws = _LevelWorkspace(index, assignment, assignment.frontier)
         for var in range(len(ws.by_var)):
             ws.spread(var, 0, +1)
     else:
         last = assignment.n_levels - 1
-        ws = _LevelWorkspace(_CrossingIndex(padded, assignment), assignment, last)
+        ws = _LevelWorkspace(index, assignment, last)
         for var in range(len(ws.by_var)):
             packet, block = divmod(var, ws.n_blocks)
             ws.spread(var, assignment.value(packet, last, block), +1)
-    # Y keeps a row only for an edge that two or more packets use; map every
-    # row cell back to its (edge, slot)
+    # Y keeps a row only for an edge that two or more packets use, and twin
+    # edges read one row, each from a slot of its own; map every row cell
+    # back to the (edge, slot) of each edge that reads it
+    shared = ws.index.row_of
     rows = {
         (edge, lo + index): value
-        for edge, lo, row in zip(ws.index.edges, ws.index.lo, ws.y)
-        for index, value in enumerate(row)
+        for edge, (row, lo) in shared.items()
+        for index, value in enumerate(ws.y[row])
         if value
     }
     expected = {key: value * ws.scale for key, value in table.load.items()}
-    assert rows == {key: value for key, value in expected.items() if key[0] in ws.index.edges}
+    assert rows == {key: value for key, value in expected.items() if key[0] in shared}
     # an unshared edge holds one packet's law: no cell of it can exceed
     # scale; once every level is pinned, the deeper law is a point mass, so
     # every block's ceiling is 1 and every unshared cell holds exactly the
     # workspace's unshared maximum, budget
-    unshared = [value for key, value in expected.items() if key[0] not in ws.index.edges]
+    unshared = [value for key, value in expected.items() if key[0] not in shared]
     assert all(value <= ws.scale for value in unshared)
     if assignment.fully_fixed:
         assert ws.ceiling == [1] * ws.n_blocks

@@ -1,14 +1,17 @@
 """Properties of the whole pipeline on random valid instances."""
+import json
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cd_router import fixer as fixer_mod  # noqa: E402
-from cd_router import oracle  # noqa: E402
+from cd_router import lowerbound, oracle  # noqa: E402
 from cd_router.delay_model import DelayAssignment  # noqa: E402
 from cd_router.fixer import FixerConfig, realized_loads, run_pipeline, stretch  # noqa: E402
 from cd_router.instance import generate_random_instance, shared_path_instance  # noqa: E402
+from cd_router.schedule import encode  # noqa: E402
 from cd_router.simulator import CheckRequirements, check, simulate  # noqa: E402
 
 
@@ -29,6 +32,56 @@ def test_a_run_is_deterministic_feasible_and_within_its_counting_cap(seed, varia
     assert check(replay, CheckRequirements(capacity=1, makespan_bound=report.makespan)).ok
     assert replay.makespan == report.makespan
     assert report.load <= report.counting_cap
+
+
+def _outputs_and_rows(instance, config):
+    """The run's encoded schedule, report JSON and level fixes; and (rows, shared edges) per index built."""
+    indexes = []
+
+    class Recorded(fixer_mod._CrossingIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            indexes.append((len(self.edges), len(self.row_of)))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixer_mod, "_CrossingIndex", Recorded)
+        result = run_pipeline(instance, config)
+    report = result.report
+    return (encode(result.schedule), json.dumps(report.to_dict()), report.levels), indexes
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    shape=st.one_of(
+        st.tuples(st.just("random"), st.integers(min_value=0, max_value=2**32)),
+        st.tuples(st.just("shared"), st.sampled_from([(8, 32), (30, 32), (16, 64), (6, 128)])),
+        st.tuples(st.just("gadget"), st.integers(min_value=0, max_value=2**32)),
+    ),
+    variant=st.sampled_from(["plain", "buffered"]),
+    strategy=st.sampled_from(["resample", "greedy"]),
+    delta=st.sampled_from([2, 4]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_twin_rows_change_no_output_property(shape, variant, strategy, delta, seed):
+    # with every position a class of its own no two edges are twins, so each
+    # shared edge keeps its own row, as before twins shared one
+    kind, arg = shape
+    if kind == "random":
+        instance = generate_random_instance(arg, max_packets=24, max_length=64)
+    elif kind == "shared":
+        instance = shared_path_instance(*arg)
+    else:
+        instance = lowerbound.generate(8, seed=arg).instance
+    config = FixerConfig(variant=variant, delta=delta, strategy=strategy, seed=seed)
+    outputs, rows = _outputs_and_rows(instance, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixer_mod, "_position_classes", lambda tree, levels: tuple(range(tree.length)))
+        alone, single = _outputs_and_rows(instance, config)
+    assert alone == outputs
+    assert all(kept == shared for kept, shared in single)
+    assert [shared for _, shared in rows] == [shared for _, shared in single]
+    if kind == "shared" and rows and variant == "plain":
+        assert rows[0][0] < rows[0][1]  # a shared path under the plain tree has twins
 
 
 def _finalize_slots(instance, config):
