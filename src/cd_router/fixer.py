@@ -12,8 +12,9 @@ the last fixed one stay open, and `finalize` takes them at draw 1.
 slots once, open levels at draw 1, turns those at its real positions into
 waits (`waits_from_slots`, the inverse of `Schedule.crossing_slots`), ranks
 the crossings from the same slot lists (`realized_loads`: how many packets
-of lower id share each crossing's (edge, slot) cell), certifies the
-integral load c = 1 + the largest rank against the counting bound
+of lower id share each crossing's (edge, slot) cell, counted per edge in
+an {edge: {slot: crossings}} table, so no key is made per crossing),
+certifies the integral load c = 1 + the largest rank against the counting bound
 c <= gamma * prod(residual budgets), and hands the slots and ranks to
 `stretch`, which expands every slot into c slots to give a capacity-1
 schedule. It returns the pre-stretch and the stretched schedule, so the
@@ -643,20 +644,22 @@ def schedule_from_assignment(padded: PaddedInstance, assignment: DelayAssignment
 
 
 def realized_loads(instance: Instance, slots: list[Sequence[int]]) -> list[list[int]]:
-    """Per packet and crossing, how many packets of lower id cross the same (edge, slot).
+    """Per packet and crossing, how many packets of lower id cross the same edge at the same slot.
 
     `slots[k]` holds packet k's crossing slots, one per edge of its path;
-    entries past the path's end are not read. A cell holding k crossings
-    ranks them 0 .. k - 1 in packet order, so the realized load is 1 + the
-    largest rank.
+    entries past the path's end are not read. The crossings are counted per
+    edge, {edge: {slot: crossings so far}}, so no key is made per crossing.
+    An (edge, slot) cell holding k crossings ranks them 0 .. k - 1 in packet
+    order, so the realized load is 1 + the largest rank.
     """
-    seen: dict[tuple[str, int], int] = {}  # crossings per cell so far
+    seen: dict[str, dict[int, int]] = {edge.id: {} for edge in instance.edges}
     ranks = []
     for path, packet_slots in zip(instance.paths, slots):
         rank = []
-        for cell in zip(path, packet_slots):
-            r = seen.get(cell, 0)
-            seen[cell] = r + 1
+        for edge, slot in zip(path, packet_slots):
+            cells = seen[edge]
+            r = cells.get(slot, 0)
+            cells[slot] = r + 1
             rank.append(r)
         ranks.append(rank)
     return ranks

@@ -15,9 +15,11 @@ the CSV rows need no global sort. Any other instance keeps the flat
 cells. `SimulationTrace.loads` is the flat view of either.
 
 A packet occupies no buffer while at a node equal to its own source or sink;
-everywhere else it sits in its next edge's buffer. The waiting charged per
-(packet, edge) is derived from the trace when first read, and the largest
-buffer occupancy at a slot boundary, the buffer size the paper bounds, from
+everywhere else it sits in its next edge's buffer (`_buffered` is that
+rule). Waiting is charged per packet, one {edge: slots} dict each, when
+first read: `max_edge_wait` reads that table, and `edge_waits` is its flat
+{(packet, edge): slots} view, built only when read. The largest buffer
+occupancy at a slot boundary, the buffer size the paper bounds, comes from
 a sweep over the stays' endpoints. Replay does not validate the instance.
 `oracle.stepped_simulation` is the slot-by-slot reference this module is
 checked against.
@@ -25,12 +27,13 @@ checked against.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, compress, islice, repeat
 from operator import add, itemgetter
 
-from .instance import Instance, require_int
+from .instance import Edge, Instance, require_int
 from .schedule import Schedule
 
 
@@ -76,19 +79,28 @@ class SimulationTrace:
         return max(self._tally.values())
 
     @cached_property
-    def edge_waits(self) -> dict[tuple[int, str], int]:
-        """(packet, edge) -> slots waited at the interior node before the edge."""
+    def _waits_by_packet(self) -> list[dict[str, int]]:
+        """Per packet, edge -> slots waited before the edge where the stay is buffered.
+
+        A path that repeats an edge (replay does not validate) sums its
+        waits before each visit under the one edge.
+        """
         emap = self.instance.edge_map()
-        edge_waits: dict[tuple[int, str], int] = {}
-        for i, (path, waits) in enumerate(zip(self.instance.paths, self.schedule.waits)):
+        table: list[dict[str, int]] = []
+        for path, waits in zip(self.instance.paths, self.schedule.waits):
             n = len(path)
-            # waiting at the source, at the sink or at a node equal to either is parking
-            ends = (emap[path[0]].tail, emap[path[-1]].head)
-            for p in compress(range(1, n), islice(waits, 1, n)):
-                if emap[path[p - 1]].head not in ends:
-                    key = (i, path[p])
-                    edge_waits[key] = edge_waits.get(key, 0) + waits[p]
-        return edge_waits
+            charged: dict[str, int] = {}
+            if any(islice(waits, 1, n)):  # no charge for waits at the ends, all that most packets have
+                for p in _buffered(emap, path, compress(range(1, n), islice(waits, 1, n))):
+                    edge = path[p]
+                    charged[edge] = charged.get(edge, 0) + waits[p]
+            table.append(charged)
+        return table
+
+    @cached_property
+    def edge_waits(self) -> dict[tuple[int, str], int]:
+        """(packet, edge) -> slots waited before the edge: the per-packet table flat, in packet then path order."""
+        return {(i, edge): v for i, charged in enumerate(self._waits_by_packet) for edge, v in charged.items()}
 
     @property
     def max_occupancy(self) -> int:
@@ -100,10 +112,8 @@ class SimulationTrace:
         emap = self.instance.edge_map()
         events: dict[str, list[tuple[int, int]]] = {}
         for path, slots in zip(self.instance.paths, self.crossing_slots):
-            ends = (emap[path[0]].tail, emap[path[-1]].head)
-            for p in range(1, len(path)):
-                if emap[path[p - 1]].head not in ends:
-                    events.setdefault(path[p], []).extend(((slots[p - 1], 1), (slots[p], -1)))
+            for p in _buffered(emap, path, range(1, len(path))):
+                events.setdefault(path[p], []).extend(((slots[p - 1], 1), (slots[p], -1)))
         worst = 0
         for edge_events in events.values():
             held = 0
@@ -114,7 +124,19 @@ class SimulationTrace:
 
     @property
     def max_edge_wait(self) -> int:
-        return max(self.edge_waits.values()) if self.edge_waits else 0
+        return max(map(max, map(dict.values, filter(None, self._waits_by_packet))), default=0)
+
+
+def _buffered(emap: dict[str, Edge], path: list[str], positions: Iterable[int]) -> Iterator[int]:
+    """The positions (1 .. len(path) - 1) at which a stay is buffered, in order.
+
+    A packet at a node equal to its own source or sink parks there and holds
+    no buffer; at any other node it sits in its next edge's buffer.
+    """
+    ends = (emap[path[0]].tail, emap[path[-1]].head)
+    for p in positions:
+        if emap[path[p - 1]].head not in ends:
+            yield p
 
 
 def simulate(instance: Instance, schedule: Schedule, capacity: int = 1) -> SimulationTrace:

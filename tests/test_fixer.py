@@ -39,7 +39,7 @@ from cd_router.instance import (
     stats,
 )
 from cd_router.schedule import Schedule, encode
-from cd_router.simulator import simulate
+from cd_router.simulator import CheckRequirements, SimulationTrace, check, simulate
 
 from conftest import randomize_remaining
 
@@ -825,6 +825,36 @@ def test_pipeline_buffered_keeps_edge_waits_short():
     assert result.report.prestretch_max_edge_wait <= 1
     trace = simulate(result.padded.base, result.schedule, capacity=1)
     assert trace.max_load == 1
+
+
+@pytest.mark.parametrize("variant", ["plain", "buffered"])
+def test_a_run_builds_no_flat_edge_wait_view(monkeypatch, variant):
+    # the pre-stretch maximum and a passing edge-wait check read the
+    # per-packet table; only a failing check flattens it, to name an offender
+    cases = [
+        shared_path_instance(8, 32),
+        generate_random_instance("0/random-mix/0", max_packets=24, max_length=64),
+    ]
+    config = FixerConfig(variant=variant, seed=0)
+
+    def flattened(self):
+        raise AssertionError("the flat edge-wait view was built")
+
+    prestretch = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SimulationTrace, "edge_waits", property(flattened))
+        for inst in cases:
+            result = run_pipeline(inst, config)
+            report = result.report
+            slow = oracle.stepped_simulation(inst, result.prestretch, capacity=report.load)
+            assert report.prestretch_max_edge_wait == slow.max_edge_wait
+            prestretch.append((inst, result.prestretch, report))
+    for inst, schedule, report in prestretch:
+        trace = simulate(inst, schedule, capacity=report.load)
+        assert check(trace, CheckRequirements(edge_wait_bound=report.prestretch_max_edge_wait)).ok
+        assert "edge_waits" not in vars(trace)
+    # one case waits inside a path, so the maximum is read from a non-empty table
+    assert max(report.prestretch_max_edge_wait for _, _, report in prestretch) > 0
 
 
 def test_pipeline_resamples_when_first_draw_collides():

@@ -84,6 +84,31 @@ def test_twin_rows_change_no_output_property(shape, variant, strategy, delta, se
         assert rows[0][0] < rows[0][1]  # a shared path under the plain tree has twins
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    instance=st.one_of(
+        # about half of these walks revisit a node
+        st.builds(generate_random_instance, st.integers(0, 2**32), max_packets=st.just(8), max_length=st.just(12)),
+        st.builds(shared_path_instance, st.integers(2, 12), st.integers(1, 8)),
+    ),
+    data=st.data(),
+)
+def test_ranks_count_the_lower_packets_in_each_cell_property(instance, data):
+    # steps of 1 or 2 slots from a start in 1..3 make packets that share an
+    # edge collide often; entries past a path's end are not read
+    slots = []
+    for path in instance.paths:
+        start = data.draw(st.integers(1, 3))
+        steps = data.draw(st.lists(st.integers(1, 2), min_size=len(path) + 2, max_size=len(path) + 2))
+        slots.append([start + sum(steps[:p]) for p in range(len(path) + data.draw(st.integers(0, 2)))])
+    crossings = [set(zip(path, packet_slots)) for path, packet_slots in zip(instance.paths, slots)]
+    expected = [
+        [sum(cell in crossings[j] for j in range(k)) for cell in zip(path, packet_slots)]
+        for k, (path, packet_slots) in enumerate(zip(instance.paths, slots))
+    ]
+    assert realized_loads(instance, slots) == expected
+
+
 def _finalize_slots(instance, config):
     """Run the pipeline; check the slots `finalize` hands `stretch`, and return how many levels it fixed.
 

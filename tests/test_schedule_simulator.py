@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import time
+from operator import itemgetter
 
 import pytest
 
@@ -294,6 +295,62 @@ def test_simulate_matches_stepper_on_zero_and_sink_only_waits():
     parked = Schedule(waits=[row[:-1] + [10**6] for row in zero.waits])
     _assert_same_trace(instance, parked)
     assert simulate(instance, parked).makespan == simulate(instance, zero).makespan
+
+
+def _repeating_instance() -> Instance:
+    """`_loops_instance` with two paths that repeat edges, which replay does not refuse."""
+    loops = _loops_instance()
+    paths = loops.paths + [
+        ["ac", "cd", "dc", "cd", "dc", "ce"],  # cd and dc twice, each after a node inside the path
+        ["ab", "ba", "ab", "ba", "ac"],        # ab and ba twice, back through its source a
+    ]
+    return Instance(nodes=loops.nodes, edges=loops.edges, paths=paths)
+
+
+def _assert_same_edge_waits(instance: Instance, sched: Schedule) -> None:
+    trace = simulate(instance, sched)
+    slow = stepped_simulation(instance, sched)
+    # the maximum is read first, from the per-packet table alone
+    assert trace.max_edge_wait == max(trace.edge_waits.values(), default=0) == slow.max_edge_wait
+    assert trace.edge_waits == slow.edge_waits
+    # packet order, then path order: the stepper charges each packet's waits
+    # in the order it makes them, so a stable sort by packet gives that order
+    assert list(trace.edge_waits) == sorted(slow.edge_waits, key=itemgetter(0))
+
+
+def test_waits_before_each_visit_of_an_edge_are_summed():
+    instance = _repeating_instance()
+    waits = [[0] * (len(p) + 1) for p in instance.paths]
+    waits[6][1], waits[6][3] = 2, 5  # at c before both visits of cd
+    waits[6][4] = 1                  # at d before the second visit of dc
+    waits[7][2], waits[7][4] = 3, 4  # at its source a: parking
+    waits[7][3] = 6                  # at b before the second visit of ba
+    trace = simulate(instance, Schedule(waits=waits))
+    assert trace.edge_waits == {(6, "cd"): 7, (6, "dc"): 1, (7, "ba"): 6}
+    assert trace.max_edge_wait == 7
+    _assert_same_edge_waits(instance, Schedule(waits=waits))
+
+
+def test_edge_waits_match_the_stepper_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        instance=st.one_of(
+            st.builds(generate_random_instance, st.integers(0, 10**6), max_packets=st.just(8), max_length=st.just(12)),
+            st.just(_repeating_instance()),
+        ),
+        data=st.data(),
+    )
+    def agree(instance, data):
+        waits = [
+            data.draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=len(p) + 1, max_size=len(p) + 1))
+            for p in instance.paths
+        ]
+        _assert_same_edge_waits(instance, Schedule(waits=waits))
+
+    agree()
 
 
 def test_simulate_matches_stepper_property():
