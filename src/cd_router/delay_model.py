@@ -93,19 +93,29 @@ class DelayAssignment:
     def fully_fixed(self) -> bool:
         return self.frontier == self.n_levels
 
-    def fixed_slots(self, packet: int, levels: int, base: Sequence[int] | None = None) -> Sequence[int]:
+    def fixed_slots(
+        self, packet: int, levels: int, base: Sequence[int] | None = None, positions: Sequence[int] | None = None
+    ) -> Sequence[int]:
         """The packet's slot at every position, shifted by its draws on the first `levels` levels.
 
         Entry p is `base[p]` plus those draws' delays at edge position
         p + 1, summed a level at a time over the tree's columns. `base` is
-        the tree's `columns.offsets` unless given. With `levels` 0 it is
-        `base` itself, shared and read-only.
+        the tree's `columns.offsets` unless given. With `positions` (position
+        indices p) the slots are those at the given positions alone, in
+        their order: entry i is what entry `positions[i]` of the full list
+        would be. With `levels` 0 and no `positions` it is `base` itself,
+        shared and read-only.
         """
         columns, values = self.tree.columns, self.values[packet]
         slots = columns.offsets if base is None else base
+        if positions is not None:
+            slots = list(map(slots.__getitem__, positions))
         for level in range(levels):
-            delays = map(values[level].__getitem__, columns.blocks[level])
-            table = columns.tables[level]
+            blocks, table = columns.blocks[level], columns.tables[level]
+            if positions is not None:
+                blocks = map(blocks.__getitem__, positions)
+                table = None if table is None else map(table.__getitem__, positions)
+            delays = map(values[level].__getitem__, blocks)
             if table is not None:
                 delays = map(getitem, table, map((-1).__add__, delays))
             slots = list(map(add, slots, delays))

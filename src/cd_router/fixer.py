@@ -34,7 +34,8 @@ Every slot and crossing law here reads the assignment's tree
 crossings that share an edge, and every slot they could reach at any
 level, are indexed once per run (`_CrossingIndex`), and twin edges, whose
 crossings move alike at every level the run fixes, share one row of
-expected loads.
+expected loads. A level's workspace is built over the crossings of the
+edges that hold a row alone.
 """
 from __future__ import annotations
 
@@ -160,13 +161,17 @@ class _CrossingIndex:
     one per block of the deepest level served.
 
     `edges[r]` is row r's edge, the least of its class, in ascending edge
-    id order; `row_of[e]` is (row, `lo`) of every shared edge e.
-    `shared[k]` masks packet k's real positions on a shared edge. The
-    shared crossings, in packet order and, within a packet, in position
-    order, are items where `kept` holds, on an edge that keeps its row:
+    id order; `row_of[e]` is (row, `lo`) of every shared edge e. The
+    index is built in one pass over the shared crossings, which groups
+    their twin codes by edge and keeps each edge's reach; past the build,
+    beside one mask per packet, it keeps lists as long as the items alone.
+    The items are the crossings of the edges that hold a row: `items[k]`
+    masks packet k's real positions on such an edge.
+    Items go in packet order and, within a packet, in position order:
     item i is `rows[i]` and `pos[i]` (position index p, for edge position
-    p + 1). `by_row[r]`, row r's items, is built on first read from the
-    grouping that found the twins.
+    p + 1), and packet k's are items `first[k]` .. `first[k + 1]` - 1.
+    `by_row[r]`, row r's items, is built on first read from `rows`; only
+    resampling reads it.
 
     Row r spans slots `lo[r]` .. `lo[r] + widths[r] - 1`, the ladder-wide
     reach of its items: each position's offset plus the least and the
@@ -182,11 +187,9 @@ class _CrossingIndex:
     def __init__(self, padded: PaddedInstance, assignment: DelayAssignment, levels: int):
         tree, columns = assignment.tree, assignment.tree.columns
         self.length, self.levels = padded.length, levels
-        loads = padded.stats.edge_loads
-        shared = sorted(e for e, load in loads.items() if load > 1)
+        shared = sorted(e for e, load in padded.stats.edge_loads.items() if load > 1)
         number = {e: n for n, e in enumerate(shared)}
         paths = padded.base.paths
-        self.shared = [list(map(number.__contains__, path)) for path in paths]
         self.ints = ints = list(range(padded.length))
         # a level delays by its table, or by its draw 1 .. budget where it has none
         least = most = columns.offsets
@@ -197,22 +200,6 @@ class _CrossingIndex:
             else:
                 least = list(map(add, least, map(min, table)))
                 most = list(map(add, most, map(max, table)))
-        # the shared crossings, numbered in packet order: each one's edge
-        # number and position
-        on = list(chain.from_iterable(
-            map(number.__getitem__, compress(path, mask)) for path, mask in zip(paths, self.shared)
-        ))
-        pos = list(chain.from_iterable(compress(ints, mask) for mask in self.shared))
-        # each edge's crossings, in packet order, and the slots they reach
-        crossings: list[list[int]] = [[] for _ in shared]
-        lo = [inf] * len(shared)
-        hi = [-inf] * len(shared)
-        for j, n, p in zip(count(), on, pos):
-            crossings[n].append(j)
-            if least[p] < lo[n]:
-                lo[n] = least[p]
-            if most[p] > hi[n]:
-                hi[n] = most[p]
         # an edge's key is one int per crossing, packet * stride + class *
         # span + its offset from the edge's lo: an offset and a lo differ by
         # less than max(least), half of span, and stride is span times the
@@ -221,27 +208,39 @@ class _CrossingIndex:
         span = 2 * max(least)
         place = [span * c + offset for c, offset in zip(classes, columns.offsets)]
         stride = span * (max(classes) + 1)
-        packets = chain.from_iterable(map(repeat, count(0, stride), map(sum, self.shared)))
-        code = list(map(add, packets, map(place.__getitem__, pos)))
+        # one pass over the shared crossings: each edge's codes, and the slots they reach
+        codes: list[list[int]] = [[] for _ in shared]
+        lo = [inf] * len(shared)
+        hi = [-inf] * len(shared)
+        for packet, path in zip(count(0, stride), paths):
+            mask = list(map(number.__contains__, path))
+            for n, p in zip(map(number.__getitem__, compress(path, mask)), compress(ints, mask)):
+                codes[n].append(packet + place[p])
+                if least[p] < lo[n]:
+                    lo[n] = least[p]
+                if most[p] > hi[n]:
+                    hi[n] = most[p]
         heads: dict[tuple, int] = {}  # the least edge of each key
-        head = [
-            heads.setdefault(tuple([code[j] - a for j in c]), n) for n, (c, a) in enumerate(zip(crossings, lo))
-        ]
+        head = [heads.setdefault(tuple([c - a for c in code]), n) for n, (code, a) in enumerate(zip(codes, lo))]
         keep = list(map(eq, head, count()))  # edge n is the least of its key, so holds its row
         row_at = list(accumulate(keep, initial=0))  # rows before edge n's
         self.edges = list(compress(shared, keep))
         self.lo = list(compress(lo, keep))
         self.widths = [b - a + 1 for a, b in zip(self.lo, compress(hi, keep))]
         self.row_of = dict(zip(shared, zip(map(row_at.__getitem__, head), lo)))
-        self.kept = list(map(keep.__getitem__, on))
-        self.rows = list(map(row_at.__getitem__, compress(on, self.kept)))
-        self.pos = list(compress(pos, self.kept))
-        self._crossings = list(compress(crossings, keep))
+        holds = dict(zip(self.edges, count()))  # an edge that holds a row: its row
+        self.items = [list(map(holds.__contains__, path)) for path in paths]
+        at = [list(compress(ints, mask)) for mask in self.items]
+        self.first = list(accumulate(map(len, at), initial=0))
+        self.pos = list(chain.from_iterable(at))
+        self.rows = list(map(holds.__getitem__, chain.from_iterable(map(compress, paths, self.items))))
 
     @cached_property
-    def by_row(self) -> list[tuple[int, ...]]:
-        item = list(accumulate(self.kept, initial=0))  # item number of shared crossing j
-        return [itemgetter(*c)(item) for c in self._crossings]  # two or more crossings: a tuple
+    def by_row(self) -> list[list[int]]:
+        by_row: list[list[int]] = [[] for _ in self.edges]
+        for i, r in enumerate(self.rows):
+            by_row[r].append(i)
+        return by_row
 
 
 class _LevelWorkspace:
@@ -267,8 +266,10 @@ class _LevelWorkspace:
     four flat ints: `rows[i]` and `pos[i]` from the index, `bases[i]` (its
     slot before this level's delay, relative to its row's `lo`) and
     `var[i]` (packet * n_blocks + block, the variable whose draw moves it).
-    `bases` and `var` are built for every shared crossing and kept where
-    the index keeps it. Items go in packet order and, within a packet, in
+    `bases` and `var` are built for the items alone, a packet at a time,
+    from its slots at its item positions (`DelayAssignment.fixed_slots`
+    with `positions`), so a level's build follows its items, not every
+    (packet, position). Items go in packet order and, within a packet, in
     position order, and a block index never falls as the position grows,
     so a variable's items are contiguous: `by_var[v]` is a range, found by
     bisection.
@@ -282,8 +283,7 @@ class _LevelWorkspace:
     as a set, `offsets[p]`; and, on first read, which only the greedy sweep
     makes, the law of this level and the deeper ones, `blurs[p]`, which is
     what an open variable adds at its base slot. A packet's fixed draws only
-    shift `bases`, computed a column at a time by
-    `DelayAssignment.fixed_slots`. A bad cell's dependents are found through
+    shift `bases`. A bad cell's dependents are found through
     the index's `by_row`: an item is one when the cell's offset from its
     slot is in `offsets[p]`.
 
@@ -364,17 +364,16 @@ class _LevelWorkspace:
             if top > ceiling[b]:
                 ceiling[b] = top
         self.unshared_max = weight * max(ceiling)
-        n_vars = len(index.shared) * n_blocks
+        n_vars = len(index.items) * n_blocks
         ints = index.ints
         ints.extend(range(len(ints), n_vars))
-        bases: list[int] = []
-        var: list[int] = []
-        for packet, mask in enumerate(index.shared):
-            first = packet * n_blocks
-            bases.extend(compress(assignment.fixed_slots(packet, level), mask))
-            var.extend(compress(map(ints[first:first + n_blocks].__getitem__, block_of), mask))
-        self.var = var = list(compress(var, index.kept))
-        self.bases = list(map(sub, compress(bases, index.kept), map(index.lo.__getitem__, index.rows)))
+        bases, var = [], []
+        for packet, (a, b) in enumerate(pairwise(index.first)):
+            positions, first = index.pos[a:b], packet * n_blocks
+            bases.extend(assignment.fixed_slots(packet, level, None, positions))
+            var.extend(map(ints[first:first + n_blocks].__getitem__, map(block_of.__getitem__, positions)))
+        self.var = var
+        self.bases = list(map(sub, bases, map(index.lo.__getitem__, index.rows)))
         bounds = [bisect_left(var, v) for v in range(n_vars + 1)]
         self.by_var = [range(a, b) for a, b in pairwise(bounds)]
         self.y: list[list[int]] = [[0] * width for width in index.widths]

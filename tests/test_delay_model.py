@@ -91,6 +91,30 @@ def test_crossing_times_strictly_increase_along_path():
         assert all(b > c for b, c in zip(slots[1:], slots))
 
 
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+def test_fixed_slots_at_given_positions_are_the_full_lists_entries(kind):
+    # what a level's workspace reads at its items: the one slot rule at
+    # some positions, in their order, with or without a base of its own
+    tree = (dissect_plain if kind == "plain" else dissect_shifted)(build_ladder(64, 2))
+    rng = random.Random(f"positions/{kind}")
+    n_packets, length = 3, tree.length
+    assignment = DelayAssignment(tree, n_packets)
+    base = [p + rng.randint(0, 9) for p in range(length)]
+    choices = [[], [5], sorted(rng.sample(range(length), 10)), rng.choices(range(length), k=20), list(range(length))]
+    for levels in range(assignment.n_levels + 1):
+        for packet in range(n_packets):
+            full, shifted = assignment.fixed_slots(packet, levels), assignment.fixed_slots(packet, levels, base)
+            for positions in choices:
+                assert assignment.fixed_slots(packet, levels, None, positions) == [full[p] for p in positions]
+                assert assignment.fixed_slots(packet, levels, base, positions) == [shifted[p] for p in positions]
+        if levels < assignment.n_levels:
+            budget = tree.ladder.levels[levels].wait_budget
+            assignment.set_level(levels, [
+                [rng.randint(1, budget) for _ in range(tree.n_blocks(levels))] for _ in range(n_packets)
+            ])
+    assert assignment.fully_fixed
+
+
 def test_duty_count_table_frozen_example():
     # duty at 1,3,5,7 with budget 2: x=1 waits at 1 and at 7
     block = Block(1, 0, 1, 8, assigned=(1, 3, 5, 7))

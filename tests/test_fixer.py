@@ -453,14 +453,22 @@ def test_blur_equals_a_spread_over_every_draw(name, kind):
     assert levels == list(range(len(levels))) and len(levels) >= 2
 
 
-def _private_ceiling(ws: _LevelWorkspace, tails, var: int) -> int:
+def _shared_masks(name: str) -> list[list[bool]]:
+    """Per packet, which of its real positions cross an edge that two or more padded paths use."""
+    padded = pad(_workspace_instance(name))
+    uses = Counter(eid for path in padded.padded.paths for eid in path)
+    return [[uses[eid] >= 2 for eid in path] for path in padded.base.paths]
+
+
+def _private_ceiling(ws: _LevelWorkspace, tails, var: int, shared) -> int:
     """The largest deeper-law count over the variable's unshared positions.
 
-    `tails[p]` is position p's deeper law. A variable's unshared positions
-    are its block's positions that are not items, dummy ones included.
+    `tails[p]` is position p's deeper law, and `shared` the instance's
+    `_shared_masks`. A variable's unshared positions are its block's
+    positions on no shared edge, dummy ones included.
     """
     packet, block = divmod(var, ws.n_blocks)
-    mask = ws.index.shared[packet]
+    mask = shared[packet]
     blocks = ws.tree.columns.blocks[ws.level]
     return max(
         (
@@ -471,10 +479,10 @@ def _private_ceiling(ws: _LevelWorkspace, tails, var: int) -> int:
     )
 
 
-def _private_peak(ws: _LevelWorkspace, tails, var: int, draw: int) -> int:
+def _private_peak(ws: _LevelWorkspace, tails, var: int, draw: int, shared) -> int:
     """`peak` by the definition, with the variable's private ceiling."""
     table = ws.tree.columns.tables[ws.level]
-    peak = ws.budget * _private_ceiling(ws, tails, var)
+    peak = ws.budget * _private_ceiling(ws, tails, var, shared)
     for i in ws.by_var[var]:
         p = ws.pos[i]
         slot0 = ws.bases[i] + (draw if table is None else table[p][draw - 1])
@@ -489,7 +497,7 @@ def test_peak_with_a_block_ceiling_equals_a_per_variable_private_one(name, kind)
     # the ceiling also counts the shared positions of the block, whose own
     # cells hold at least as much once Y is read plus the variable's laws
     rng = random.Random(f"peak/{name}/{kind}")
-    levels, differs = [], 0
+    levels, differs, shared = [], 0, _shared_masks(name)
     for args in _level_workspace_args(name, kind, rng):
         ws = _LevelWorkspace(*args)
         levels.append(ws.level)
@@ -501,8 +509,8 @@ def test_peak_with_a_block_ceiling_equals_a_per_variable_private_one(name, kind)
         for var in range(n_vars):
             ws.spread(var, 0, -1)
             peaks = [ws.peak(var, draw) for draw in range(1, ws.budget + 1)]
-            assert peaks == [_private_peak(ws, tails, var, draw) for draw in range(1, ws.budget + 1)]
-            differs += ws.ceiling[var % ws.n_blocks] != _private_ceiling(ws, tails, var)
+            assert peaks == [_private_peak(ws, tails, var, draw, shared) for draw in range(1, ws.budget + 1)]
+            differs += ws.ceiling[var % ws.n_blocks] != _private_ceiling(ws, tails, var, shared)
             ws.spread(var, 1 + peaks.index(min(peaks)), +1)
     assert levels == list(range(len(levels))) and len(levels) >= 2
     assert differs  # some variable's block ceiling exceeds its private one
@@ -512,7 +520,7 @@ def test_peak_with_a_block_ceiling_equals_a_per_variable_private_one(name, kind)
 @pytest.mark.parametrize("name", ["accept2/3", "accept2/8"])
 def test_peak_reads_an_empty_plan_and_a_plan_of_several_groups(name, kind):
     rng = random.Random(f"peak-plans/{name}/{kind}")
-    seen = set()
+    seen, shared = set(), _shared_masks(name)
     for args in _level_workspace_args(name, kind, rng):
         ws = _LevelWorkspace(*args)
         assert ws.blurred
@@ -523,7 +531,7 @@ def test_peak_reads_an_empty_plan_and_a_plan_of_several_groups(name, kind):
         for var in range(n_vars):
             ws.spread(var, draws[var], -1)
             peaks = [ws.peak(var, draw) for draw in range(1, ws.budget + 1)]
-            assert peaks == [_private_peak(ws, tails, var, draw) for draw in range(1, ws.budget + 1)]
+            assert peaks == [_private_peak(ws, tails, var, draw, shared) for draw in range(1, ws.budget + 1)]
             groups = len(ws.plans[var])
             if groups == 0:  # no shared item: only the ceiling counts
                 assert set(peaks) == {ws.weight * ws.ceiling[var % ws.n_blocks]}
@@ -1262,8 +1270,8 @@ def test_pipeline_refuses_a_plain_schedule_that_breaks_its_budget(monkeypatch):
     inst = shared_path_instance(3, 13)  # pads to 16: the last padded slot is a dummy's
     fixed_slots = DelayAssignment.fixed_slots
 
-    def late(self, packet, levels, base=None):
-        slots = fixed_slots(self, packet, levels, base)
+    def late(self, packet, levels, base=None, positions=None):
+        slots = fixed_slots(self, packet, levels, base, positions)
         if base is not None:  # finalize's slots, over its column: one more slot of waiting
             slots = [*slots[:-1], slots[-1] + 1]
         return slots

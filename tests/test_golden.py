@@ -40,6 +40,8 @@ def _instance(name: str):
     if name.startswith("disjoint-"):
         k, d = name.removeprefix("disjoint-").split("x")
         return _disjoint_paths(int(k), int(d))
+    if name.startswith("gadget-"):
+        return lowerbound.generate(int(name.removeprefix("gadget-")), seed=0).instance
     return generate_random_instance(int(name.removeprefix("random-")), max_packets=24, max_length=64)
 
 
@@ -56,6 +58,13 @@ CASES = (
     + [(name, variant, "greedy", 4) for name in SMALL for variant in ("plain", "buffered")]
     # a three-level ladder, so buffered runs fix a level with duty tables below it
     + [("shared-16x256", variant, "resample", 2) for variant in ("plain", "buffered")]
+    # the benchmark's deep ladder and the paper's permutation gadget, where
+    # twin edges leave few items out of many shared crossings
+    + [
+        (name, variant, "resample", 4)
+        for name in ("shared-64x1024", "gadget-32")
+        for variant in ("plain", "buffered")
+    ]
     # no edge carries two packets, so the level fixer has no shared edge at all
     + [
         (name, variant, strategy, 2)
@@ -179,6 +188,10 @@ GOLDEN = {
     'random-19/buffered/greedy/ones/4': ('acb01a18ad564245', 'be11266f637007e6'),
     'shared-16x256/plain/resample/ones/2': ('2f38bcb93b5fb411', '2c7dac68565ede9d'),
     'shared-16x256/buffered/resample/ones/2': ('97e57e763c3b33f5', '7b863bdf769f7616'),
+    'shared-64x1024/plain/resample/ones/4': ('3ae52306b389a9c4', '9905239ef05a6951'),
+    'shared-64x1024/buffered/resample/ones/4': ('de2e09ecb6b92b63', '8ca1edcff1333add'),
+    'gadget-32/plain/resample/ones/4': ('cc789ef0e1063fd2', 'a1df3958b2895244'),
+    'gadget-32/buffered/resample/ones/4': ('679400b6edf34eda', '7d3235fa272b1594'),
     'shared-1x64/plain/resample/ones/2': ('36049c5919370058', '0435c300d1e89896'),
     'shared-1x64/plain/greedy/ones/2': ('679d79bbdd324898', 'c5c25e7919b51a3c'),
     'shared-1x64/buffered/resample/ones/2': ('15daa33a65191c39', '22676109204e302d'),

@@ -1,5 +1,7 @@
 """Properties of the whole pipeline on random valid instances."""
 import json
+import random
+from itertools import accumulate
 
 import pytest
 
@@ -9,8 +11,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from cd_router import fixer as fixer_mod  # noqa: E402
 from cd_router import lowerbound, oracle  # noqa: E402
 from cd_router.delay_model import DelayAssignment  # noqa: E402
+from cd_router.dissection import build_ladder, dissect_plain, dissect_shifted  # noqa: E402
 from cd_router.fixer import FixerConfig, realized_loads, run_pipeline, stretch  # noqa: E402
-from cd_router.instance import generate_random_instance, shared_path_instance  # noqa: E402
+from cd_router.instance import generate_random_instance, pad, shared_path_instance  # noqa: E402
 from cd_router.schedule import encode  # noqa: E402
 from cd_router.simulator import CheckRequirements, check, simulate  # noqa: E402
 
@@ -50,13 +53,26 @@ def _outputs_and_rows(instance, config):
     return (encode(result.schedule), json.dumps(report.to_dict()), report.levels), indexes
 
 
+# random instances, shared paths and permutation gadgets: (kind, argument)
+SHAPES = st.one_of(
+    st.tuples(st.just("random"), st.integers(min_value=0, max_value=2**32)),
+    st.tuples(st.just("shared"), st.sampled_from([(8, 32), (30, 32), (16, 64), (6, 128)])),
+    st.tuples(st.just("gadget"), st.integers(min_value=0, max_value=2**32)),
+)
+
+
+def _shape_instance(shape):
+    kind, arg = shape
+    if kind == "random":
+        return generate_random_instance(arg, max_packets=24, max_length=64)
+    if kind == "shared":
+        return shared_path_instance(*arg)
+    return lowerbound.generate(8, seed=arg).instance
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)
 @given(
-    shape=st.one_of(
-        st.tuples(st.just("random"), st.integers(min_value=0, max_value=2**32)),
-        st.tuples(st.just("shared"), st.sampled_from([(8, 32), (30, 32), (16, 64), (6, 128)])),
-        st.tuples(st.just("gadget"), st.integers(min_value=0, max_value=2**32)),
-    ),
+    shape=SHAPES,
     variant=st.sampled_from(["plain", "buffered"]),
     strategy=st.sampled_from(["resample", "greedy"]),
     delta=st.sampled_from([2, 4]),
@@ -65,13 +81,8 @@ def _outputs_and_rows(instance, config):
 def test_twin_rows_change_no_output_property(shape, variant, strategy, delta, seed):
     # with every position a class of its own no two edges are twins, so each
     # shared edge keeps its own row, as before twins shared one
-    kind, arg = shape
-    if kind == "random":
-        instance = generate_random_instance(arg, max_packets=24, max_length=64)
-    elif kind == "shared":
-        instance = shared_path_instance(*arg)
-    else:
-        instance = lowerbound.generate(8, seed=arg).instance
+    kind = shape[0]
+    instance = _shape_instance(shape)
     config = FixerConfig(variant=variant, delta=delta, strategy=strategy, seed=seed)
     outputs, rows = _outputs_and_rows(instance, config)
     with pytest.MonkeyPatch.context() as patch:
@@ -82,6 +93,51 @@ def test_twin_rows_change_no_output_property(shape, variant, strategy, delta, se
     assert [shared for _, shared in rows] == [shared for _, shared in single]
     if kind == "shared" and rows and variant == "plain":
         assert rows[0][0] < rows[0][1]  # a shared path under the plain tree has twins
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    shape=SHAPES,
+    variant=st.sampled_from(["plain", "buffered"]),
+    delta=st.sampled_from([2, 4]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_items_and_their_workspaces_match_a_rebuild_from_the_rows_property(shape, variant, delta, seed):
+    # an item is a crossing of an edge that holds its own row; a level's
+    # workspace holds its items alone, each at the slot that the draws of
+    # the levels before it give on the full list of the packet's positions
+    instance = _shape_instance(shape)
+    padded = pad(instance)
+    ladder = build_ladder(padded.length, min(delta, padded.length))
+    tree = dissect_plain(ladder) if variant == "plain" else dissect_shifted(ladder)
+    levels = ladder.depth - (variant == "buffered")  # the levels a run fixes, and its index serves
+    if levels <= 0:
+        return
+    assignment = DelayAssignment(tree, instance.n_packets)
+    index = fixer_mod._CrossingIndex(padded, assignment, levels)
+    holds = {edge for edge, (row, _) in index.row_of.items() if index.edges[row] == edge}
+    items = [  # (packet, position, edge), in packet order, then position order
+        (packet, p, edge) for packet, path in enumerate(instance.paths) for p, edge in enumerate(path) if edge in holds
+    ]
+    assert index.items == [[edge in holds for edge in path] for path in instance.paths]
+    assert index.first == list(accumulate((sum(edge in holds for edge in path) for path in instance.paths), initial=0))
+    assert index.pos == [p for _, p, _ in items]
+    assert index.rows == [index.row_of[edge][0] for _, _, edge in items]
+    assert index.by_row == [
+        [i for i, (_, _, edge) in enumerate(items) if index.row_of[edge][0] == row] for row in range(len(index.edges))
+    ]
+    rng = random.Random(seed)
+    blocks = tree.columns.blocks
+    for level in range(levels):
+        ws = fixer_mod._LevelWorkspace(index, assignment, level)
+        n_blocks = tree.n_blocks(level)
+        full = [assignment.fixed_slots(packet, level) for packet in range(instance.n_packets)]
+        assert ws.bases == [full[packet][p] - index.row_of[edge][1] for packet, p, edge in items]
+        assert ws.var == [packet * n_blocks + blocks[level][p] for packet, p, _ in items]
+        budget = ladder.levels[level].wait_budget
+        assignment.set_level(level, [
+            [rng.randint(1, budget) for _ in range(n_blocks)] for _ in range(instance.n_packets)
+        ])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
