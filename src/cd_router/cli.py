@@ -19,8 +19,6 @@ import logging
 import math
 import os
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from pathlib import Path
 
@@ -227,18 +225,11 @@ def cmd_lowerbound_margin(args: argparse.Namespace) -> int:
     return EXIT_FAILURE
 
 
-def _bench_one(job: tuple[int, str, str, int]) -> tuple[dict | None, str | None]:
-    index, seed, variant, delta = job
+def _bench_one(index: int, seed: str, variant: str, delta: int) -> dict:
     instance = generate_random_instance(seed)
-    config = FixerConfig(variant=variant, delta=delta, seed=seed)
-    start = time.perf_counter()
-    try:
-        result = run_pipeline(instance, config)
-    except FixerError as exc:
-        return None, f"job {index} ({variant}): {exc}"
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    result = run_pipeline(instance, FixerConfig(variant=variant, delta=delta, seed=seed))
     r, s = result.report, result.padded.stats
-    row = {
+    return {
         "instance": f"random-{index}",
         "seed": seed,
         "variant": variant,
@@ -250,37 +241,21 @@ def _bench_one(job: tuple[int, str, str, int]) -> tuple[dict | None, str | None]
         "C": s.congestion,
         "D": s.dilation,
         "ratio": f"{r.makespan / (s.congestion + s.dilation):.4f}",
-        "ms": f"{elapsed_ms:.1f}",
     }
-    return row, None
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    jobs = [
-        (i, f"{args.seed}/bench{i}", variant, args.delta)
-        for i in range(args.count)
-        for variant in ("plain", "buffered")
-    ]
     rows: list[dict] = []
     errors: list[str] = []
-    # the pool starts every worker at once, so it gets no more than the jobs
-    workers = min(args.jobs, len(jobs))
-    if workers > 1:
-        # most jobs take under a millisecond, so each round trip carries a
-        # chunk: about four per worker
-        chunksize = math.ceil(len(jobs) / (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_bench_one, jobs, chunksize=chunksize))
-    else:
-        outcomes = [_bench_one(job) for job in jobs]
-    for row, error in outcomes:
-        if error is not None:
-            errors.append(error)
-        else:
-            rows.append(row)
+    for index in range(args.count):
+        for variant in ("plain", "buffered"):
+            try:
+                rows.append(_bench_one(index, f"{args.seed}/bench{index}", variant, args.delta))
+            except FixerError as exc:
+                errors.append(f"job {index} ({variant}): {exc}")
     fieldnames = [
         "instance", "seed", "variant", "delta", "relax", "gamma",
-        "load", "makespan", "C", "D", "ratio", "ms",
+        "load", "makespan", "C", "D", "ratio",
     ]
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -344,7 +319,6 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=_int_at_least(1), default=10)
     p.add_argument("--delta", type=_int_at_least(2), default=4)
     p.add_argument("--seed", default="0")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--out", type=_output_file, required=True)
     p.set_defaults(func=cmd_bench, outputs=("out",))
 

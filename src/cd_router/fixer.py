@@ -17,10 +17,14 @@ an {edge: {slot: crossings}} table, so no key is made per crossing),
 certifies the integral load c = 1 + the largest rank against the counting bound
 c <= gamma * prod(residual budgets), and hands the slots and ranks to
 `stretch`, which expands every slot into c slots to give a capacity-1
-schedule. It returns the pre-stretch and the stretched schedule, so the
-slot lists are dropped before either replay runs, and no schedule is asked
-for its crossing slots again. At load 1 `stretch` hands back the
-pre-stretch schedule, and its replay is also the capacity-1 check's.
+schedule. It reads the pre-stretch figures without a replay: the makespan
+is the largest last real slot, and the largest per-edge wait is the
+simulator's own charge (`waits_by_packet`). It returns the pre-stretch and
+the stretched schedule, so the slot lists are dropped before
+`run_pipeline`'s one replay, the capacity-1 check of the stretched
+schedule, and no schedule is asked for its crossing slots again. That
+check also covers the certified load: ranks lie in 0 .. c - 1, so a cell
+holding more than c crossings puts two of them in one stretched slot.
 
 What is still random about a crossing depends on its position alone: the
 dissection and its per-position columns (`tree.columns`) are shared by every
@@ -54,7 +58,7 @@ from .delay_model import AssignmentError, DelayAssignment, Tree, residual_law
 from .dissection import build_ladder, dissect_plain, dissect_shifted
 from .instance import Instance, PaddedInstance, pad, require_int, stats  # noqa: F401  (perfbench/tracing.py patches fixer.stats)
 from .schedule import Schedule, waits_from_slots
-from .simulator import simulate
+from .simulator import max_charge, simulate, waits_by_packet
 
 log = logging.getLogger(__name__)
 
@@ -704,6 +708,9 @@ def finalize(
     here. Dummy positions are private and never raise a rank, so the real
     paths, each a prefix of its padded one, give the load. The residual is
     the levels after the assignment's frontier, the ones the fixer left open.
+    The report's pre-stretch figures come from here too, with no replay:
+    the makespan is the largest last real slot, and the largest per-edge
+    wait is the simulator's charge on the pre-stretch schedule.
 
     The open levels take draw 1, whose delay depends on the position alone,
     so they are one column for the run; each packet adds only its fixed
@@ -743,6 +750,8 @@ def finalize(
             f"counting bound violated: load {load} > "
             f"{report.gamma_final} * {residual}", report
         )
+    report.makespan_prestretch = max(packet_slots[m - 1] for packet_slots, m in zip(slots, padded.original_lengths))
+    report.prestretch_max_edge_wait = max_charge(waits_by_packet(padded.base, schedule))
     return schedule, stretch(schedule, slots, load, ranks)
 
 
@@ -791,21 +800,10 @@ def run_pipeline(instance: Instance, config: FixerConfig | None = None) -> Pipel
         report.levels.append(outcome)
         gamma = outcome.gamma_after
     report.gamma_final = gamma
-    del index  # not held through finalize and the replays
+    del index  # not held through finalize and the capacity-1 replay
 
     prestretch, final_schedule = finalize(padded, assignment, report)
-    trace = simulate(instance, prestretch, capacity=report.load)
-    report.makespan_prestretch = trace.makespan
-    if trace.max_load > report.load:
-        raise FixerError("pre-stretch load exceeds the certified bound", report)
-    report.prestretch_max_edge_wait = trace.max_edge_wait
-
-    # at load 1 `stretch` hands back the pre-stretch schedule, replayed
-    # already; else its trace goes before the capacity-1 replay, so a run
-    # holds one trace at a time
-    if final_schedule is not prestretch:
-        del trace
-        trace = simulate(instance, final_schedule, capacity=1)
+    trace = simulate(instance, final_schedule, capacity=1)
     if trace.max_load > 1:
         raise FixerError("stretched schedule is not capacity-1 feasible", report)
     report.makespan = trace.makespan

@@ -16,7 +16,8 @@ cells. `SimulationTrace.loads` is the flat view of either.
 
 A packet occupies no buffer while at a node equal to its own source or sink;
 everywhere else it sits in its next edge's buffer (`_buffered` is that
-rule). Waiting is charged per packet, one {edge: slots} dict each, when
+rule). Waiting is charged per packet, one {edge: slots} dict each
+(`waits_by_packet`, which needs the schedule and not its replay), when
 first read: `max_edge_wait` reads that table, and `edge_waits` is its flat
 {(packet, edge): slots} view, built only when read. The largest buffer
 occupancy at a slot boundary, the buffer size the paper bounds, comes from
@@ -80,22 +81,7 @@ class SimulationTrace:
 
     @cached_property
     def _waits_by_packet(self) -> list[dict[str, int]]:
-        """Per packet, edge -> slots waited before the edge where the stay is buffered.
-
-        A path that repeats an edge (replay does not validate) sums its
-        waits before each visit under the one edge.
-        """
-        emap = self.instance.edge_map()
-        table: list[dict[str, int]] = []
-        for path, waits in zip(self.instance.paths, self.schedule.waits):
-            n = len(path)
-            charged: dict[str, int] = {}
-            if any(islice(waits, 1, n)):  # no charge for waits at the ends, all that most packets have
-                for p in _buffered(emap, path, compress(range(1, n), islice(waits, 1, n))):
-                    edge = path[p]
-                    charged[edge] = charged.get(edge, 0) + waits[p]
-            table.append(charged)
-        return table
+        return waits_by_packet(self.instance, self.schedule)
 
     @cached_property
     def edge_waits(self) -> dict[tuple[int, str], int]:
@@ -124,7 +110,31 @@ class SimulationTrace:
 
     @property
     def max_edge_wait(self) -> int:
-        return max(map(max, map(dict.values, filter(None, self._waits_by_packet))), default=0)
+        return max_charge(self._waits_by_packet)
+
+
+def waits_by_packet(instance: Instance, schedule: Schedule) -> list[dict[str, int]]:
+    """Per packet, edge -> slots waited before the edge where the stay is buffered.
+
+    A path that repeats an edge (replay does not validate) sums its
+    waits before each visit under the one edge.
+    """
+    emap = instance.edge_map()
+    table: list[dict[str, int]] = []
+    for path, waits in zip(instance.paths, schedule.waits):
+        n = len(path)
+        charged: dict[str, int] = {}
+        if any(islice(waits, 1, n)):  # no charge for waits at the ends, all that most packets have
+            for p in _buffered(emap, path, compress(range(1, n), islice(waits, 1, n))):
+                edge = path[p]
+                charged[edge] = charged.get(edge, 0) + waits[p]
+        table.append(charged)
+    return table
+
+
+def max_charge(table: list[dict[str, int]]) -> int:
+    """The largest per-edge wait in a `waits_by_packet` table, 0 if no packet waits inside its path."""
+    return max(map(max, map(dict.values, filter(None, table))), default=0)
 
 
 def _buffered(emap: dict[str, Edge], path: list[str], positions: Iterable[int]) -> Iterator[int]:

@@ -2,8 +2,8 @@
 
 Each test prints `criterion N (<label>): PASS|FAIL [...]` directly to the
 terminal (bypassing capture) so a full run yields exactly one line per
-criterion, then asserts. Suites are deterministic: every instance derives
-from a named seed.
+criterion, then asserts; a test named for no criterion prints nothing.
+Suites are deterministic: every instance derives from a named seed.
 """
 import random
 import statistics
@@ -251,6 +251,18 @@ def test_criterion_5_buffered_edge_waits(pipeline_suite, capfd):
         capfd, 5, "buffered waits stay short", failures, elapsed,
         f"50 runs, max per-edge wait {worst} (bound 1)",
     )
+
+
+def test_reported_prestretch_figures_are_the_replays(pipeline_suite):
+    # finalize reads these figures from its slot lists, with no replay; an
+    # independent one must agree, and its load must be within the certified one
+    for variant in ("plain", "buffered"):
+        for index, result in enumerate(pipeline_suite[variant]):
+            report = result.report
+            trace = simulate(result.padded.base, result.prestretch, capacity=report.load)
+            assert report.makespan_prestretch == trace.makespan, (variant, index)
+            assert report.prestretch_max_edge_wait == trace.max_edge_wait, (variant, index)
+            assert trace.max_load <= report.load, (variant, index)
 
 
 def test_criterion_6_small_gadget_optima(capfd):

@@ -354,7 +354,7 @@ def test_bench_emits_the_csv_contract(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == [
         "instance", "seed", "variant", "delta", "relax", "gamma",
-        "load", "makespan", "C", "D", "ratio", "ms",
+        "load", "makespan", "C", "D", "ratio",
     ]
     assert len(rows) == 1 + 2 * 2  # two instances, two variants each
     variants = {r[2] for r in rows[1:]}
@@ -369,9 +369,8 @@ def test_bench_rows_are_pinned_and_validate_each_instance_once(tmp_path, monkeyp
     out = tmp_path / "bench.csv"
     assert main(["bench", "--count", "3", "--out", str(out)]) == EXIT_OK
     assert len(calls) == 6  # once per job, inside run_pipeline
-    # every byte but the wall-clock column
-    lines = [line.rsplit(b",", 1)[0] for line in out.read_bytes().split(b"\r\n")]
-    assert lines == [
+    # every byte: the rows carry no wall-clock column
+    assert out.read_bytes().split(b"\r\n") == [
         b"instance,seed,variant,delta,relax,gamma,load,makespan,C,D,ratio",
         b"random-0,0/bench0,plain,2,1,1,1,3,1,2,1.0000",
         b"random-0,0/bench0,buffered,2,1,1,1,3,1,2,1.0000",
@@ -381,49 +380,6 @@ def test_bench_rows_are_pinned_and_validate_each_instance_once(tmp_path, monkeyp
         b"random-2,0/bench2,buffered,4,1,1,2,17,5,8,1.3077",
         b"",
     ]
-
-
-def test_bench_parallel_jobs_match_serial(tmp_path):
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    # 10 jobs on 2 workers go in chunks of two
-    assert main(["bench", "--count", "5", "--out", str(serial)]) == EXIT_OK
-    assert main(["bench", "--count", "5", "--jobs", "2", "--out", str(parallel)]) == EXIT_OK
-
-    def stable(path):  # drop the wall-clock column
-        with open(path, newline="") as fh:
-            return [row[:-1] for row in csv.reader(fh)]
-
-    assert stable(serial) == stable(parallel)
-
-
-def test_bench_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
-    pools = []
-
-    class Serial:
-        """Stands in for the process pool, records its sizing, and starts no process."""
-
-        def __init__(self, max_workers):
-            self.sizing = [max_workers]
-            pools.append(self.sizing)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            self.sizing.append(chunksize)
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Serial)
-    out = tmp_path / "bench.csv"
-    # 2 jobs, so 2 workers in chunks of one, not 4,096 workers
-    assert main(["bench", "--count", "1", "--jobs", "4096", "--out", str(out)]) == EXIT_OK
-    # 12 jobs on 3 workers, in chunks of one; 12 on 2, in chunks of two
-    assert main(["bench", "--count", "6", "--jobs", "3", "--out", str(out)]) == EXIT_OK
-    assert main(["bench", "--count", "6", "--jobs", "2", "--out", str(out)]) == EXIT_OK
-    assert pools == [[2, 1], [3, 1], [2, 2]]
 
 
 def test_bench_reports_a_failed_job_and_keeps_the_other_rows(tmp_path, monkeypatch, capsys):
@@ -436,7 +392,7 @@ def test_bench_reports_a_failed_job_and_keeps_the_other_rows(tmp_path, monkeypat
 
     monkeypatch.setattr(cli, "run_pipeline", failing)
     out = tmp_path / "bench.csv"
-    assert main(["bench", "--count", "2", "--jobs", "1", "--out", str(out)]) == EXIT_CAPACITY
+    assert main(["bench", "--count", "2", "--out", str(out)]) == EXIT_CAPACITY
     captured = capsys.readouterr()
     assert captured.err == "job 1 (buffered): level 0: all relax factors exhausted\n"
     assert captured.out == f"wrote 3 rows to {out}\n"
@@ -452,6 +408,14 @@ def test_bench_unknown_suite(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["bench", "--suite", "random", "--out", str(out)]) == EXIT_USAGE
     assert "unrecognized arguments: --suite random" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_takes_no_jobs_flag(tmp_path, capsys):
+    # `bench` runs its jobs one after another in one process
+    out = tmp_path / "x.csv"
+    assert main(["bench", "--count", "1", "--jobs", "2", "--out", str(out)]) == EXIT_USAGE
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -496,7 +460,7 @@ def test_bad_simulate_bounds_exit_64(tmp_path, capsys, flag, value):
     assert main(["simulate", FIG1, str(sched), flag, "0"]) != EXIT_USAGE
 
 
-@pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "-2"), ("--jobs", "0"), ("--jobs", "-3")])
+@pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "-2")])
 def test_bad_bench_counts_exit_64(tmp_path, capsys, flag, value):
     out = tmp_path / "x.csv"
     assert main(["bench", "--count", "1", flag, value, "--out", str(out)]) == EXIT_USAGE

@@ -5,7 +5,6 @@ import json
 import random
 import re
 import sys
-import weakref
 from collections import Counter
 from math import floor
 
@@ -717,11 +716,13 @@ def test_a_load_1_run_replays_once(monkeypatch, inst, kind):
     assert result.report.makespan == result.report.makespan_prestretch
 
 
-def test_a_stretched_run_replays_twice(monkeypatch):
+def test_a_stretched_run_replays_once(monkeypatch):
+    # finalize reads the pre-stretch figures from its own slot lists, so
+    # only the stretched schedule is replayed
     calls = _count_replays(monkeypatch)
     result = run_pipeline(shared_path_instance(8, 32), FixerConfig(seed=0))
     assert result.report.load == 2
-    assert calls == [result.prestretch, result.schedule]
+    assert calls == [result.schedule]
 
 
 def test_the_capacity_1_check_reads_the_reused_replay(monkeypatch):
@@ -750,12 +751,31 @@ def test_pipeline_refuses_a_load_above_the_counting_bound(monkeypatch):
     assert caught.value.report.load == 12 > caught.value.report.counting_cap
 
 
-def test_pipeline_refuses_a_replay_above_the_certified_load(monkeypatch):
-    # the true load is 2; ranks of 0 certify 1, and the replay finds 2
-    _misranked(monkeypatch, lambda r: 0)
-    with pytest.raises(FixerError, match="pre-stretch load exceeds the certified bound") as caught:
-        run_pipeline(shared_path_instance(8, 32), FixerConfig(seed=0))
-    assert caught.value.report.load == 1
+_MISRANKINGS = {"zero": lambda r: 0, "half": lambda r: r // 2, "capped": lambda r: min(r, 1)}
+
+
+# buffered 30x32 has true load 30 and plain 8x32 load 2; the ranks of plain
+# 8x32 are 0 and 1 already, so capping them at 1 leaves them as they are
+@pytest.mark.parametrize("inst, kind, shift", [
+    (shared_path_instance(30, 32), "buffered", "zero"),
+    (shared_path_instance(30, 32), "buffered", "half"),
+    (shared_path_instance(30, 32), "buffered", "capped"),
+    (shared_path_instance(8, 32), "plain", "zero"),
+    (shared_path_instance(8, 32), "plain", "half"),
+], ids=lambda v: v if isinstance(v, str) else f"{v.n_packets}x{len(v.paths[0])}")
+def test_pipeline_refuses_a_replay_above_the_certified_load(monkeypatch, inst, kind, shift):
+    # ranks below the true ones certify a load below the true one; ranks lie
+    # in 0 .. load - 1, so two crossings of one cell share a stretched slot
+    # and the capacity-1 replay refuses the run
+    shift = _MISRANKINGS[shift]
+    config = FixerConfig(variant=kind, seed=0)
+    result = run_pipeline(inst, config)
+    ranks = realized_loads(inst, _slots(result.prestretch))
+    assert any(shift(r) != r for rank in ranks for r in rank)
+    _misranked(monkeypatch, shift)
+    with pytest.raises(FixerError, match="stretched schedule is not capacity-1 feasible") as caught:
+        run_pipeline(inst, config)
+    assert caught.value.report.load < result.report.load
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -1082,23 +1102,6 @@ def _rows_kept(monkeypatch, inst, config):
 ])
 def test_twin_edges_share_one_row(monkeypatch, inst, variant, rows):
     assert _rows_kept(monkeypatch, inst, FixerConfig(variant=variant)) == rows
-
-
-def test_a_run_holds_one_replay_trace_at_a_time(monkeypatch):
-    # the pre-stretch trace is dropped before the capacity-1 replay starts
-    traces, dead = [], []
-    replay = fixer_mod.simulate
-
-    def spy(*args, **kwargs):
-        dead.append([ref() is None for ref in traces])
-        trace = replay(*args, **kwargs)
-        traces.append(weakref.ref(trace))
-        return trace
-
-    monkeypatch.setattr(fixer_mod, "simulate", spy)
-    result = run_pipeline(shared_path_instance(30, 32))
-    assert result.report.load == 2
-    assert dead == [[], [True]]
 
 
 def test_pipeline_builds_no_index_when_nothing_is_fixed(monkeypatch):
