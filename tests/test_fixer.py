@@ -13,6 +13,7 @@ import pytest
 from cd_router import delay_model
 from cd_router import fixer as fixer_mod
 from cd_router import instance as instance_mod
+from cd_router import lowerbound
 from cd_router import oracle
 from cd_router.delay_model import DelayAssignment, crossing_time, expected_load
 from cd_router.dissection import build_ladder, dissect_plain, dissect_shifted
@@ -59,7 +60,7 @@ def test_config_sets_four_fields_and_reads_the_loop_bounds():
         with pytest.raises(TypeError):
             FixerConfig(**{name: 1})
     config = FixerConfig(variant="buffered")
-    assert (config.resample_budget, config.restart_budget, config.relax_ladder) == (10_000, 3, (1, 2, 4, 8))
+    assert (config.resample_budget, config.restart_budget, config.relax_ladder) == (1_000, 1, (1, 2, 4, 8))
 
 
 def _set_constants(monkeypatch, **constants):
@@ -178,7 +179,7 @@ def test_workspace_rows_match_a_table_rebuilt_from_the_draws(monkeypatch, name, 
                 slack = config.slack(ladder.levels[level].block_len, 1.0)
                 limit = floor((1.0 + slack) * ws.scale)
                 if strategy == "resample":
-                    draws, peak, _, _ = _resample_fix(ws, limit, config, f"workspace/{seed}/{level}")
+                    draws, peak, _ = _resample_fix(ws, limit, config, f"workspace/{seed}/{level}")
                 else:
                     draws, peak = _greedy_fix(ws)
                 assignment.set_level(level, draws)
@@ -193,11 +194,8 @@ def test_workspace_rows_match_a_table_rebuilt_from_the_draws(monkeypatch, name, 
                 assert sum(sum(ws.y[row]) for row, _ in row_of.values()) == sum(
                     v for (edge, _), v in table.items() if uses[edge] >= 2
                 )
-                assert ws.max_y() == max(table.values())
-                if peak > limit:  # every restart failed: the least maximum one reached
-                    assert strategy == "resample" and peak <= ws.max_y()
-                else:
-                    assert peak == ws.max_y()
+                # a failed attempt, too, reports the max Y its last draws left
+                assert peak == ws.max_y() == max(table.values())
                 # the first bad cell is the least over every edge, twins included
                 for lim in sorted({limit, ws.scale} | {v - 1 for v in table.values() if v > ws.scale}):
                     cell, top = ws.first_bad_cell(lim)
@@ -288,9 +286,9 @@ def test_move_equals_a_fill_with_the_final_draws(name, kind):
 
 @pytest.mark.parametrize("kind", ["plain", "buffered"])
 @pytest.mark.parametrize("name", ["shared-30x32", "accept2/3", "accept2/8"])
-def test_plans_survive_a_restart(name, kind):
-    # a plan holds Y's rows themselves, so a restart zeroes them in place
-    rng = random.Random(f"restart/{name}/{kind}")
+def test_plans_are_kept_and_split_by_position_class(name, kind):
+    # a plan holds Y's rows themselves, and every later move reuses it
+    rng = random.Random(f"plans/{name}/{kind}")
     groups = []
     for args in _level_workspace_args(name, kind, rng):
         ws = _LevelWorkspace(*args)
@@ -302,9 +300,6 @@ def test_plans_survive_a_restart(name, kind):
             ws.move(var, draws[var], new)
             draws[var] = new
         plans = list(ws.plans)
-        ws.clear()
-        draws = [rng.randint(1, ws.budget) for _ in range(n_vars)]
-        ws.fill(draws)
         for _ in range(rng.randint(1, 3 * n_vars)):
             var = rng.randrange(n_vars)
             new = rng.choice([draws[var], rng.randint(1, ws.budget)])  # repeats included
@@ -725,7 +720,7 @@ def test_a_stretched_run_replays_once(monkeypatch):
     assert calls == [result.schedule]
 
 
-def test_the_capacity_1_check_reads_the_reused_replay(monkeypatch):
+def test_an_unstretched_load_2_schedule_fails_the_one_capacity_1_replay(monkeypatch):
     # an unstretched load-2 schedule must still fail the final check
     monkeypatch.setattr(fixer_mod, "stretch", lambda schedule, slots, load, ranks: schedule)
     calls = _count_replays(monkeypatch)
@@ -892,10 +887,10 @@ def test_pipeline_resamples_when_first_draw_collides():
 
 
 @pytest.mark.parametrize("packets, seed", [(10, 22), (10, 30), (10, 51), (8, 9)])
-def test_pipeline_keeps_a_restart_whose_last_resample_succeeds(monkeypatch, packets, seed):
-    # one resample per restart: restart 0's only resample clears every bad
-    # cell, and that outcome is the one reported
-    _set_constants(monkeypatch, resample_budget=1, restart_budget=2, relax_ladder=(1.0,))
+def test_pipeline_keeps_an_attempt_whose_last_resample_succeeds(monkeypatch, packets, seed):
+    # one resample per attempt: its only resample clears every bad cell, and
+    # that outcome is the one reported
+    _set_constants(monkeypatch, resample_budget=1, relax_ladder=(1.0,))
     result = run_pipeline(shared_path_instance(packets, 16), FixerConfig(delta=2, seed=seed))
     assert [(lf.restarts, lf.resamples) for lf in result.report.levels] == [(0, 1)]
 
@@ -1036,8 +1031,8 @@ def test_shared_trees_give_the_outputs_of_fresh_ones_in_any_order():
     # plain at depth 2 fixes two levels
     (shared_path_instance(8, 32), (FixerConfig(delta=2, seed=0), {}),
      lambda rep: [lf.level for lf in rep.levels] == [0, 1]),
-    # one resample and one restart fail level 0 at relax 1
-    (shared_path_instance(30, 32), (FixerConfig(seed=0), {"resample_budget": 1, "restart_budget": 1}),
+    # an attempt of one resample fails level 0 at relax 1
+    (shared_path_instance(30, 32), (FixerConfig(seed=0), {"resample_budget": 1}),
      lambda rep: rep.relax_max > 1),
     # the greedy sweep fixes two levels and leaves the third open
     (shared_path_instance(8, 32), (FixerConfig(delta=2, strategy="greedy"), {}),
@@ -1183,11 +1178,48 @@ def test_virtual_padding_equals_explicit_padding_property():
 
 
 def test_pipeline_reports_exhausted_budgets(monkeypatch):
-    # one restart of one resample, at relax 1 only, does not pin level 0 of
+    # one attempt of one resample, at relax 1 only, does not pin level 0 of
     # sixteen packets on one path
-    _set_constants(monkeypatch, resample_budget=1, restart_budget=1, relax_ladder=(1.0,))
+    _set_constants(monkeypatch, resample_budget=1, relax_ladder=(1.0,))
     with pytest.raises(FixerError, match="relax factors exhausted"):
         run_pipeline(shared_path_instance(16, 16), FixerConfig(delta=2, seed=0))
+
+
+@pytest.mark.parametrize("inst, budget", [
+    (shared_path_instance(30, 32), 8),
+    (lowerbound.generate(24, seed=0).instance, 16),
+], ids=["shared-30x32", "gadget-24"])
+def test_a_failing_attempt_stops_on_its_budget(monkeypatch, inst, budget):
+    # level 0 misses relax 1 in `budget` resamples and meets relax 2
+    _set_constants(monkeypatch, resample_budget=budget)
+    scans = Counter()
+    first_bad_cell = _LevelWorkspace.first_bad_cell
+
+    def counted(ws, limit):
+        scans[ws] += 1
+        return first_bad_cell(ws, limit)
+
+    fixes = []
+    resample_fix = fixer_mod._resample_fix
+
+    def recorded_fix(ws, limit, config, seed_tag):
+        outcome = resample_fix(ws, limit, config, seed_tag)
+        fixes.append((seed_tag, scans[ws], outcome[1] > limit, outcome[2]))
+        return outcome
+
+    monkeypatch.setattr(_LevelWorkspace, "first_bad_cell", counted)
+    monkeypatch.setattr(fixer_mod, "_resample_fix", recorded_fix)
+    result = run_pipeline(inst, FixerConfig(seed=0))
+    [fix] = result.report.levels
+    # an attempt scans once per resample and once more; the failed one then gives up
+    assert fixes == [
+        ("fix/level0/relax1.0", budget + 1, True, budget),
+        ("fix/level0/relax2.0", fix.resamples + 1, False, fix.resamples),
+    ]
+    # and leaves no trace: starting the ladder at relax 2 gives the same run
+    _set_constants(monkeypatch, relax_ladder=(2.0, 4.0, 8.0))
+    again = run_pipeline(inst, FixerConfig(seed=0))
+    assert (again.schedule, again.report) == (result.schedule, result.report)
 
 
 def test_report_dict_is_json_ready():

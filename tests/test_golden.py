@@ -65,6 +65,9 @@ CASES = (
         for name in ("shared-64x1024", "gadget-32")
         for variant in ("plain", "buffered")
     ]
+    # level 0 misses relax 1 in a whole attempt and meets relax 2: a failed
+    # attempt leaves no trace, however many resamples it was allowed
+    + [("gadget-48", "plain", "resample", 4)]
     # no edge carries two packets, so the level fixer has no shared edge at all
     + [
         (name, variant, strategy, 2)
@@ -192,6 +195,7 @@ GOLDEN = {
     'shared-64x1024/buffered/resample/ones/4': ('de2e09ecb6b92b63', '8ca1edcff1333add'),
     'gadget-32/plain/resample/ones/4': ('cc789ef0e1063fd2', 'a1df3958b2895244'),
     'gadget-32/buffered/resample/ones/4': ('679400b6edf34eda', '7d3235fa272b1594'),
+    'gadget-48/plain/resample/ones/4': ('d8563f9c440c2e55', 'aff590843cb0315d'),
     'shared-1x64/plain/resample/ones/2': ('36049c5919370058', '0435c300d1e89896'),
     'shared-1x64/plain/greedy/ones/2': ('679d79bbdd324898', 'c5c25e7919b51a3c'),
     'shared-1x64/buffered/resample/ones/2': ('15daa33a65191c39', '22676109204e302d'),

@@ -55,9 +55,8 @@ def test_traced_pipeline_counts_the_dummy_edges_it_does_not_build():
 
 def test_traced_failed_attempts_count_their_whole_budgets(monkeypatch):
     tracing = _load_tracing()
-    # one resample in one restart fails level 0 at relax 1, which the ladder then climbs
+    # an attempt of one resample fails level 0 at relax 1, which the ladder then climbs
     monkeypatch.setattr(fixer.FixerConfig, "resample_budget", 1)
-    monkeypatch.setattr(fixer.FixerConfig, "restart_budget", 1)
     with tracing.Tracer().installed() as tracer:
         result = fixer.run_pipeline(shared_path_instance(30, 32), fixer.FixerConfig(seed=0))
     levels = result.report.levels
@@ -65,7 +64,7 @@ def test_traced_failed_attempts_count_their_whole_budgets(monkeypatch):
     failed = tracer.counts["fixer.fix_level.failed"]
     assert failed >= 1
     assert tracer.counts["fixer.fix_level.calls"] == failed + len(levels)
-    # a failed attempt spent resample_budget * restart_budget = 1 resample
+    # a failed attempt spent its whole budget, resample_budget = 1 resample
     assert tracer.counts["fixer.resamples"] == failed + sum(lf.resamples for lf in levels)
 
 
