@@ -251,21 +251,18 @@ class _CrossingIndex:
 class _LevelWorkspace:
     """Y(edge, slot) as a function of this level's draws, updated in place.
 
-    Y is held in exact integers, in units of 1/`scale`. A `blurred`
-    workspace, which the greedy sweep builds, can hold open variables: its
-    `scale` is the product of the budgets of this level and of every deeper
-    level, and each crossing adds its deeper law at `weight` = `budget`.
-    One that resampling builds holds every crossing at a draw: its `scale`
-    is the product of the deeper budgets alone, and `weight` is 1, so its
-    cells are small counts (at most the deeper budgets' product per
-    crossing). Every budget is a power of two, so both units give the same
-    bad cells and the same maximum over `scale`. Y is a list of slot rows,
-    one per class of twin edges that two or more padded paths use, laid out
-    by the run's `_CrossingIndex`: cell (index.edges[r], index.lo[r] + i) is
-    `y[r][i]`, and so is the cell i slots after its own `lo` of every twin
-    of that edge (`index.row_of`). Every level's rows have the same `lo` and
-    length. A level the index does not serve is refused: its twins could
-    differ.
+    Y is held in exact integers, in units of 1/`scale`, the product of the
+    budgets of this level and of every deeper level. A crossing at a draw
+    adds its deeper law at `budget` times its counts, and an open variable's
+    blur, its law over this level too, is integral in the same unit, so one
+    workspace serves the resampling loop, which holds every crossing at a
+    draw, and the greedy sweep, which also holds open variables. Y is a list
+    of slot rows, one per class of twin edges that two or more padded paths
+    use, laid out by the run's `_CrossingIndex`: cell (index.edges[r],
+    index.lo[r] + i) is `y[r][i]`, and so is the cell i slots after its own
+    `lo` of every twin of that edge (`index.row_of`). Every level's rows
+    have the same `lo` and length. A level the index does not serve is
+    refused: its twins could differ.
 
     Item i, a (packet, position) crossing of an edge that holds a row, is
     four flat ints: `rows[i]` and `pos[i]` from the index, `bases[i]` (its
@@ -279,18 +276,17 @@ class _LevelWorkspace:
     so a variable's items are contiguous: `by_var[v]` is a range, found by
     bisection.
 
-    A draw is 1 .. `budget`, and draw 0 means the variable is still open,
-    which only a blurred workspace takes.
+    A draw is 1 .. `budget`, and draw 0 means the variable is still open.
     What is still random is a function of the position alone, so it is held
     once per position, and computed once per distinct law: the delay of
     draw d, `delays[p][d]` (0 at draw 0); the law of the deeper open levels
-    at `weight`, `weighted[p]`, as (offset, value) pairs; its offsets
-    as a set, `offsets[p]`; and, on first read, which only the greedy sweep
-    makes, the law of this level and the deeper ones, `blurs[p]`, which is
-    what an open variable adds at its base slot. A packet's fixed draws only
-    shift `bases`. A bad cell's dependents are found through
-    the index's `by_row`: an item is one when the cell's offset from its
-    slot is in `offsets[p]`.
+    at `budget` times its counts, `weighted[p]`, as (offset, value) pairs;
+    its offsets as a set, `offsets[p]`; and, on first read, which only the
+    greedy sweep makes, the law of this level and the deeper ones,
+    `blurs[p]`, which is what an open variable adds at its base slot. A
+    packet's fixed draws only shift `bases`. A bad cell's dependents are
+    found through the index's `by_row`: an item is one when the cell's
+    offset from its slot is in `offsets[p]`.
 
     Y has three writers. `fill` adds every item at its draw into a zero Y.
     `spread` adds (sign +1) or takes off (-1) one variable's items at one
@@ -303,19 +299,18 @@ class _LevelWorkspace:
     A plan groups the variable's items by position class (`alike`): each
     group holds the class, its `delays` row and `weighted` law (at draw 0
     `spread` reads the class's blur instead), and two parallel lists, the
-    Y row of each item and its base slot. On a level where every position
-    shares one class, a plan is one group, built without a per-item loop.
-    A write is then one tight loop over a group's items per law entry, and
-    a probe one C-level `max` per law entry.
+    Y row of each item and its base slot. A write is then one tight loop
+    over a group's items per law entry, and a probe one C-level `max` per
+    law entry.
 
     An edge that one packet uses gets no row, nor does a dummy position: it
-    holds a single item at `weight`, so none of its cells exceeds `scale`,
-    and the limit `floor(target * scale)` has target > 1. Its largest cell
-    is `weight` times the largest count of its deeper law. `ceiling[b]` is
+    holds a single item, so none of its cells exceeds `scale`, and the
+    limit `floor(target * scale)` has target > 1. Its largest cell is
+    `budget` times the largest count of its deeper law. `ceiling[b]` is
     the largest such count over every position of block b, and `peak`,
-    `max_y` and `first_bad_cell` take `weight` times it into their maximum.
+    `max_y` and `first_bad_cell` take `budget` times it into their maximum.
     That the shared positions count too changes none of them: Y is never
-    negative, so an added shared item's own cells hold at least `weight`
+    negative, so an added shared item's own cells hold at least `budget`
     times its law's counts. For a variable with no shared item, whose plan
     is empty, the ceiling is all that `peak` reads.
 
@@ -326,22 +321,19 @@ class _LevelWorkspace:
     needs no resample scans Y once.
     """
 
-    def __init__(
-        self, index: _CrossingIndex, assignment: DelayAssignment, level: int, blurred: bool = True
-    ):
+    def __init__(self, index: _CrossingIndex, assignment: DelayAssignment, level: int):
         if level >= index.levels:  # twins are twins only at the levels the index serves
             raise ValueError(f"the index serves levels 0 .. {index.levels - 1}, not level {level}")
         tree, columns = assignment.tree, assignment.tree.columns
-        self.index, self.tree, self.level, self.blurred = index, tree, level, blurred
+        self.index, self.tree, self.level = index, tree, level
         self.rows, self.pos = index.rows, index.pos
-        self.budget = tree.ladder.levels[level].wait_budget
-        self.weight = weight = self.budget if blurred else 1
-        self.scale = weight * prod(lv.wait_budget for lv in tree.ladder.levels[level + 1:])
+        self.budget = budget = tree.ladder.levels[level].wait_budget
+        self.scale = prod(lv.wait_budget for lv in tree.ladder.levels[level:])
         self.n_blocks = n_blocks = tree.n_blocks(level)
         # what is still random at a position depends only on its delay
         # tables for this level and the deeper ones, and few positions
         # differ in those
-        identity = tuple(range(self.budget + 1))
+        identity = tuple(range(budget + 1))
         laws: dict[tuple, tuple] = {}
         per_position = []
         deeper = (repeat(None) if t is None else t for t in columns.tables[level:])
@@ -352,7 +344,7 @@ class _LevelWorkspace:
                 law = laws[key] = (
                     p,  # the first position with this law, where `blurs` computes it
                     identity if key[0] is None else (0, *key[0]),
-                    [(dt, weight * count) for dt, count in tail],
+                    [(dt, budget * count) for dt, count in tail],
                     frozenset(dt for dt, _ in tail),
                     max(count for _, count in tail),
                 )
@@ -360,13 +352,12 @@ class _LevelWorkspace:
         self.alike, self.delays, self.weighted, self.offsets, tops = (
             list(c) for c in zip(*per_position)
         )
-        self.one_class = len(laws) == 1
         block_of = columns.blocks[level]
         self.ceiling = ceiling = [0] * n_blocks
         for b, top in zip(block_of, tops):
             if top > ceiling[b]:
                 ceiling[b] = top
-        self.unshared_max = weight * max(ceiling)
+        self.unshared_max = budget * max(ceiling)
         n_vars = len(index.items) * n_blocks
         ints = index.ints
         ints.extend(range(len(ints), n_vars))
@@ -383,7 +374,7 @@ class _LevelWorkspace:
         self.plans: list[list[tuple] | None] = [None] * n_vars
 
     def fill(self, draws: list[int]) -> None:
-        """Add every item's law at `weight`, given the draws per variable, into a zero Y."""
+        """Add every item's weighted law, given the draws per variable, into a zero Y."""
         y, delays, weighted = self.y, self.delays, self.weighted
         for r, base, p, v in zip(self.rows, self.bases, self.pos, self.var):
             row = y[r]
@@ -395,18 +386,14 @@ class _LevelWorkspace:
         """Build and keep the variable's plan: its items grouped by position class."""
         items = self.by_var[var]
         a, b = items.start, items.stop
-        rows = list(map(self.y.__getitem__, self.rows[a:b]))
-        if self.one_class:
-            groups = {self.alike[0]: (rows, self.bases[a:b])} if rows else {}
-        else:
-            alike = self.alike
-            groups = {}
-            for row, base, p in zip(rows, self.bases[a:b], self.pos[a:b]):
-                group = groups.get(alike[p])
-                if group is None:
-                    group = groups[alike[p]] = ([], [])
-                group[0].append(row)
-                group[1].append(base)
+        y, alike = self.y, self.alike
+        groups: dict[int, tuple[list, list]] = {}
+        for r, base, p in zip(self.rows[a:b], self.bases[a:b], self.pos[a:b]):
+            group = groups.get(alike[p])
+            if group is None:
+                group = groups[alike[p]] = ([], [])
+            group[0].append(y[r])
+            group[1].append(base)
         plan = self.plans[var] = [
             (p, self.delays[p], self.weighted[p], *group) for p, group in groups.items()
         ]
@@ -415,8 +402,8 @@ class _LevelWorkspace:
     def spread(self, var: int, draw: int, sign: int) -> None:
         """Add (`sign` +1) or take off (-1) the variable's items at `draw`.
 
-        Each item adds its law at `weight`, or its blur while the variable
-        is open (draw 0), which only a blurred workspace takes.
+        Each item adds its weighted law, or its blur while the variable is
+        open (draw 0).
         """
         blurs = self.blurs if draw == 0 else None
         plan = self.plans[var]
@@ -430,7 +417,7 @@ class _LevelWorkspace:
                     row[base + slot_dt] += value
 
     def move(self, var: int, old: int, new: int) -> None:
-        """Redraw one variable: move its items' laws, at `weight`, from draw `old` to `new`."""
+        """Redraw one variable: move its items' weighted laws from draw `old` to `new`."""
         plan = self.plans[var]
         if plan is None:
             plan = self._plan(var)
@@ -445,8 +432,6 @@ class _LevelWorkspace:
     @cached_property
     def blurs(self) -> list[list[tuple[int, int]]]:
         """Per position, the `residual_law` of this level and the deeper ones, once per distinct law."""
-        if not self.blurred:
-            raise ValueError("an open variable needs a blurred workspace")
         laws = {p: residual_law(self.tree, self.level, p + 1) for p in set(self.alike)}
         return [laws[p] for p in self.alike]
 
@@ -459,7 +444,7 @@ class _LevelWorkspace:
         plan = self.plans[var]
         if plan is None:
             plan = self._plan(var)
-        peak = self.weight * self.ceiling[var % self.n_blocks]
+        peak = self.budget * self.ceiling[var % self.n_blocks]
         for _, at, law, rows, bases in plan:
             slot = at[draw]
             for dt, value in law:
@@ -539,7 +524,7 @@ def _resample_fix(
 def _greedy_fix(ws: _LevelWorkspace) -> tuple[list[list[int]], int]:
     """Fix variables one by one, each draw chosen to minimize its local maximum.
 
-    Takes a freshly built blurred workspace.
+    Takes a freshly built workspace, and opens every variable in it first.
     """
     n_vars = len(ws.by_var)
     draws = [0] * n_vars  # every variable open
@@ -566,21 +551,20 @@ def fix_level(
 
     Commits into the assignment on success; raises FixerError (carrying the
     maximum achieved) when one attempt of `resample_budget` resamples, or
-    the greedy sweep, misses the target. Resampling holds every
-    crossing at a draw, so its workspace counts in units of 1/(the deeper
-    budgets' product); only the greedy sweep, which blurs open variables
-    in, counts in units of 1/(this level's budget times it). The crossings
-    are the run's `index`, and their slots read the assignment's tree.
+    the greedy sweep, misses the target. Both read one workspace, which
+    counts in units of 1/(the product of this level's budget and every
+    deeper one). The crossings are the run's `index`, and their slots read
+    the assignment's tree.
     `padded` is read only by the benchmark's count hook, which takes it as
     the first argument and `config` as the sixth.
     """
     block_len = assignment.tree.ladder.levels[level].block_len
     slack = config.slack(block_len, relax)
     target = max(gamma, 1.0) + slack
-    ws = _LevelWorkspace(index, assignment, level, config.strategy == "greedy")
+    ws = _LevelWorkspace(index, assignment, level)
     # Y is an integer, so Y > target * scale exactly when Y > limit. Every
-    # budget is a power of two, so scaling by one is exact in floating point:
-    # in either unit the limit, the bad cells and `peak / scale` are the same
+    # budget is a power of two, so `scale` is too, and `target * scale` and
+    # `peak / scale` are exact in floating point
     limit = floor(target * ws.scale)
     if config.strategy == "resample":
         draws, peak, resamples = _resample_fix(ws, limit, config, f"fix/level{level}/relax{relax}")

@@ -6,7 +6,7 @@ import random
 import re
 import sys
 from collections import Counter
-from math import floor
+from math import floor, prod
 
 import pytest
 
@@ -156,6 +156,8 @@ def test_workspace_rows_match_a_table_rebuilt_from_the_draws(monkeypatch, name, 
             # every level served, built on the draws fixed at the levels before it
             for level in range(levels):
                 ws = _LevelWorkspace(index, assignment, level)
+                # one unit for both strategies: this level's budget and every deeper one
+                assert ws.scale == prod(lv.wait_budget for lv in ladder.levels[level:])
                 # every edge that two or more padded paths use reads one row,
                 # from a slot of its own; a row is held by the least edge
                 # that reads it, in edge id order
@@ -224,7 +226,7 @@ def test_twin_rows_hold_every_twins_loads_on_the_deep_shared_ladder(kind, rows):
     assert (len(index.edges), len(index.row_of)) == (rows, 1024)
     rng = random.Random(f"deep-twins/{kind}")
     for level in range(levels):
-        ws = _LevelWorkspace(index, assignment, level, False)
+        ws = _LevelWorkspace(index, assignment, level)
         draws = [rng.randint(1, ws.budget) for _ in ws.by_var]
         ws.fill(draws)
         assignment.set_level(level, ws.per_packet(draws))
@@ -345,46 +347,69 @@ def test_plans_are_lazy_and_built_once(monkeypatch, c, d, resampled):
         assert (resamples > 0, n_built > 0) == (resampled, resampled)
 
 
+def _count_table(ws: _LevelWorkspace, draws: list[int]) -> list[list[int]]:
+    """Y at the draws in count units, by the definition: each item adds its deeper law's counts."""
+    y = [[0] * len(row) for row in ws.y]
+    for i, var in enumerate(ws.var):
+        p = ws.pos[i]
+        slot0 = ws.bases[i] + ws.delays[p][draws[var]]
+        for dt, count in delay_model.residual_law(ws.tree, ws.level + 1, p + 1):
+            y[ws.rows[i]][slot0 + dt] += count
+    return y
+
+
 @pytest.mark.parametrize("kind", ["plain", "buffered"])
 @pytest.mark.parametrize("name", ["shared-30x32", "accept2/3", "accept2/8"])
 def test_count_units_and_budget_units_hold_one_table(name, kind):
-    # resampling counts over the deeper budgets, the greedy sweep over this
-    # level's budget too; every budget is a power of two, so the two agree
-    # on every bad cell and on the maximum over `scale`
+    # the workspace counts in units of 1/(this level's budget times the
+    # deeper ones); every budget is a power of two, so a table counted over
+    # the deeper budgets alone finds the same bad cells and the same
+    # maximum over its scale
     rng = random.Random(f"units/{name}/{kind}")
     levels = []
     for args in _level_workspace_args(name, kind, rng):
-        counts, blurred = _LevelWorkspace(*args, False), _LevelWorkspace(*args, True)
-        budget = counts.budget
-        levels.append(counts.level)
-        assert (counts.weight, blurred.weight) == (1, budget)
-        assert blurred.scale == budget * counts.scale
-        n_vars = len(counts.by_var)
+        ws = _LevelWorkspace(*args)
+        budget = ws.budget
+        deeper = prod(lv.wait_budget for lv in ws.tree.ladder.levels[ws.level + 1:])
+        assert ws.scale == budget * deeper
+        levels.append(ws.level)
+        n_vars = len(ws.by_var)
         draws = [rng.randint(1, budget) for _ in range(n_vars)]
-        counts.fill(draws)
-        blurred.fill(draws)
+        ws.fill(draws)
         for _ in range(4):
             for _ in range(rng.randint(1, 2 * n_vars)):
                 var, new = rng.randrange(n_vars), rng.randint(1, budget)
-                counts.move(var, draws[var], new)
-                blurred.move(var, draws[var], new)
+                ws.move(var, draws[var], new)
                 draws[var] = new
-            assert [[budget * v for v in row] for row in counts.y] == blurred.y
-            assert counts.max_y() / counts.scale == blurred.max_y() / blurred.scale
-            top = blurred.max_y() / blurred.scale
-            cells = {v / blurred.scale for row in blurred.y for v in row}
-            targets = [rng.uniform(0, 1.25 * top) for _ in range(20)] + rng.sample(sorted(cells), min(len(cells), 10))
+            counts = _count_table(ws, draws)
+            assert [[budget * v for v in row] for row in counts] == ws.y
+            unshared = max(ws.ceiling)
+            count_max = max(unshared, max(map(max, counts), default=0))
+            assert count_max / deeper == ws.max_y() / ws.scale
+            cells = {v / ws.scale for row in ws.y for v in row}
+            targets = [rng.uniform(0, 1.25 * count_max / deeper) for _ in range(20)]
+            targets += rng.sample(sorted(cells), min(len(cells), 10))
             bad = 0
             for target in targets:
-                cell, peak = counts.first_bad_cell(floor(target * counts.scale))
-                assert (cell, budget * peak) == blurred.first_bad_cell(floor(target * blurred.scale)), target
+                # the least bad cell of the count table, by row then slot
+                lim, cell, peak = floor(target * deeper), None, unshared
+                for r, row in enumerate(counts):
+                    if max(row) > lim:
+                        cell, peak = (r, next(i for i, v in enumerate(row) if v > lim)), max(row)
+                        break
+                    peak = max(peak, max(row))
+                assert (cell, budget * peak) == ws.first_bad_cell(floor(target * ws.scale)), target
                 bad += cell is not None
             assert 0 < bad < len(targets)
-        # a count-unit workspace holds every crossing at a draw
-        with pytest.raises(ValueError, match="blurred"):
-            counts.spread(0, 0, +1)
-        with pytest.raises(ValueError, match="blurred"):
-            _greedy_fix(_LevelWorkspace(*args, False))
+        # the same workspace holds open variables too, and takes them off exactly
+        before = [row[:] for row in ws.y]
+        for var in range(n_vars):
+            ws.spread(var, draws[var], -1)
+            ws.spread(var, 0, +1)
+        for var in range(n_vars):
+            ws.spread(var, 0, -1)
+            ws.spread(var, draws[var], +1)
+        assert ws.y == before
     assert len(levels) >= 2
 
 
@@ -517,7 +542,6 @@ def test_peak_reads_an_empty_plan_and_a_plan_of_several_groups(name, kind):
     seen, shared = set(), _shared_masks(name)
     for args in _level_workspace_args(name, kind, rng):
         ws = _LevelWorkspace(*args)
-        assert ws.blurred
         tails = [delay_model.residual_law(ws.tree, ws.level + 1, p + 1) for p in range(ws.index.length)]
         n_vars = len(ws.by_var)
         draws = [rng.randint(1, ws.budget) for _ in range(n_vars)]
@@ -528,7 +552,7 @@ def test_peak_reads_an_empty_plan_and_a_plan_of_several_groups(name, kind):
             assert peaks == [_private_peak(ws, tails, var, draw, shared) for draw in range(1, ws.budget + 1)]
             groups = len(ws.plans[var])
             if groups == 0:  # no shared item: only the ceiling counts
-                assert set(peaks) == {ws.weight * ws.ceiling[var % ws.n_blocks]}
+                assert set(peaks) == {ws.budget * ws.ceiling[var % ws.n_blocks]}
             seen.add(min(groups, 2))
             ws.spread(var, draws[var], +1)
     assert seen == ({0, 1, 2} if kind == "buffered" else {0, 1})
@@ -1062,8 +1086,8 @@ def test_pipeline_indexes_the_crossings_once(monkeypatch, inst, config, check):
     builds.clear()
     padded = pad(inst)
     monkeypatch.setattr(fixer_mod, "_LevelWorkspace",
-                        lambda _, assignment, level, blurred: workspace(
-                            Counted(padded, assignment, level + 1), assignment, level, blurred))
+                        lambda _, assignment, level: workspace(
+                            Counted(padded, assignment, level + 1), assignment, level))
     alone = run_pipeline(inst, config)
     assert len(builds) == 1 + len(workspaces)
     assert (alone.schedule, alone.report) == (result.schedule, result.report)
