@@ -20,6 +20,10 @@ floats.
 A `DelayAssignment` carries the tree its draws are over, and every crossing
 slot and law reads that tree (`assignment.tree`): no function takes a tree
 beside an assignment, so the two cannot disagree.
+
+This module alone reads the per-level delay tables. What depends on the
+position alone is derived here once per tree, on first read, and kept on
+it as shared tuples: `tree.columns`, `tree.laws` and `tree.blurs`.
 """
 from __future__ import annotations
 
@@ -27,7 +31,8 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from math import prod
-from operator import add, getitem
+from itertools import repeat
+from operator import add, getitem, itemgetter
 from typing import NamedTuple
 
 from .dissection import Block, BlockTree, ShiftedBlockTree
@@ -165,6 +170,9 @@ class PositionColumns(NamedTuple):
     offsets: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]  # per level: the containing block
     tables: tuple[tuple[tuple[int, ...], ...] | None, ...]  # per level: delay per draw; None where it is the draw
+    least: tuple[int, ...]  # the earliest slot under any draws
+    most: tuple[int, ...]  # the latest
+    draw_one: tuple[tuple[int, ...], ...]  # per level l, and one past the last: offsets plus levels l..'s draw-1 delays
 
 
 def position_columns(tree: Tree) -> PositionColumns:
@@ -177,7 +185,63 @@ def position_columns(tree: Tree) -> PositionColumns:
         offsets = list(map(add, offsets, dets))
         blocks.append(tuple(tree.block_index(level, pos) for pos in positions))
         tables.append(None if level_tables[0] is None else level_tables)
-    return PositionColumns(tuple(offsets), tuple(blocks), tuple(tables))
+    least = most = offsets = tuple(offsets)
+    draw_one = [offsets]
+    for lv, table in zip(tree.ladder.levels[::-1], tables[::-1]):
+        if table is None:  # the delay is the draw, 1 .. budget
+            low, high, first = repeat(1), repeat(lv.wait_budget), repeat(1)
+        else:
+            low, high, first = map(min, table), map(max, table), map(itemgetter(0), table)
+        least, most = tuple(map(add, least, low)), tuple(map(add, most, high))
+        draw_one.append(tuple(map(add, draw_one[-1], first)))
+    return PositionColumns(offsets, tuple(blocks), tuple(tables), least, most, tuple(draw_one[::-1]))
+
+
+class LevelLaws(NamedTuple):
+    """Per position p (edge position p + 1), what is still random while one level is fixed and deeper ones open."""
+
+    alike: tuple[int, ...]  # the first position whose tables here and deeper are p's, so its laws too
+    delays: tuple[tuple[int, ...], ...]  # the delay each draw adds: 0 at draw 0, the variable open
+    weighted: tuple[tuple[tuple[int, int], ...], ...]  # the deeper levels' `residual_law`, (delay, budget * count)
+    offsets: tuple[frozenset[int], ...]  # the delays of that law
+    ceiling: tuple[int, ...]  # per block, the largest count of that law over its positions
+
+
+def level_laws(tree: Tree) -> tuple[LevelLaws, ...]:
+    """Every level's `LevelLaws` (`tree.laws`); laws are told apart in position order."""
+    columns, result = tree.columns, []
+    for level, lv in enumerate(tree.ladder.levels):
+        budget = lv.wait_budget
+        identity = tuple(range(budget + 1))
+        laws: dict[tuple, tuple] = {}
+        per_position = []
+        deeper = (repeat(None) if t is None else t for t in columns.tables[level:])
+        for p, key in zip(range(tree.length), zip(*deeper)):
+            if key not in laws:
+                tail = residual_law(tree, level + 1, p + 1)
+                laws[key] = (
+                    p,
+                    identity if key[0] is None else (0, *key[0]),
+                    tuple((dt, budget * count) for dt, count in tail),
+                    frozenset(dt for dt, _ in tail),
+                    max(count for _, count in tail),
+                )
+            per_position.append(laws[key])
+        alike, delays, weighted, offsets, tops = zip(*per_position)
+        ceiling = [0] * tree.n_blocks(level)
+        for b, top in zip(columns.blocks[level], tops):
+            ceiling[b] = max(ceiling[b], top)
+        result.append(LevelLaws(alike, delays, weighted, offsets, tuple(ceiling)))
+    return tuple(result)
+
+
+def level_blurs(tree: Tree) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Per level and position, the `residual_law` of that level and the deeper ones, once per `alike` class."""
+    result = []
+    for level, laws in enumerate(tree.laws):
+        once = {p: tuple(residual_law(tree, level, p + 1)) for p in dict.fromkeys(laws.alike)}
+        result.append(tuple(map(once.__getitem__, laws.alike)))
+    return tuple(result)
 
 
 def residual_law(tree: Tree, from_level: int, pos: int) -> list[tuple[int, int]]:

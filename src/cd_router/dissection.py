@@ -15,9 +15,9 @@ stay unassigned.
 A tree depends on D', its levels and the variant alone: delta only picks
 the levels, and a ladder does not keep it. So `dissect_plain` and
 `dissect_shifted` build each tree once per process and hand the same object
-to every run on that ladder. Its position columns (`columns`) are computed
-on first read and kept on the tree. Both are shared read-only: the block
-rows and the columns are tuples.
+to every run on that ladder. What depends on the position alone (`columns`,
+`laws`, `blurs`) is built by `delay_model` on first read and kept on the
+tree. All are shared read-only: the block rows and every table are tuples.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .delay_model import PositionColumns
+    from .delay_model import LevelLaws, PositionColumns
 
 
 class LadderError(ValueError):
@@ -95,7 +95,7 @@ class Block:
 
 
 class _Dissection:
-    """What both trees share: a row of blocks per level, and the position columns."""
+    """What both trees share: a row of blocks per level, and the position-only tables."""
 
     ladder: LevelLadder
     length: int
@@ -107,12 +107,21 @@ class _Dissection:
     def blocks(self, level: int) -> tuple[Block, ...]:
         return self._blocks[level]
 
+    # each table is built by `delay_model`, which imports this module, on first read
     @cached_property
     def columns(self) -> PositionColumns:
-        """Every position's terms as columns (`delay_model.position_columns`), built on first read."""
-        from .delay_model import position_columns  # delay_model imports this module
-
+        from .delay_model import position_columns
         return position_columns(self)
+
+    @cached_property
+    def laws(self) -> tuple[LevelLaws, ...]:
+        from .delay_model import level_laws
+        return level_laws(self)
+
+    @cached_property
+    def blurs(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        from .delay_model import level_blurs
+        return level_blurs(self)
 
 
 class BlockTree(_Dissection):

@@ -8,38 +8,22 @@ greedy min-max sweep. The expected loads are exact integers, held per level
 by `_LevelWorkspace`, whose docstring gives their layout. The levels after
 the last fixed one stay open, and `finalize` takes them at draw 1.
 
-`finalize` only realizes and delivers. It builds each packet's crossing
-slots once, open levels at draw 1, turns those at its real positions into
-waits (`waits_from_slots`, the inverse of `Schedule.crossing_slots`), ranks
-the crossings from the same slot lists (`realized_loads`: how many packets
-of lower id share each crossing's (edge, slot) cell, counted per edge in
-an {edge: {slot: crossings}} table, so no key is made per crossing),
-certifies the integral load c = 1 + the largest rank against the counting bound
-c <= gamma * prod(residual budgets), and hands the slots and ranks to
-`stretch`, which expands every slot into c slots to give a capacity-1
-schedule. It reads the pre-stretch figures without a replay: the makespan
-is the largest last real slot, and the largest per-edge wait is the
-simulator's own charge (`waits_by_packet`). It returns the pre-stretch and
-the stretched schedule, so the slot lists are dropped before
-`run_pipeline`'s one replay, the capacity-1 check of the stretched
-schedule, and no schedule is asked for its crossing slots again. That
-check also covers the certified load: ranks lie in 0 .. c - 1, so a cell
-holding more than c crossings puts two of them in one stretched slot.
+`finalize` only realizes and delivers: it turns each packet's crossing
+slots into waits, ranks the crossings that share an (edge, slot) cell,
+certifies the integral load c = 1 + the largest rank against the counting
+bound c <= gamma * prod(residual budgets), and hands the slots and ranks to
+`stretch`, which expands every slot into c slots. `run_pipeline` replays
+only the stretched schedule, at capacity 1. That also checks the certified
+load: ranks lie in 0 .. c - 1, so a cell holding more than c crossings puts
+two of them in one stretched slot.
 
-What is still random about a crossing depends on its position alone: the
-dissection and its per-position columns (`tree.columns`) are shared by every
-run on a ladder and variant, and a packet's fixed draws become its slot at
-every position in one column-wise pass (`DelayAssignment.fixed_slots`). An
-open level's draw 1 is a column too, so the levels `finalize` leaves at
-draw 1 are one per-run column, and a packet that fixed no level reads it
-without any work of its own.
-Every slot and crossing law here reads the assignment's tree
-(`assignment.tree`); no function takes the tree a second time. The
-crossings that share an edge, and every slot they could reach at any
-level, are indexed once per run (`_CrossingIndex`), and twin edges, whose
-crossings move alike at every level the run fixes, share one row of
-expected loads. A level's workspace is built over the crossings of the
-edges that hold a row alone.
+What is still random about a crossing depends on its position alone, so
+its tables are the tree's (`tree.columns`, `tree.laws`, `tree.blurs`), and
+this module keeps only per-run state. Every slot and law here reads the
+assignment's tree; no function takes the tree a second time. The crossings
+that share an edge are indexed once per run (`_CrossingIndex`), and twin
+edges, whose crossings move alike at every level the run fixes, share one
+row of expected loads.
 """
 from __future__ import annotations
 
@@ -48,13 +32,13 @@ import random
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, count, pairwise, repeat
+from functools import cached_property
+from itertools import accumulate, chain, compress, count, pairwise
 from math import floor, inf, prod
-from operator import add, eq, getitem, itemgetter, sub
+from operator import eq, getitem, sub
 from typing import ClassVar
 
-from .delay_model import AssignmentError, DelayAssignment, Tree, residual_law
+from .delay_model import AssignmentError, DelayAssignment, Tree
 from .dissection import build_ladder, dissect_plain, dissect_shifted
 from .instance import Instance, PaddedInstance, pad, require_int, stats  # noqa: F401  (perfbench/tracing.py patches fixer.stats)
 from .schedule import Schedule, waits_from_slots
@@ -137,15 +121,11 @@ class FixReport:
 
 # --- incremental conditional-expectation table for one level ----------------
 
-@lru_cache(maxsize=32)  # as many trees as `dissect_plain` and `dissect_shifted` keep together
-def _position_classes(tree: Tree, levels: int) -> tuple[int, ...]:
-    """Per position, its class: positions alike in their block at each of the
-    first `levels` levels and in their delay table at every level.
-    """
-    columns = tree.columns
+def _position_classes(tree: Tree, levels: int) -> list[int]:
+    """Per position, its class, numbered in position order: alike in block at
+    each of the first `levels` levels and in laws at every level (`alike`)."""
     ids: dict[tuple, int] = {}
-    keys = zip(*columns.blocks[:levels], *filter(None, columns.tables))
-    return tuple(ids.setdefault(key, len(ids)) for key in keys)
+    return [ids.setdefault(key, len(ids)) for key in zip(*tree.columns.blocks[:levels], tree.laws[0].alike)]
 
 
 class _CrossingIndex:
@@ -168,21 +148,18 @@ class _CrossingIndex:
     `edges[r]` is row r's edge, the least of its class, in ascending edge
     id order; `row_of[e]` is (row, `lo`) of every shared edge e. The
     index is built in one pass over the shared crossings, which groups
-    their twin codes by edge and keeps each edge's reach; past the build,
-    beside one mask per packet, it keeps lists as long as the items alone.
-    The items are the crossings of the edges that hold a row: `items[k]`
-    masks packet k's real positions on such an edge.
-    Items go in packet order and, within a packet, in position order:
-    item i is `rows[i]` and `pos[i]` (position index p, for edge position
-    p + 1), and packet k's are items `first[k]` .. `first[k + 1]` - 1.
-    `by_row[r]`, row r's items, is built on first read from `rows`; only
-    resampling reads it.
+    their twin codes by edge and keeps each edge's reach; past the build
+    it keeps lists as long as the items alone, the crossings of the edges
+    that hold a row. Items go in packet order and, within a packet, in
+    position order: item i is `rows[i]` and `pos[i]` (position index p, for
+    edge position p + 1), and packet k's are items `first[k]` ..
+    `first[k + 1]` - 1. `by_row[r]`, row r's items, is built on first read
+    from `rows`; only resampling reads it.
 
     Row r spans slots `lo[r]` .. `lo[r] + widths[r] - 1`, the ladder-wide
-    reach of its items: each position's offset plus the least and the
-    largest delay of the whole ladder. At level 0 that is exactly the reach
-    under any draw; a deeper level reaches a subset, so its rows only hold
-    more cells that stay 0.
+    reach of its items (the tree's `columns.least` .. `columns.most`). At
+    level 0 that is exactly the reach under any draw; a deeper level
+    reaches a subset, so its rows only hold more cells that stay 0.
 
     `ints` is one int object per value, 0 upward, extended by each
     workspace to its variable count: `pos` and every workspace's `var`
@@ -190,21 +167,12 @@ class _CrossingIndex:
     """
 
     def __init__(self, padded: PaddedInstance, assignment: DelayAssignment, levels: int):
-        tree, columns = assignment.tree, assignment.tree.columns
-        self.length, self.levels = padded.length, levels
+        tree, columns, self.levels = assignment.tree, assignment.tree.columns, levels
+        least, most = columns.least, columns.most
         shared = sorted(e for e, load in padded.stats.edge_loads.items() if load > 1)
         number = {e: n for n, e in enumerate(shared)}
         paths = padded.base.paths
         self.ints = ints = list(range(padded.length))
-        # a level delays by its table, or by its draw 1 .. budget where it has none
-        least = most = columns.offsets
-        for lv, table in zip(tree.ladder.levels, columns.tables):
-            if table is None:
-                least = [t + 1 for t in least]
-                most = [t + lv.wait_budget for t in most]
-            else:
-                least = list(map(add, least, map(min, table)))
-                most = list(map(add, most, map(max, table)))
         # an edge's key is one int per crossing, packet * stride + class *
         # span + its offset from the edge's lo: an offset and a lo differ by
         # less than max(least), half of span, and stride is span times the
@@ -234,11 +202,11 @@ class _CrossingIndex:
         self.widths = [b - a + 1 for a, b in zip(self.lo, compress(hi, keep))]
         self.row_of = dict(zip(shared, zip(map(row_at.__getitem__, head), lo)))
         holds = dict(zip(self.edges, count()))  # an edge that holds a row: its row
-        self.items = [list(map(holds.__contains__, path)) for path in paths]
-        at = [list(compress(ints, mask)) for mask in self.items]
+        masks = [list(map(holds.__contains__, path)) for path in paths]  # packet k's items
+        at = [list(compress(ints, mask)) for mask in masks]
         self.first = list(accumulate(map(len, at), initial=0))
         self.pos = list(chain.from_iterable(at))
-        self.rows = list(map(holds.__getitem__, chain.from_iterable(map(compress, paths, self.items))))
+        self.rows = list(map(holds.__getitem__, chain.from_iterable(map(compress, paths, masks))))
 
     @cached_property
     def by_row(self) -> list[list[int]]:
@@ -277,25 +245,21 @@ class _LevelWorkspace:
     bisection.
 
     A draw is 1 .. `budget`, and draw 0 means the variable is still open.
-    What is still random is a function of the position alone, so it is held
-    once per position, and computed once per distinct law: the delay of
-    draw d, `delays[p][d]` (0 at draw 0); the law of the deeper open levels
-    at `budget` times its counts, `weighted[p]`, as (offset, value) pairs;
-    its offsets as a set, `offsets[p]`; and, on first read, which only the
-    greedy sweep makes, the law of this level and the deeper ones,
-    `blurs[p]`, which is what an open variable adds at its base slot. A
-    packet's fixed draws only shift `bases`. A bad cell's dependents are
-    found through the index's `by_row`: an item is one when the cell's
-    offset from its slot is in `offsets[p]`.
+    What is still random depends on the position alone: `alike`, `delays`,
+    `weighted`, `offsets` and `ceiling` are the tree's laws for this level
+    (`delay_model.LevelLaws`), and an open variable adds `tree.blurs[level]`
+    at its base slot. A packet's fixed draws only shift `bases`. A bad
+    cell's dependents are the items of its row (`by_row`) whose offset from
+    the cell is in `offsets[p]`.
 
     Y has three writers. `fill` adds every item at its draw into a zero Y.
     `spread` adds (sign +1) or takes off (-1) one variable's items at one
     draw, each at its blur at draw 0. `move` redraws a variable, and the
     resampling loop skips it when the redraw repeats the old draw.
 
-    `spread`, `move` and `peak` walk the variable's plan, `plans[var]`,
-    which the first of them to touch the variable builds and which is kept
-    for the workspace's life; a level that needs no resample builds none.
+    `spread` and `move` build the variable's plan, `plans[var]`, on first
+    touch and keep it for the workspace's life, and `peak` walks it after a
+    `spread`; a level that needs no resample builds none.
     A plan groups the variable's items by position class (`alike`): each
     group holds the class, its `delays` row and `weighted` law (at draw 0
     `spread` reads the class's blur instead), and two parallel lists, the
@@ -305,10 +269,9 @@ class _LevelWorkspace:
 
     An edge that one packet uses gets no row, nor does a dummy position: it
     holds a single item, so none of its cells exceeds `scale`, and the
-    limit `floor(target * scale)` has target > 1. Its largest cell is
-    `budget` times the largest count of its deeper law. `ceiling[b]` is
-    the largest such count over every position of block b, and `peak`,
-    `max_y` and `first_bad_cell` take `budget` times it into their maximum.
+    limit `floor(target * scale)` has target > 1. Its largest cell is at
+    most `budget` times its block's `ceiling`, which `peak`, `max_y` and
+    `first_bad_cell` take into their maximum.
     That the shared positions count too changes none of them: Y is never
     negative, so an added shared item's own cells hold at least `budget`
     times its law's counts. For a variable with no shared item, whose plan
@@ -324,41 +287,16 @@ class _LevelWorkspace:
     def __init__(self, index: _CrossingIndex, assignment: DelayAssignment, level: int):
         if level >= index.levels:  # twins are twins only at the levels the index serves
             raise ValueError(f"the index serves levels 0 .. {index.levels - 1}, not level {level}")
-        tree, columns = assignment.tree, assignment.tree.columns
+        tree = assignment.tree
         self.index, self.tree, self.level = index, tree, level
         self.rows, self.pos = index.rows, index.pos
         self.budget = budget = tree.ladder.levels[level].wait_budget
         self.scale = prod(lv.wait_budget for lv in tree.ladder.levels[level:])
         self.n_blocks = n_blocks = tree.n_blocks(level)
-        # what is still random at a position depends only on its delay
-        # tables for this level and the deeper ones, and few positions
-        # differ in those
-        identity = tuple(range(budget + 1))
-        laws: dict[tuple, tuple] = {}
-        per_position = []
-        deeper = (repeat(None) if t is None else t for t in columns.tables[level:])
-        for p, key in zip(range(index.length), zip(*deeper)):
-            law = laws.get(key)
-            if law is None:
-                tail = residual_law(tree, level + 1, p + 1)
-                law = laws[key] = (
-                    p,  # the first position with this law, where `blurs` computes it
-                    identity if key[0] is None else (0, *key[0]),
-                    [(dt, budget * count) for dt, count in tail],
-                    frozenset(dt for dt, _ in tail),
-                    max(count for _, count in tail),
-                )
-            per_position.append(law)
-        self.alike, self.delays, self.weighted, self.offsets, tops = (
-            list(c) for c in zip(*per_position)
-        )
-        block_of = columns.blocks[level]
-        self.ceiling = ceiling = [0] * n_blocks
-        for b, top in zip(block_of, tops):
-            if top > ceiling[b]:
-                ceiling[b] = top
-        self.unshared_max = budget * max(ceiling)
-        n_vars = len(index.items) * n_blocks
+        self.alike, self.delays, self.weighted, self.offsets, self.ceiling = tree.laws[level]
+        self.unshared_max = budget * max(self.ceiling)
+        block_of = tree.columns.blocks[level]
+        n_vars = (len(index.first) - 1) * n_blocks
         ints = index.ints
         ints.extend(range(len(ints), n_vars))
         bases, var = [], []
@@ -405,7 +343,7 @@ class _LevelWorkspace:
         Each item adds its weighted law, or its blur while the variable is
         open (draw 0).
         """
-        blurs = self.blurs if draw == 0 else None
+        blurs = self.tree.blurs[self.level] if draw == 0 else None
         plan = self.plans[var]
         if plan is None:
             plan = self._plan(var)
@@ -429,12 +367,6 @@ class _LevelWorkspace:
                     row[base + gone_dt] -= value
                     row[base + come_dt] += value
 
-    @cached_property
-    def blurs(self) -> list[list[tuple[int, int]]]:
-        """Per position, the `residual_law` of this level and the deeper ones, once per distinct law."""
-        laws = {p: residual_law(self.tree, self.level, p + 1) for p in set(self.alike)}
-        return [laws[p] for p in self.alike]
-
     def peak(self, var: int, draw: int) -> int:
         """Max Y over the variable's cells, its unshared ones included, were it added at `draw`.
 
@@ -442,8 +374,6 @@ class _LevelWorkspace:
         an edge once, so no two items of one variable share a cell.
         """
         plan = self.plans[var]
-        if plan is None:
-            plan = self._plan(var)
         peak = self.budget * self.ceiling[var % self.n_blocks]
         for _, at, law, rows, bases in plan:
             slot = at[draw]
@@ -684,19 +614,16 @@ def finalize(
     wait is the simulator's charge on the pre-stretch schedule.
 
     The open levels take draw 1, whose delay depends on the position alone,
-    so they are one column for the run; each packet adds only its fixed
-    levels, and one with none is the column itself. The slots and budgets
-    read the assignment's tree.
+    so they are one column of the tree (`columns.draw_one`); each packet
+    adds only its fixed levels, and one with none is the column itself.
+    The slots and budgets read the assignment's tree.
     """
     tree = assignment.tree
     fixed = assignment.frontier
     open_levels = tuple(range(fixed, assignment.n_levels))
     residual = prod(tree.ladder.levels[level].wait_budget for level in open_levels)
     assignment.fill_remaining(1)
-    # draw 1 delays by a table's first entry, or by 1 where a level has none
-    column = tree.columns.offsets
-    for table in tree.columns.tables[fixed:]:
-        column = list(map(add, column, repeat(1) if table is None else map(itemgetter(0), table)))
+    column = tree.columns.draw_one[fixed]
     budget = tree.ladder.total_wait_budget()
     slots, waits = [], []
     for packet, m in enumerate(padded.original_lengths):

@@ -1,9 +1,13 @@
+import ast
 import math
+import pathlib
 import random
 
 import pytest
 
+import cd_router
 from cd_router import delay_model
+from cd_router import fixer as fixer_mod
 from cd_router.delay_model import (
     AssignmentError,
     DelayAssignment,
@@ -14,7 +18,7 @@ from cd_router.delay_model import (
     expected_load,
     residual_law,
 )
-from cd_router.dissection import Block, build_ladder, dissect_plain, dissect_shifted
+from cd_router.dissection import Block, BlockTree, ShiftedBlockTree, build_ladder, dissect_plain, dissect_shifted
 from cd_router.fixer import schedule_from_assignment
 from cd_router.instance import pad, shared_path_instance
 from cd_router.simulator import simulate
@@ -310,3 +314,64 @@ def test_formula_equals_simulation_small():
             for i in range(2):
                 expect = [crossing_time(a, i, pos) for pos in range(1, 17)]
                 assert trace.crossing_slots[i] == expect
+
+
+@pytest.mark.parametrize("kind", ["plain", "buffered"])
+@pytest.mark.parametrize("length", [16, 64, 256])
+def test_position_only_tables_are_each_positions_laws_told_apart_in_position_order(kind, length):
+    # a fresh tree: its laws are built here, under this process's hash seed
+    tree = (BlockTree if kind == "plain" else ShiftedBlockTree)(build_ladder(length, 2))
+    columns, levels = tree.columns, tree.ladder.levels
+    draws = [  # per level and position, the delay of each draw 1 .. budget
+        [range(1, lv.wait_budget + 1) if table is None else table[p] for p in range(length)]
+        for lv, table in zip(levels, columns.tables)
+    ]
+    for p in range(length):
+        assert columns.least[p] == columns.offsets[p] + sum(min(d[p]) for d in draws)
+        assert columns.most[p] == columns.offsets[p] + sum(max(d[p]) for d in draws)
+        for level in range(len(levels) + 1):
+            assert columns.draw_one[level][p] == columns.offsets[p] + sum(d[p][0] for d in draws[level:])
+    # the draw-1 column from level 0 on is every packet's slots at draw 1
+    ones = DelayAssignment(tree, 1)
+    ones.fill_remaining(1)
+    assert list(columns.draw_one[0]) == ones.fixed_slots(0, len(levels))
+    for level, (laws, blurs) in enumerate(zip(tree.laws, tree.blurs)):
+        budget = levels[level].wait_budget
+        first: dict[tuple, int] = {}
+        tails = [residual_law(tree, level + 1, p + 1) for p in range(length)]
+        for p, tail in enumerate(tails):
+            # the representative is the first position with p's delays at this level and deeper
+            assert laws.alike[p] == first.setdefault(tuple(tuple(d[p]) for d in draws[level:]), p)
+            assert laws.delays[p] == (0, *draws[level][p])
+            assert laws.weighted[p] == tuple((dt, budget * c) for dt, c in tail)
+            assert laws.offsets[p] == {dt for dt, _ in tail}
+            assert blurs[p] == tuple(residual_law(tree, level, p + 1))
+            # positions alike share one law
+            assert laws.weighted[p] is laws.weighted[laws.alike[p]]
+        assert laws.ceiling == tuple(
+            max(max(c for _, c in tail) for tail, b in zip(tails, columns.blocks[level]) if b == block)
+            for block in range(tree.n_blocks(level))
+        )
+        assert len(set(laws.alike)) == len(first)
+        if kind == "plain":
+            assert set(laws.alike) == {0}
+    # position classes are numbered by first appearance: blocks at the
+    # levels a run fixes (one at least), then every level's delay table
+    for n in range(1, len(levels) + 1):
+        ids: dict[tuple, int] = {}
+        keys = zip(*columns.blocks[:n], *filter(None, columns.tables))
+        assert fixer_mod._position_classes(tree, n) == [ids.setdefault(key, len(ids)) for key in keys]
+
+
+def test_only_the_delay_model_reads_the_delay_tables():
+    # a delay table is None where the delay is the draw itself: that format
+    # is the delay model's, and every other module reads the tables the
+    # tree derives from it (`columns`, `laws`, `blurs`)
+    readers = set()
+    for source in sorted(pathlib.Path(cd_router.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Attribute) and node.attr == "tables":
+                readers.add(source.name)
+            if isinstance(node, ast.Constant) and node.value == "tables":  # getattr(columns, "tables")
+                readers.add(source.name)
+    assert readers == {"delay_model.py"}

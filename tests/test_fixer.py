@@ -4,7 +4,6 @@ import hashlib
 import json
 import random
 import re
-import sys
 from collections import Counter
 from math import floor, prod
 
@@ -491,7 +490,7 @@ def _private_ceiling(ws: _LevelWorkspace, tails, var: int, shared) -> int:
     blocks = ws.tree.columns.blocks[ws.level]
     return max(
         (
-            max(c for _, c in tails[p]) for p in range(ws.index.length)
+            max(c for _, c in tails[p]) for p in range(ws.tree.length)
             if blocks[p] == block and not (p < len(mask) and mask[p])
         ),
         default=0,
@@ -520,7 +519,7 @@ def test_peak_with_a_block_ceiling_equals_a_per_variable_private_one(name, kind)
     for args in _level_workspace_args(name, kind, rng):
         ws = _LevelWorkspace(*args)
         levels.append(ws.level)
-        tails = [delay_model.residual_law(ws.tree, ws.level + 1, p + 1) for p in range(ws.index.length)]
+        tails = [delay_model.residual_law(ws.tree, ws.level + 1, p + 1) for p in range(ws.tree.length)]
         n_vars = len(ws.by_var)
         for var in range(n_vars):
             ws.spread(var, 0, +1)
@@ -542,7 +541,7 @@ def test_peak_reads_an_empty_plan_and_a_plan_of_several_groups(name, kind):
     seen, shared = set(), _shared_masks(name)
     for args in _level_workspace_args(name, kind, rng):
         ws = _LevelWorkspace(*args)
-        tails = [delay_model.residual_law(ws.tree, ws.level + 1, p + 1) for p in range(ws.index.length)]
+        tails = [delay_model.residual_law(ws.tree, ws.level + 1, p + 1) for p in range(ws.tree.length)]
         n_vars = len(ws.by_var)
         draws = [rng.randint(1, ws.budget) for _ in range(n_vars)]
         ws.fill(draws)
@@ -564,22 +563,17 @@ def test_peak_reads_an_empty_plan_and_a_plan_of_several_groups(name, kind):
     # plain fixes two levels of the three, the second with one open below it
     ({"strategy": "greedy", "variant": "plain"}, True),
 ])
-def test_only_a_greedy_sweep_computes_a_blur(monkeypatch, strategies, blurred):
-    # a workspace reads the deeper law for every level; its own level's
-    # residual law, the blur, only for the greedy sweep
-    calls = []
-    law = fixer_mod.residual_law
-
-    def spy(tree, from_level, pos):
-        calls.append(from_level - sys._getframe(1).f_locals["self"].level)
-        return law(tree, from_level, pos)
-
-    monkeypatch.setattr(fixer_mod, "residual_law", spy)
+def test_only_a_greedy_sweep_computes_a_blur(strategies, blurred):
+    # every workspace reads its tree's level laws, whose deeper laws are the
+    # deeper levels' residual laws; the blurs, each level's own residual
+    # law, only the greedy sweep reads. Both are built on a tree's first
+    # read, so the run gets a fresh tree
+    _clear_trees()
     # a ladder of three levels, of which a buffered run fixes level 0
     config = FixerConfig(**{"variant": "buffered", "delta": 2, **strategies})
-    run_pipeline(shared_path_instance(8, 32), config)
-    assert 1 in calls
-    assert set(calls) == ({0, 1} if blurred else {1})
+    tree = run_pipeline(shared_path_instance(8, 32), config).assignment.tree
+    assert "laws" in vars(tree)
+    assert ("blurs" in vars(tree)) == blurred
 
 
 # --- stretching --------------------------------------------------------------
@@ -980,6 +974,30 @@ def test_pipeline_builds_the_position_columns_once(monkeypatch):
         assert calls == []
 
 
+@pytest.mark.parametrize("strategy", ["resample", "greedy"])
+def test_a_second_run_on_a_tree_builds_no_position_only_table(monkeypatch, strategy):
+    # the first run on a fresh tree builds its columns, with the reach and
+    # the draw-1 columns, its level laws and, for the greedy sweep, its
+    # blurs; the next run on the tree reads them and builds none
+    _clear_trees()
+    builds = Counter()
+    for name in ("position_columns", "level_laws", "level_blurs", "residual_law"):
+        builder = getattr(delay_model, name)
+        monkeypatch.setattr(delay_model, name, lambda *a, b=builder, n=name: builds.update([n]) or b(*a))
+    for kind in ("plain", "buffered"):
+        builds.clear()
+        config = FixerConfig(variant=kind, delta=2, strategy=strategy)
+        first = run_pipeline(shared_path_instance(8, 300), config)
+        assert first.report.levels and builds["residual_law"] > 0
+        assert {n: builds[n] for n in ("position_columns", "level_laws", "level_blurs")} == {
+            "position_columns": 1, "level_laws": 1, "level_blurs": int(strategy == "greedy"),
+        }
+        builds.clear()
+        again = run_pipeline(shared_path_instance(5, 400), dataclasses.replace(config, seed=1))
+        assert again.assignment.tree is first.assignment.tree
+        assert again.report.levels and builds == Counter()
+
+
 def test_a_tree_is_keyed_on_its_levels_not_on_delta():
     # D' = 16 is one level at delta 4 and at delta 5
     inst = shared_path_instance(8, 16)
@@ -1005,12 +1023,19 @@ def test_runs_on_one_ladder_share_one_read_only_tree():
     # another delta or variant is another tree
     assert len({id(tree) for tree in trees.values()}) == len(trees)
     for tree in trees.values():
-        offsets, blocks, tables = tree.columns
-        assert DelayAssignment(tree, 1).fixed_slots(0, 0) is offsets
-        shared = [offsets, blocks, tables, *blocks, *filter(None, tables)]
+        columns = tree.columns
+        assert DelayAssignment(tree, 1).fixed_slots(0, 0) is columns.offsets
+        assert columns.draw_one[-1] is columns.offsets
+        shared = [*columns, *columns.blocks, *filter(None, columns.tables), *columns.draw_one]
         shared += [tree.blocks(level) for level in range(len(tree.ladder.levels))]
+        # every level's laws and blurs, down to each position's law
+        shared += [tree.laws, tree.blurs, *tree.blurs]
+        for laws, blurs in zip(tree.laws, tree.blurs):
+            shared += [*laws, *laws.delays, *laws.weighted, *blurs]
+            assert all(type(offsets) is frozenset for offsets in laws.offsets)
+        shared += [tree.columns, *tree.laws]  # named tuples, immutable too
         for column in shared:
-            assert type(column) is tuple
+            assert isinstance(column, tuple)
             with pytest.raises(TypeError):
                 column[0] = column[0]
 

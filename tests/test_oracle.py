@@ -181,7 +181,7 @@ def assert_closed_form_matches_exhaustive(padded, assignment):
     unshared = [value for key, value in expected.items() if key[0] not in shared]
     assert all(value <= ws.scale for value in unshared)
     if assignment.fully_fixed:
-        assert ws.ceiling == [1] * ws.n_blocks
+        assert ws.ceiling == (1,) * ws.n_blocks
         assert all(value == ws.unshared_max == ws.budget for value in unshared)
 
 
