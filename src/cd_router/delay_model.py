@@ -22,8 +22,8 @@ slot and law reads that tree (`assignment.tree`): no function takes a tree
 beside an assignment, so the two cannot disagree.
 
 This module alone reads the per-level delay tables. What depends on the
-position alone is derived here once per tree, on first read, and kept on
-it as shared tuples: `tree.columns`, `tree.laws` and `tree.blurs`.
+position alone and every run reads is derived here once per tree, on first
+read, and kept on it as shared tuples: `tree.columns` and `tree.laws`.
 """
 from __future__ import annotations
 
@@ -235,13 +235,11 @@ def level_laws(tree: Tree) -> tuple[LevelLaws, ...]:
     return tuple(result)
 
 
-def level_blurs(tree: Tree) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """Per level and position, the `residual_law` of that level and the deeper ones, once per `alike` class."""
-    result = []
-    for level, laws in enumerate(tree.laws):
-        once = {p: tuple(residual_law(tree, level, p + 1)) for p in dict.fromkeys(laws.alike)}
-        result.append(tuple(map(once.__getitem__, laws.alike)))
-    return tuple(result)
+def level_blurs(tree: Tree, level: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per position, the `residual_law` of `level` and the deeper ones, once per `alike` class."""
+    alike = tree.laws[level].alike
+    once = {p: tuple(residual_law(tree, level, p + 1)) for p in dict.fromkeys(alike)}
+    return tuple(map(once.__getitem__, alike))
 
 
 def residual_law(tree: Tree, from_level: int, pos: int) -> list[tuple[int, int]]:

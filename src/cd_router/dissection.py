@@ -15,9 +15,9 @@ stay unassigned.
 A tree depends on D', its levels and the variant alone: delta only picks
 the levels, and a ladder does not keep it. So `dissect_plain` and
 `dissect_shifted` build each tree once per process and hand the same object
-to every run on that ladder. What depends on the position alone (`columns`,
-`laws`, `blurs`) is built by `delay_model` on first read and kept on the
-tree. All are shared read-only: the block rows and every table are tuples.
+to every run on that ladder. `delay_model` builds its `columns` and
+`laws` on first read, and the tree keeps them. All are shared read-only:
+the block rows and every table are tuples.
 """
 from __future__ import annotations
 
@@ -117,11 +117,6 @@ class _Dissection:
     def laws(self) -> tuple[LevelLaws, ...]:
         from .delay_model import level_laws
         return level_laws(self)
-
-    @cached_property
-    def blurs(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        from .delay_model import level_blurs
-        return level_blurs(self)
 
 
 class BlockTree(_Dissection):

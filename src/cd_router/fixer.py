@@ -18,12 +18,12 @@ load: ranks lie in 0 .. c - 1, so a cell holding more than c crossings puts
 two of them in one stretched slot.
 
 What is still random about a crossing depends on its position alone, so
-its tables are the tree's (`tree.columns`, `tree.laws`, `tree.blurs`), and
-this module keeps only per-run state. Every slot and law here reads the
-assignment's tree; no function takes the tree a second time. The crossings
-that share an edge are indexed once per run (`_CrossingIndex`), and twin
-edges, whose crossings move alike at every level the run fixes, share one
-row of expected loads.
+its tables are the tree's (`tree.columns`, `tree.laws`), and this module
+keeps only per-run state. Every slot and law here reads the assignment's
+tree; no function takes the tree a second time. The crossings that share
+an edge are indexed once per run (`_CrossingIndex`), and twin edges, whose
+crossings move alike at every level the run fixes, share one row of
+expected loads.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from math import floor, inf, prod
 from operator import eq, getitem, sub
 from typing import ClassVar
 
-from .delay_model import AssignmentError, DelayAssignment, Tree
+from .delay_model import AssignmentError, DelayAssignment, Tree, level_blurs
 from .dissection import build_ladder, dissect_plain, dissect_shifted
 from .instance import Instance, PaddedInstance, pad, require_int, stats  # noqa: F401  (perfbench/tracing.py patches fixer.stats)
 from .schedule import Schedule, waits_from_slots
@@ -247,10 +247,11 @@ class _LevelWorkspace:
     A draw is 1 .. `budget`, and draw 0 means the variable is still open.
     What is still random depends on the position alone: `alike`, `delays`,
     `weighted`, `offsets` and `ceiling` are the tree's laws for this level
-    (`delay_model.LevelLaws`), and an open variable adds `tree.blurs[level]`
-    at its base slot. A packet's fixed draws only shift `bases`. A bad
-    cell's dependents are the items of its row (`by_row`) whose offset from
-    the cell is in `offsets[p]`.
+    (`delay_model.LevelLaws`). An open variable adds `blurs[p]`, the law of
+    this level and the deeper ones, at its base slot; the blurs are built on
+    first read, which only the greedy sweep makes. A packet's fixed draws
+    only shift `bases`. A bad cell's dependents are the items of its row
+    (`by_row`) whose offset from the cell is in `offsets[p]`.
 
     Y has three writers. `fill` adds every item at its draw into a zero Y.
     `spread` adds (sign +1) or takes off (-1) one variable's items at one
@@ -343,7 +344,7 @@ class _LevelWorkspace:
         Each item adds its weighted law, or its blur while the variable is
         open (draw 0).
         """
-        blurs = self.tree.blurs[self.level] if draw == 0 else None
+        blurs = self.blurs if draw == 0 else None
         plan = self.plans[var]
         if plan is None:
             plan = self._plan(var)
@@ -366,6 +367,11 @@ class _LevelWorkspace:
                 for row, base in zip(rows, bases):
                     row[base + gone_dt] -= value
                     row[base + come_dt] += value
+
+    @cached_property
+    def blurs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per position, the `residual_law` of this level and the deeper ones (`delay_model.level_blurs`)."""
+        return level_blurs(self.tree, self.level)
 
     def peak(self, var: int, draw: int) -> int:
         """Max Y over the variable's cells, its unshared ones included, were it added at `draw`.

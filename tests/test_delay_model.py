@@ -335,7 +335,8 @@ def test_position_only_tables_are_each_positions_laws_told_apart_in_position_ord
     ones = DelayAssignment(tree, 1)
     ones.fill_remaining(1)
     assert list(columns.draw_one[0]) == ones.fixed_slots(0, len(levels))
-    for level, (laws, blurs) in enumerate(zip(tree.laws, tree.blurs)):
+    for level, laws in enumerate(tree.laws):
+        blurs = delay_model.level_blurs(tree, level)
         budget = levels[level].wait_budget
         first: dict[tuple, int] = {}
         tails = [residual_law(tree, level + 1, p + 1) for p in range(length)]
@@ -365,8 +366,8 @@ def test_position_only_tables_are_each_positions_laws_told_apart_in_position_ord
 
 def test_only_the_delay_model_reads_the_delay_tables():
     # a delay table is None where the delay is the draw itself: that format
-    # is the delay model's, and every other module reads the tables the
-    # tree derives from it (`columns`, `laws`, `blurs`)
+    # is the delay model's, and every other module reads the tables it
+    # derives (`tree.columns`, `tree.laws`, `level_blurs`)
     readers = set()
     for source in sorted(pathlib.Path(cd_router.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(source.read_text(), str(source))):

@@ -563,17 +563,18 @@ def test_peak_reads_an_empty_plan_and_a_plan_of_several_groups(name, kind):
     # plain fixes two levels of the three, the second with one open below it
     ({"strategy": "greedy", "variant": "plain"}, True),
 ])
-def test_only_a_greedy_sweep_computes_a_blur(strategies, blurred):
-    # every workspace reads its tree's level laws, whose deeper laws are the
-    # deeper levels' residual laws; the blurs, each level's own residual
-    # law, only the greedy sweep reads. Both are built on a tree's first
-    # read, so the run gets a fresh tree
-    _clear_trees()
+def test_only_a_greedy_sweep_computes_a_blur(monkeypatch, strategies, blurred):
+    # every workspace reads its tree's level laws; the blur, its own
+    # level's residual law, only the greedy sweep reads, and its workspace
+    # builds it for itself
+    levels = []
+    blurs = fixer_mod.level_blurs
+    monkeypatch.setattr(fixer_mod, "level_blurs", lambda tree, level: levels.append(level) or blurs(tree, level))
     # a ladder of three levels, of which a buffered run fixes level 0
     config = FixerConfig(**{"variant": "buffered", "delta": 2, **strategies})
-    tree = run_pipeline(shared_path_instance(8, 32), config).assignment.tree
-    assert "laws" in vars(tree)
-    assert ("blurs" in vars(tree)) == blurred
+    fixed = len(run_pipeline(shared_path_instance(8, 32), config).report.levels)
+    assert fixed == (2 if strategies.get("variant") == "plain" else 1)
+    assert levels == (list(range(fixed)) if blurred else [])
 
 
 # --- stretching --------------------------------------------------------------
@@ -975,27 +976,34 @@ def test_pipeline_builds_the_position_columns_once(monkeypatch):
 
 
 @pytest.mark.parametrize("strategy", ["resample", "greedy"])
-def test_a_second_run_on_a_tree_builds_no_position_only_table(monkeypatch, strategy):
+def test_a_second_run_on_a_tree_builds_no_columns_and_no_level_laws(monkeypatch, strategy):
     # the first run on a fresh tree builds its columns, with the reach and
-    # the draw-1 columns, its level laws and, for the greedy sweep, its
-    # blurs; the next run on the tree reads them and builds none
+    # the draw-1 columns, and its level laws; the next run on the tree
+    # reads them and builds neither. Two position-only tables stay per
+    # run: the position classes (`_position_classes`, one pass over the
+    # columns, kept as the seam that turns twins off) and the greedy
+    # sweep's blurs, which a workspace builds for its own level alone
     _clear_trees()
     builds = Counter()
-    for name in ("position_columns", "level_laws", "level_blurs", "residual_law"):
-        builder = getattr(delay_model, name)
-        monkeypatch.setattr(delay_model, name, lambda *a, b=builder, n=name: builds.update([n]) or b(*a))
+    for module, name in (
+        (delay_model, "position_columns"), (delay_model, "level_laws"),
+        (delay_model, "residual_law"), (fixer_mod, "level_blurs"),
+    ):
+        builder = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, b=builder, n=name: builds.update([n]) or b(*a))
     for kind in ("plain", "buffered"):
         builds.clear()
         config = FixerConfig(variant=kind, delta=2, strategy=strategy)
         first = run_pipeline(shared_path_instance(8, 300), config)
-        assert first.report.levels and builds["residual_law"] > 0
-        assert {n: builds[n] for n in ("position_columns", "level_laws", "level_blurs")} == {
-            "position_columns": 1, "level_laws": 1, "level_blurs": int(strategy == "greedy"),
-        }
+        tree, fixed = first.assignment.tree, len(first.report.levels)
+        assert fixed and builds["residual_law"] > 0
+        assert {n: builds[n] for n in ("position_columns", "level_laws")} == {"position_columns": 1, "level_laws": 1}
         builds.clear()
         again = run_pipeline(shared_path_instance(5, 400), dataclasses.replace(config, seed=1))
-        assert again.assignment.tree is first.assignment.tree
-        assert again.report.levels and builds == Counter()
+        assert again.assignment.tree is tree and len(again.report.levels) == fixed
+        # what the second run builds is the blurs alone: one law per class
+        blurs = {"level_blurs": fixed, "residual_law": sum(len(set(tree.laws[level].alike)) for level in range(fixed))}
+        assert builds == (Counter(blurs) if strategy == "greedy" else Counter())
 
 
 def test_a_tree_is_keyed_on_its_levels_not_on_delta():
@@ -1028,16 +1036,20 @@ def test_runs_on_one_ladder_share_one_read_only_tree():
         assert columns.draw_one[-1] is columns.offsets
         shared = [*columns, *columns.blocks, *filter(None, columns.tables), *columns.draw_one]
         shared += [tree.blocks(level) for level in range(len(tree.ladder.levels))]
-        # every level's laws and blurs, down to each position's law
-        shared += [tree.laws, tree.blurs, *tree.blurs]
-        for laws, blurs in zip(tree.laws, tree.blurs):
-            shared += [*laws, *laws.delays, *laws.weighted, *blurs]
+        # every level's laws, down to each position's law
+        shared.append(tree.laws)
+        for laws in tree.laws:
+            shared += [*laws, *laws.delays, *laws.weighted]
             assert all(type(offsets) is frozenset for offsets in laws.offsets)
-        shared += [tree.columns, *tree.laws]  # named tuples, immutable too
         for column in shared:
-            assert isinstance(column, tuple)
+            assert type(column) is tuple
             with pytest.raises(TypeError):
                 column[0] = column[0]
+        # the columns and each level's laws are named tuples, immutable too
+        for table in (columns, *tree.laws):
+            assert isinstance(table, tuple)
+            with pytest.raises(TypeError):
+                table[0] = table[0]
 
 
 def _tree_cases():
